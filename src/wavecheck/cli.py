@@ -2,10 +2,10 @@
 
 Subcommands mirror the library surface: ``solve``, ``order``, ``energy``,
 ``roundoff``, ``fundamental``, ``bound``, and ``report`` (the full claims
-catalog; exit status 1 if any claim is violated).  Outputs are deterministic:
-identical configuration gives byte-identical CSV/JSON.  Rationals serialize
-as ``p/q`` strings; binary64 values carry a lossless hex literal next to the
-decimal form.
+catalog; exit status 1 if any claim is violated or errored).  Outputs are
+deterministic: identical configuration gives byte-identical CSV/JSON.
+Rationals serialize as ``p/q`` strings; binary64 values carry a lossless hex
+literal next to the decimal form.
 """
 
 from __future__ import annotations
@@ -147,8 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
 def apply_config_file(argv: list[str]) -> list[str]:
     """Expand ``--config FILE`` into flag tokens right after the subcommand.
 
-    Explicit command-line flags still win because argparse keeps the last
-    occurrence of a scalar option.
+    ``--config FILE`` may stand before or after the subcommand; it is taken
+    out, and the subcommand is then the first token.  Explicit command-line
+    flags still win because argparse keeps the last occurrence of a scalar
+    option.
     """
     if "--config" not in argv:
         return argv
@@ -156,8 +158,12 @@ def apply_config_file(argv: list[str]) -> list[str]:
     if idx + 1 >= len(argv):
         raise ParameterError("--config needs a file path")
     path = Path(argv[idx + 1])
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file {path}: {exc.strerror}") from exc
     tokens = []
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -165,8 +171,8 @@ def apply_config_file(argv: list[str]) -> list[str]:
             raise ParameterError(f"config line is not key=value: {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         tokens.extend([f"--{key}", value])
-    head, tail = argv[:1], argv[1:]
-    return head + tokens + tail
+    rest = argv[:idx] + argv[idx + 2:]
+    return rest[:1] + tokens + rest[1:]
 
 
 def resolve_grid(args, kind: str = BINARY64):

@@ -57,6 +57,18 @@ class FundamentalTable:
             return Fraction(0)
         return Fraction(self._rows[k][i + k], self._q ** k)
 
+    def scaled_row(self, k: int) -> list[int]:
+        """Row k of ``L`` fraction-free: integers over ``q**k``, for ``i = -k..k``.
+
+        ``entry(i, k) == Fraction(scaled_row(k)[i + k], q**k)`` with ``q`` the
+        denominator of ``a``.  Exact consumers that keep their own common
+        denominator read rows here and skip one Fraction per entry.  The list
+        is a copy.
+        """
+        if not 0 <= k <= self.K:
+            raise DomainError(f"time index {k} outside [0, {self.K}]")
+        return list(self._rows[k])
+
     def lam(self, i: int, k: int) -> Fraction:
         """Fundamental-solution value: the table shifted one step in time."""
         if k < 0:

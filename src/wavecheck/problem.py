@@ -223,20 +223,39 @@ def fold_index(j: int, i_max: int) -> tuple[int, int]:
     return two_l - m, -1
 
 
-def antisym_index(values: Sequence, j: int):
-    """Value of the antisymmetric extension of a sampled vector at index j.
-
-    The vector must vanish at both ends, otherwise the extension is not
-    well defined at the reflection points.
-    """
+def _require_zero_boundary(values: Sequence) -> None:
     i_max = len(values) - 1
     if values[0] != 0 or values[i_max] != 0:
         raise ParameterError(
             "antisymmetric extension needs zero boundary values, got "
             f"{values[0]} and {values[i_max]}"
         )
-    base, sign = fold_index(j, i_max)
+
+
+def antisym_index(values: Sequence, j: int):
+    """Value of the antisymmetric extension of a sampled vector at index j.
+
+    The vector must vanish at both ends, otherwise the extension is not
+    well defined at the reflection points.
+    """
+    _require_zero_boundary(values)
+    base, sign = fold_index(j, len(values) - 1)
     return values[base] if sign > 0 else -values[base]
+
+
+def antisym_extension(values: Sequence, lo: int, hi: int) -> list:
+    """``[antisym_index(values, j) for j in range(lo, hi + 1)]``, folded once.
+
+    The boundary is checked once for the whole slice instead of once per
+    index; the error is the same :class:`ParameterError`.
+    """
+    _require_zero_boundary(values)
+    i_max = len(values) - 1
+    out = []
+    for j in range(lo, hi + 1):
+        base, sign = fold_index(j, i_max)
+        out.append(values[base] if sign > 0 else -values[base])
+    return out
 
 
 def antisym_value(p0, x_min, x_max, x):

@@ -7,7 +7,12 @@ Each claim runs a self-contained experiment and returns a status from
 * ``witnessed``             -- universal claim sampled on a finite range,
                                every sample exact (nonnegativity, random runs);
 * ``violated``              -- a check failed; evidence names the location;
+* ``errored``               -- the check itself raised; evidence names the
+                               exception type and the function it came from,
+                               and nothing about the claim is decided;
 * ``skipped``               -- disabled by configuration.
+
+A report with a violated or errored claim exits nonzero.
 
 The acceptance test suite drives these same functions at the documented
 parameters, so the CLI report and the test suite cannot drift apart.
@@ -31,6 +36,7 @@ VERIFIED_EXACT = "verified-exact"
 VERIFIED_TOL = "verified-within-tolerance"
 WITNESSED = "witnessed"
 VIOLATED = "violated"
+ERRORED = "errored"
 SKIPPED = "skipped"
 
 
@@ -82,8 +88,12 @@ class ClaimsReport:
         return [r for r in self.results if r.status == VIOLATED]
 
     @property
+    def errored(self) -> list:
+        return [r for r in self.results if r.status == ERRORED]
+
+    @property
     def exit_code(self) -> int:
-        return 1 if self.violated else 0
+        return 1 if self.violated or self.errored else 0
 
     def to_dict(self) -> dict:
         return {
@@ -98,6 +108,7 @@ class ClaimsReport:
                 for r in self.results
             ],
             "violated": len(self.violated),
+            "errored": len(self.errored),
         }
 
     def to_text(self) -> str:
@@ -107,6 +118,8 @@ class ClaimsReport:
             lines.append(f"{r.claim_id.ljust(width)}  {r.status.upper():27s} "
                          f"({r.seconds:6.2f}s)  {r.statement}")
         lines.append(f"violated: {len(self.violated)} / {len(self.results)}")
+        if self.errored:
+            lines.append(f"errored: {len(self.errored)} / {len(self.results)}")
         return "\n".join(lines)
 
 
@@ -484,6 +497,19 @@ CLAIMS = [
 ]
 
 
+def _error_evidence(exc: Exception) -> dict:
+    """Exception type, message and the function that raised it."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    frame = tb.tb_frame
+    return {
+        "error_type": type(exc).__name__,
+        "error": str(exc),
+        "raised_in": f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}",
+    }
+
+
 def run_claims(cfg: ClaimConfig | None = None, only: list | None = None) -> ClaimsReport:
     """Execute the catalog; every claim id appears exactly once in the result."""
     cfg = cfg or ClaimConfig()
@@ -496,8 +522,8 @@ def run_claims(cfg: ClaimConfig | None = None, only: list | None = None) -> Clai
         start = time.perf_counter()
         try:
             status, evidence = fn(cfg)
-        except Exception as exc:  # a crash is a finding, not a silent skip
-            status, evidence = VIOLATED, {"error": repr(exc)}
+        except Exception as exc:  # a crash decides nothing, but is never hidden
+            status, evidence = ERRORED, _error_evidence(exc)
         results.append(ClaimResult(claim_id, statement, status, evidence,
                                    time.perf_counter() - start))
     return ClaimsReport(results=results)

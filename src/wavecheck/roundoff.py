@@ -6,6 +6,14 @@ Every binary64 value is a rational, so the global error ``D = computed -
 exact`` and the per-update local errors ``d`` are exact rationals, and the
 convolution identity tying them together can be checked with zero tolerance.
 
+The exact layers run fraction-free (Bareiss-style): values sharing a
+denominator are held as integers over it, and each output node becomes one
+Fraction at the end.  The exact march keeps a column over ``2*D*q**k`` (see
+:mod:`wavecheck.scheme`), a local-error update of dyadic binary64 values is
+an integer over ``q * 2**e``, and the convolution sums each node over
+``D * q**k`` with ``D`` the common denominator of all local errors.  Every
+table returned is the same list of Fractions a plain rational loop gives.
+
 Sign bookkeeping, fixed once here: the local errors measure *exact update of
 computed values minus computed value* (the amount the float fell short), so
 their convolution with the fundamental solution reproduces ``exact - computed``.
@@ -15,14 +23,16 @@ matches the stored ``computed - exact`` table entry for entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .errors import ParameterError, UnsupportedFeatureError
 from .fundamental import FundamentalTable
 from .grid import Grid, dot_dx
-from .problem import SpaceFunction, WaveProblem, antisym_index
+from .problem import SpaceFunction, WaveProblem, antisym_extension
 from .scalars import BINARY64, EXACT, to_fraction
 from .scheme import DEFAULT_XI, SchemeRun, solve
 
@@ -69,31 +79,59 @@ def _second_diff(col, i):
     return (col[i + 1] - 2 * col[i]) + col[i - 1]
 
 
+def _dyadic_column(col) -> tuple[list[int], int]:
+    """Binary64 values as integers over one power of two: ``(ints, e)``.
+
+    Each column gets its own exponent, so one tiny value widens only the
+    column it sits in.
+    """
+    ratios = [v.as_integer_ratio() for v in col]
+    e = max(d.bit_length() for _, d in ratios) - 1
+    return [n << (e + 1 - d.bit_length()) for n, d in ratios], e
+
+
 def _local_error_table(fl_cols: list, exact_col0: list, a: Fraction) -> list:
-    """Local errors per the update definitions; outer arithmetic exact."""
+    """Local errors per the update definitions, from the binary64 columns.
+
+    ``d^0`` and ``d^1`` are single columns worked in Fractions.  For k >= 1
+    the update ``2 p^k - p^(k-1) + a (p^k_(i+1) - 2 p^k_i + p^k_(i-1)) -
+    p^(k+1)`` of dyadic values is an integer over ``q * 2**e``, with ``a =
+    p/q`` and ``2**e`` the widest of the three columns' exponents, so it runs
+    in integers and builds one Fraction per node.
+    """
     imax = len(fl_cols[0]) - 1
     kmax = len(fl_cols) - 1
     z = Fraction(0)
     half_a = a / 2
+    fl0 = [to_fraction(v) for v in fl_cols[0]]
+    fl1 = [to_fraction(v) for v in fl_cols[1]]
 
     d0 = [z] * (imax + 1)
     for i in range(1, imax):
-        d0[i] = exact_col0[i] - fl_cols[0][i]
+        d0[i] = exact_col0[i] - fl0[i]
 
     d1 = [z] * (imax + 1)
     for i in range(1, imax):
-        ideal = fl_cols[0][i] + half_a * _second_diff(fl_cols[0], i)
+        ideal = fl0[i] + half_a * _second_diff(fl0, i)
         inherited = d0[i] + half_a * _second_diff(d0, i)
-        d1[i] = ideal - fl_cols[1][i] - inherited
+        d1[i] = ideal - fl1[i] - inherited
 
     cols = [d0, d1]
+    p, q = a.numerator, a.denominator
+    two_q_minus_p = 2 * (q - p)
+    prev_dy, cur_dy = _dyadic_column(fl_cols[0]), _dyadic_column(fl_cols[1])
     for k in range(1, kmax):
-        dk = [z] * (imax + 1)
-        pk, pkm1, pk1 = fl_cols[k], fl_cols[k - 1], fl_cols[k + 1]
-        for i in range(1, imax):
-            ideal = 2 * pk[i] - pkm1[i] + a * _second_diff(pk, i)
-            dk[i] = ideal - pk1[i]
-        cols.append(dk)
+        next_dy = _dyadic_column(fl_cols[k + 1])
+        e = max(prev_dy[1], cur_dy[1], next_dy[1])
+        prev, cur, nxt = ([n << (e - ej) for n in col] if ej < e else col
+                          for col, ej in (prev_dy, cur_dy, next_dy))
+        den = q << e
+        cols.append([z] + [
+            Fraction(p * (left + right) + two_q_minus_p * mid - q * (back + ahead), den)
+            for left, mid, right, back, ahead
+            in zip(cur, cur[1:], cur[2:], prev[1:], nxt[1:])
+        ] + [z])
+        prev_dy, cur_dy = cur_dy, next_dy
     return cols
 
 
@@ -147,7 +185,7 @@ def shadow_solve(p: WaveProblem, g: Grid, xi: float = DEFAULT_XI) -> ShadowRun:
 
 def local_errors(run: ShadowRun) -> list:
     """Recompute the local-error table from the stored runs (pure function)."""
-    fl_cols = _float_columns_as_fractions(run.float_run)
+    fl_cols = [run.float_run.column(k) for k in range(run.k_max + 1)]
     return _local_error_table(fl_cols, run.exact_run.column(0), run.a_exact)
 
 
@@ -164,31 +202,35 @@ def reconstruct_global_error(delta: list, table: FundamentalTable, i_max: int) -
     convolution's exact-minus-computed orientation into the stored
     computed-minus-exact one.  The result must equal the measured table
     exactly.
+
+    The sum runs fraction-free: every ``d`` is scaled to integers over one
+    common denominator ``D``, each row ``L^l`` is read as integers over
+    ``q**l`` (``a = p/q``), and each node accumulates ``sum_l q**(k-l) S_l``
+    by Horner's rule, so that ``R_i^k`` is one Fraction over ``D q**k``.
     """
     k_max = len(delta) - 1
     if table.K < k_max:
         raise ParameterError(
             f"fundamental table depth {table.K} insufficient for k_max {k_max}"
         )
-    lam_rows = [
-        [table.entry(j, l) for j in range(-l, l + 1)] for l in range(k_max + 1)
-    ]
+    den = math.lcm(*(v.denominator for row in delta for v in row))
+    # Row m extended to indices -k_max .. i_max + k_max, scaled by D.
+    ext = [[v.numerator * (den // v.denominator)
+            for v in antisym_extension(row, -k_max, i_max + k_max)]
+           for row in delta]
+    # Reversed rows turn sum_j d~_{i-j} L_j into a dot product with a slice.
+    lam_rev = [table.scaled_row(l)[::-1] for l in range(k_max + 1)]
+    q = table.a.denominator
     out = []
     for k in range(k_max + 1):
-        col = [Fraction(0)] * (i_max + 1)
-        for i in range(i_max + 1):
-            acc = Fraction(0)
-            for l in range(k + 1):
-                drow = delta[k - l]
-                lrow = lam_rows[l]
-                for j in range(-l, l + 1):
-                    w = lrow[j + l]
-                    if w:
-                        d = antisym_index(drow, i - j)
-                        if d:
-                            acc += d * w
-            col[i] = -acc
-        out.append(col)
+        acc = [0] * (i_max + 1)
+        for l in range(k + 1):
+            row, weights, width = ext[k - l], lam_rev[l], 2 * l + 1
+            for i in range(i_max + 1):
+                lo = i - l + k_max
+                acc[i] = acc[i] * q + sum(map(mul, row[lo:lo + width], weights))
+        den_k = den * q ** k
+        out.append([Fraction(-n, den_k) for n in acc])
     return out
 
 
@@ -212,19 +254,22 @@ def check_global_bound(run: ShadowRun) -> GlobalBoundReport:
     to bound is reported for regression tracking.
     """
     g = run.grid
-    best = Fraction(0)
+    scale_n, scale_d = GLOBAL_BOUND_SCALE.numerator, GLOBAL_BOUND_SCALE.denominator
+    # |err| / bound = (n * scale_d) / (d * bound_n); ratios compare crosswise.
+    best_n, best_d = 0, 1
     worst = None
     violations = []
     for k in range(g.k_max + 1):
-        bound = GLOBAL_BOUND_SCALE * (k + 1) * (k + 2)
-        for i in range(g.i_max + 1):
-            v = abs(run.global_err[k][i])
-            if v > bound:
+        bound_n = scale_n * (k + 1) * (k + 2)
+        for i, v in enumerate(run.global_err[k]):
+            num = abs(v.numerator) * scale_d
+            den = v.denominator * bound_n
+            if num > den:
                 violations.append((i, k))
-            ratio = v / bound
-            if ratio > best:
-                best = ratio
+            if num * best_d > best_n * den:
+                best_n, best_d = num, den
                 worst = (i, k)
+    best = Fraction(best_n, best_d)
 
     norm_level_ok: Optional[bool] = None
     if g.dx <= 1 and g.dt <= g.t_max / 2:

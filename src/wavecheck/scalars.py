@@ -75,6 +75,15 @@ def sqrt_bounds(x: Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """``sqrt(x)`` when it is rational (x >= 0 in lowest terms), else None."""
+    n, d = x.numerator, x.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
+
+
 def certified_sqrt_leq(
     lhs: Fraction,
     rhs_terms: Sequence[Fraction],
@@ -82,9 +91,13 @@ def certified_sqrt_leq(
 ) -> bool:
     """Decide ``sqrt(lhs) <= sum_j sqrt(rhs_terms[j])`` exactly.
 
-    All inputs are nonnegative rationals.  The comparison escalates the
-    enclosure precision until it resolves; ties (true equality) are handled
-    by rational shortcuts before giving up.
+    All inputs are nonnegative rationals.  Terms whose ratio is a rational
+    square share one irrational part, ``sqrt(t) = r sqrt(b)`` with r
+    rational, so each such class merges into the single term ``(sum r)**2 b``.
+    One class left makes the comparison rational, true ties included.  With
+    two or more, the square roots of distinct classes are linearly
+    independent over the rationals (Besicovitch 1940), so the two sides
+    differ and escalating the enclosure precision settles the comparison.
     """
     lhs = to_fraction(lhs)
     terms = [to_fraction(t) for t in rhs_terms if t != 0]
@@ -92,6 +105,16 @@ def certified_sqrt_leq(
         raise NumericDomainError("sqrt comparison needs nonnegative radicands")
     if lhs == 0:
         return True
+    classes: list[list[Fraction]] = []  # [base b, coefficient of sqrt(b)]
+    for t in terms:
+        for cls in classes:
+            r = _rational_sqrt(t / cls[0])
+            if r is not None:
+                cls[1] += r
+                break
+        else:
+            classes.append([t, Fraction(1)])
+    terms = [c * c * b for b, c in classes]
     if not terms:
         return False
     if len(terms) == 1:
@@ -99,18 +122,20 @@ def certified_sqrt_leq(
         return lhs <= terms[0]
     bits = 32
     while bits <= max_bits:
-        _, lhs_hi = sqrt_bounds(lhs, bits)
-        lhs_lo, _ = sqrt_bounds(lhs, bits)
-        rhs_lo = sum(sqrt_bounds(t, bits)[0] for t in terms)
-        rhs_hi = sum(sqrt_bounds(t, bits)[1] for t in terms)
+        lhs_lo, lhs_hi = sqrt_bounds(lhs, bits)
+        rhs_lo = rhs_hi = Fraction(0)
+        for t in terms:
+            lo, hi = sqrt_bounds(t, bits)
+            rhs_lo += lo
+            rhs_hi += hi
         if lhs_hi <= rhs_lo:
             return True
         if lhs_lo > rhs_hi:
             return False
         bits *= 2
     raise NumericDomainError(
-        "sqrt comparison undecided at maximum precision; operands may be equal "
-        "in a form the rational shortcuts do not recognize"
+        f"sqrt comparison undecided at {max_bits} bits; the two sides differ "
+        "by less than the enclosure width"
     )
 
 

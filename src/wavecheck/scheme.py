@@ -10,8 +10,9 @@ The binary64 path reproduces the reference C loop operation for operation:
 Each Python expression below mirrors that evaluation order (left to right,
 ``dp`` materialized, no fused multiply-add), so round-off measurements made
 against this solver are measurements of that operation schedule.  The exact
-path runs the same recurrences in rational arithmetic, where the order is
-immaterial.
+path runs the same recurrences without rounding, where the order is
+immaterial: fraction-free, as integers over a common denominator per time
+step (``2*D*q**k`` for ``a = p/q``), with one Fraction built per node.
 """
 
 from __future__ import annotations
@@ -213,32 +214,46 @@ def _march_binary64(g: Grid, a: float, u0, u1, source) -> list:
 
 
 def _march_exact(g: Grid, a: Fraction, u0, u1, source) -> list:
-    imax = g.i_max
-    half_a = a / 2
-    dt = g.dt
-    dt2 = dt * dt
-    z = Fraction(0)
-    cols = [list(u0)]
+    """The exact recurrences in integers, one Fraction per node at the end.
 
-    prev = cols[0]
-    col = [z] * (imax + 1)
-    for i in range(1, imax):
-        dp = (prev[i + 1] - 2 * prev[i]) + prev[i - 1]
-        col[i] = prev[i] + half_a * dp
-        if u1 is not None:
-            col[i] += dt * u1[i]
-    cols.append(col)
+    With ``a = p/q`` and ``D`` the lcm of the denominators of ``u0``,
+    ``dt*u1`` and ``dt**2*s``, column k is held as integers over
+    ``2*D*q**k``.  The update is then the integer recurrence of
+    :func:`wavecheck.fundamental.build_table` plus the scaled data terms, so
+    no step pays for a gcd; each column becomes Fractions as soon as it is
+    done, and only the last two integer columns are kept.
+    """
+    imax = g.i_max
+    p, q = a.numerator, a.denominator
+    dt = g.dt
+    vel = [dt * v for v in u1] if u1 is not None else [0] * (imax + 1)
+    forcing = ([[dt * dt * v for v in source[k]] for k in range(1, g.k_max)]
+               if source is not None else [])
+    D = math.lcm(*(v.denominator for v in u0), *(v.denominator for v in vel),
+                 *(v.denominator for col in forcing for v in col))
+    two_q_minus_p, q2 = 2 * (q - p), q * q
+
+    def scaled(col, factor):
+        return [v.numerator * (factor // v.denominator) for v in col]
+
+    u0_d = scaled(u0, D)
+    vel_2qd = scaled(vel, 2 * q * D)
+    prev = [2 * v for v in u0_d]
+    cur = [0] + [p * (left + right) + two_q_minus_p * mid + v
+                 for left, mid, right, v in zip(u0_d, u0_d[1:], u0_d[2:], vel_2qd[1:])] + [0]
+    den = 2 * D * q
+    cols = [list(u0), [Fraction(n, den) for n in cur]]
 
     for k in range(1, g.k_max):
-        pk = cols[k]
-        pkm1 = cols[k - 1]
-        nxt = [z] * (imax + 1)
-        for i in range(1, imax):
-            dp = (pk[i + 1] - 2 * pk[i]) + pk[i - 1]
-            nxt[i] = 2 * pk[i] - pkm1[i] + a * dp
-            if source is not None:
-                nxt[i] += dt2 * source[k][i]
-        cols.append(nxt)
+        nxt = [0] + [p * (left + right) + two_q_minus_p * mid - q2 * old
+                     for left, mid, right, old in zip(cur, cur[1:], cur[2:], prev[1:])] + [0]
+        if forcing:
+            f = scaled(forcing[k - 1], den * q)
+            for i in range(1, imax):
+                nxt[i] += f[i]
+        prev, cur = cur, nxt
+        den *= q
+        cols.append([Fraction(n, den) for n in cur])
     return cols
 
 

@@ -1,0 +1,113 @@
+"""Rational-arithmetic references for the fraction-free exact layers.
+
+These are the plain ``fractions.Fraction`` loops that the package's exact
+march, local-error table and convolution reconstruction used before they
+were rewritten in scaled integers.  They are kept verbatim as test oracles:
+every Fraction the package returns must equal the one computed here.
+"""
+
+from fractions import Fraction
+
+from wavecheck.errors import ParameterError
+from wavecheck.fundamental import FundamentalTable
+from wavecheck.grid import Grid
+from wavecheck.problem import antisym_index
+
+
+def _march_exact(g: Grid, a: Fraction, u0, u1, source) -> list:
+    imax = g.i_max
+    half_a = a / 2
+    dt = g.dt
+    dt2 = dt * dt
+    z = Fraction(0)
+    cols = [list(u0)]
+
+    prev = cols[0]
+    col = [z] * (imax + 1)
+    for i in range(1, imax):
+        dp = (prev[i + 1] - 2 * prev[i]) + prev[i - 1]
+        col[i] = prev[i] + half_a * dp
+        if u1 is not None:
+            col[i] += dt * u1[i]
+    cols.append(col)
+
+    for k in range(1, g.k_max):
+        pk = cols[k]
+        pkm1 = cols[k - 1]
+        nxt = [z] * (imax + 1)
+        for i in range(1, imax):
+            dp = (pk[i + 1] - 2 * pk[i]) + pk[i - 1]
+            nxt[i] = 2 * pk[i] - pkm1[i] + a * dp
+            if source is not None:
+                nxt[i] += dt2 * source[k][i]
+        cols.append(nxt)
+    return cols
+
+
+def _second_diff(col, i):
+    return (col[i + 1] - 2 * col[i]) + col[i - 1]
+
+
+def _local_error_table(fl_cols: list, exact_col0: list, a: Fraction) -> list:
+    """Local errors per the update definitions; outer arithmetic exact."""
+    imax = len(fl_cols[0]) - 1
+    kmax = len(fl_cols) - 1
+    z = Fraction(0)
+    half_a = a / 2
+
+    d0 = [z] * (imax + 1)
+    for i in range(1, imax):
+        d0[i] = exact_col0[i] - fl_cols[0][i]
+
+    d1 = [z] * (imax + 1)
+    for i in range(1, imax):
+        ideal = fl_cols[0][i] + half_a * _second_diff(fl_cols[0], i)
+        inherited = d0[i] + half_a * _second_diff(d0, i)
+        d1[i] = ideal - fl_cols[1][i] - inherited
+
+    cols = [d0, d1]
+    for k in range(1, kmax):
+        dk = [z] * (imax + 1)
+        pk, pkm1, pk1 = fl_cols[k], fl_cols[k - 1], fl_cols[k + 1]
+        for i in range(1, imax):
+            ideal = 2 * pk[i] - pkm1[i] + a * _second_diff(pk, i)
+            dk[i] = ideal - pk1[i]
+        cols.append(dk)
+    return cols
+
+
+def reconstruct_global_error(delta: list, table: FundamentalTable, i_max: int) -> list:
+    """Global error from the convolution of extended local errors.
+
+    ``R_i^k = - sum_{l=0}^{k} sum_{j=-l}^{l} d~_{i-j}^{k-l} L_j^l`` where
+    ``d~`` is the odd spatial extension of each local-error row and ``L`` is
+    the time-shifted fundamental solution; the leading sign converts the
+    convolution's exact-minus-computed orientation into the stored
+    computed-minus-exact one.  The result must equal the measured table
+    exactly.
+    """
+    k_max = len(delta) - 1
+    if table.K < k_max:
+        raise ParameterError(
+            f"fundamental table depth {table.K} insufficient for k_max {k_max}"
+        )
+    lam_rows = [
+        [table.entry(j, l) for j in range(-l, l + 1)] for l in range(k_max + 1)
+    ]
+    out = []
+    for k in range(k_max + 1):
+        col = [Fraction(0)] * (i_max + 1)
+        for i in range(i_max + 1):
+            acc = Fraction(0)
+            for l in range(k + 1):
+                drow = delta[k - l]
+                lrow = lam_rows[l]
+                for j in range(-l, l + 1):
+                    w = lrow[j + l]
+                    if w:
+                        d = antisym_index(drow, i - j)
+                        if d:
+                            acc += d * w
+            col[i] = -acc
+        out.append(col)
+    return out

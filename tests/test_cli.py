@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -153,3 +154,67 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert main(["solve", "--config", str(cfg), "--imax", "12", "--kmax", "24",
                  "--out", str(out2)]) == 0
     assert read_json(out2 / "summary.json")["grid"]["i_max"] == 12
+
+
+def test_config_file_before_the_subcommand(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("imax=10\nkmax=20\n")
+    out = tmp_path / "a"
+    assert main(["--config", str(cfg), "solve", "--out", str(out)]) == 0
+    grid = read_json(out / "summary.json")["grid"]
+    assert (grid["i_max"], grid["k_max"]) == (10, 20)
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_malformed_config_exits_2(tmp_path, capsys, before):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("imax 10\n")
+    config = ["--config", str(cfg)]
+    argv = config + ["solve"] if before else ["solve"] + config
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "not key=value" in capsys.readouterr().err
+
+
+def test_missing_config_exits_2(tmp_path, capsys):
+    assert main(["--config", str(tmp_path / "absent.cfg"), "solve"]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_report_crashing_claim_is_errored_not_violated(tmp_path, monkeypatch):
+    from wavecheck import report
+
+    def boom(cfg):
+        raise ZeroDivisionError("checker divided by zero")
+
+    monkeypatch.setattr(report, "CLAIMS", report.CLAIMS + [
+        ("crashing-claim", "a claim whose check raises", boom)])
+    assert main(["report", "--only", "crashing-claim", "--out", str(tmp_path)]) == 1
+    data = read_json(tmp_path / "claims.json")
+    claim = {c["id"]: c for c in data["claims"]}["crashing-claim"]
+    assert claim["status"] == "errored"
+    assert claim["evidence"]["error_type"] == "ZeroDivisionError"
+    assert claim["evidence"]["raised_in"].endswith(".boom")
+    assert (data["violated"], data["errored"]) == (0, 1)
+    assert "errored: 1 / 15" in (tmp_path / "claims.txt").read_text()
+
+
+#: SHA-256 of every ``roundoff`` artifact, recorded from the plain Fraction
+#: implementation of the exact layers; the fraction-free one must match it.
+ROUNDOFF_SHA256 = {
+    (10, 20): {"roundoff.json":
+               "a02b9e160f3ba071d47473b25ae24398312a56d7d623ffcd0578ab0703cf8888"},
+    (12, 24): {"roundoff.json":
+               "c0940216bef10fbf8cb02e335dd9ebece2e68c6108b645a64c3c1a31c59d2d3c"},
+}
+
+
+@pytest.mark.parametrize("i_max,k_max", sorted(ROUNDOFF_SHA256))
+def test_roundoff_artifacts_match_recorded_digests(tmp_path, i_max, k_max):
+    digests = []
+    for run in ("run1", "run2"):
+        out = tmp_path / run
+        assert main(["roundoff", "--imax", str(i_max), "--kmax", str(k_max),
+                     "--out", str(out)]) == 0
+        digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in out.iterdir()})
+    assert digests[0] == digests[1] == ROUNDOFF_SHA256[i_max, k_max]

@@ -1,0 +1,163 @@
+"""The fraction-free exact layers against their rational-arithmetic references.
+
+The exact march, the local-error table and the convolution reconstruction
+run in scaled integers; ``fraction_reference`` holds the plain Fraction loops
+they replaced.  Every output must be the same list of Fractions.
+"""
+
+from fractions import Fraction as Fr
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fraction_reference import _local_error_table as ref_local_error_table
+from fraction_reference import _march_exact as ref_march_exact
+from fraction_reference import reconstruct_global_error as ref_reconstruct
+from wavecheck import (
+    ParameterError,
+    WaveProblem,
+    build_grid,
+    build_table,
+    local_errors,
+    reconstruct_global_error,
+    shadow_solve,
+    solve,
+)
+from wavecheck.errors import DomainError
+from wavecheck.problem import Polynomial, antisym_extension, antisym_index
+from wavecheck.roundoff import _local_error_table
+
+#: First-datum scales s of u0 = s x (1 - x), as in the benchmark's seeds.
+DATUM_SCALES = tuple(Fr(n, 8) for n in (8, -8, 7, -7, 6, -6, 5, -5))
+#: 12 x 24 has a dx that is not dyadic, so its exact samples are not floats.
+GRIDS = ((8, 16), (12, 24), (16, 32))
+
+
+def as_fractions(cols):
+    return [[Fr(v) for v in col] for col in cols]
+
+
+@pytest.mark.parametrize("i_max,k_max", GRIDS)
+@pytest.mark.parametrize("s", DATUM_SCALES, ids=str)
+def test_shadow_layers_equal_references(s, i_max, k_max):
+    g = build_grid(0, 1, 1, i_max, k_max)
+    run = shadow_solve(WaveProblem(c=1, u0=Polynomial((0, s, -s))), g)
+    ex = run.exact_run
+    assert list(ex.field.columns()) == ref_march_exact(ex.grid, ex.a, ex.u0, None, None)
+
+    fl = as_fractions(run.float_run.field.columns())
+    delta = ref_local_error_table(fl, ex.column(0), run.a_exact)
+    assert run.delta == delta
+    assert local_errors(run) == delta
+
+    table = build_table(run.a_exact, k_max)
+    rec = reconstruct_global_error(run.delta, table, i_max)
+    assert rec == ref_reconstruct(run.delta, table, i_max)
+    assert rec == run.global_err
+
+
+def rationals(max_den=12):
+    return st.fractions(min_value=-3, max_value=3, max_denominator=max_den)
+
+
+@st.composite
+def exact_problems(draw):
+    i_max = draw(st.integers(2, 7))
+    k_max = draw(st.integers(2, 9))
+    t_max = draw(st.fractions(min_value=Fr(1, 4), max_value=2, max_denominator=6))
+    g = build_grid(0, 1, t_max, i_max, k_max, "exact")
+    cn = draw(st.fractions(min_value=Fr(1, 50), max_value=Fr(49, 50), max_denominator=50))
+    c = cn * g.dx / g.dt
+
+    def vector():
+        return [Fr(0)] + draw(st.lists(rationals(), min_size=i_max - 1,
+                                       max_size=i_max - 1)) + [Fr(0)]
+
+    u1 = vector() if draw(st.booleans()) else None
+    s = ([draw(st.lists(rationals(), min_size=i_max + 1, max_size=i_max + 1))
+          for _ in range(k_max + 1)] if draw(st.booleans()) else None)
+    return g, WaveProblem(c=c, u0=vector(), u1=u1, s=s)
+
+
+@given(exact_problems())
+@settings(max_examples=40, deadline=None)
+def test_exact_march_equals_reference_with_velocity_and_source(case):
+    g, prob = case
+    run = solve(prob, g)
+    expected = ref_march_exact(g, run.a, run.u0, run.u1, run.source)
+    assert list(run.field.columns()) == expected
+
+
+@st.composite
+def dyadic_delta_tables(draw):
+    i_max = draw(st.integers(2, 6))
+    k_max = draw(st.integers(0, 7))
+
+    def dyadic():
+        return Fr(draw(st.integers(-2 ** 40, 2 ** 40)), 2 ** draw(st.integers(0, 90)))
+
+    delta = [[Fr(0)] + [dyadic() for _ in range(i_max - 1)] + [Fr(0)]
+             for _ in range(k_max + 1)]
+    a = draw(st.fractions(min_value=Fr(1, 100), max_value=Fr(99, 100), max_denominator=100))
+    depth = k_max + draw(st.integers(0, 2))
+    return delta, build_table(a, depth), i_max
+
+
+@given(dyadic_delta_tables())
+@settings(max_examples=60, deadline=None)
+def test_reconstruction_equals_reference_on_random_dyadic_tables(case):
+    delta, table, i_max = case
+    assert reconstruct_global_error(delta, table, i_max) == ref_reconstruct(delta, table, i_max)
+
+
+def test_reconstruction_rejects_local_error_row_with_nonzero_boundary():
+    g = build_grid(0, 1, 1, 6, 12)
+    run = shadow_solve(WaveProblem(c=1, u0=Polynomial((0, 1, -1))), g)
+    table = build_table(run.a_exact, 12)
+    delta = [list(col) for col in run.delta]
+    delta[5][6] = Fr(1, 2 ** 60)
+    with pytest.raises(ParameterError, match="zero boundary"):
+        ref_reconstruct(delta, table, 6)
+    with pytest.raises(ParameterError, match="zero boundary"):
+        reconstruct_global_error(delta, table, 6)
+
+
+finite_floats = st.floats(min_value=-2, max_value=2, allow_nan=False, allow_infinity=False)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_local_error_table_equals_reference_on_random_floats(data):
+    # Includes subnormals: a tiny value must only widen its own column.
+    i_max = data.draw(st.integers(2, 6))
+    k_max = data.draw(st.integers(1, 6))
+    cols = [[0.0] + data.draw(st.lists(finite_floats, min_size=i_max - 1,
+                                       max_size=i_max - 1)) + [0.0]
+            for _ in range(k_max + 1)]
+    exact0 = [Fr(0)] + data.draw(st.lists(rationals(), min_size=i_max - 1,
+                                          max_size=i_max - 1)) + [Fr(0)]
+    a = data.draw(st.fractions(min_value=Fr(1, 100), max_value=Fr(99, 100),
+                               max_denominator=100))
+    expected = ref_local_error_table(as_fractions(cols), exact0, a)
+    assert _local_error_table(cols, exact0, a) == expected
+    assert _local_error_table(as_fractions(cols), exact0, a) == expected
+
+
+def test_scaled_row_is_the_entry_row_over_q_to_the_k():
+    table = build_table(Fr(2, 7), 6)
+    for k in range(7):
+        row = table.scaled_row(k)
+        assert [Fr(v, 7 ** k) for v in row] == [table.entry(i, k) for i in range(-k, k + 1)]
+    table.scaled_row(3)[0] = -1  # a copy: the table is untouched
+    assert table.entry(-3, 3) == Fr(8, 343)
+    with pytest.raises(DomainError):
+        table.scaled_row(7)
+
+
+def test_antisym_extension_matches_pointwise_index():
+    q = [Fr(0), Fr(1, 3), Fr(-2, 5), Fr(7), Fr(0)]
+    assert antisym_extension(q, -11, 13) == [antisym_index(q, j) for j in range(-11, 14)]
+    with pytest.raises(ParameterError, match="zero boundary"):
+        antisym_extension([Fr(0), Fr(1)], 0, 1)
+

@@ -12,12 +12,13 @@ from wavecheck import (
     build_grid,
     dot_dx,
     norm_dx,
+    scalars,
     seminorm_Ah,
     space_index,
     time_index,
 )
 from wavecheck.errors import DomainError, NumericDomainError, ShapeError
-from wavecheck.scalars import certified_sqrt_leq
+from wavecheck.scalars import certified_sqrt_leq, sqrt_bounds
 
 
 def test_build_grid_binary64_steps():
@@ -129,6 +130,31 @@ def test_triangle_inequality_certified():
         r = [Fr(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(13)]
         s = [a + b for a, b in zip(q, r)]
         assert certified_sqrt_leq(dot_dx(s, s, g), [dot_dx(q, q, g), dot_dx(r, r, g)])
+
+
+def test_certified_sqrt_leq_settles_true_ties():
+    # sqrt(8) = sqrt(2) + sqrt(2), 3 = sqrt(1) + sqrt(4),
+    # sqrt(18) = sqrt(1/2) + sqrt(9/2) + sqrt(2): equal sides, decided exactly.
+    assert certified_sqrt_leq(8, [2, 2])
+    assert certified_sqrt_leq(9, [1, 4])
+    assert certified_sqrt_leq(Fr(18), [Fr(1, 2), Fr(9, 2), Fr(2)])
+    assert not certified_sqrt_leq(8 + Fr(1, 10 ** 40), [2, 2])
+    assert certified_sqrt_leq(8 - Fr(1, 10 ** 40), [2, 2])
+    # Two classes left (2 and 3): decided by the enclosures.
+    assert certified_sqrt_leq(8, [2, 3, 2])
+    assert not certified_sqrt_leq(Fr(81, 8), [2, 3])
+
+
+def test_certified_sqrt_leq_encloses_each_operand_once_per_round(monkeypatch):
+    calls = []
+
+    def counting(x, bits=64):
+        calls.append(x)
+        return sqrt_bounds(x, bits)
+
+    monkeypatch.setattr(scalars, "sqrt_bounds", counting)
+    assert scalars.certified_sqrt_leq(3, [1, 2])  # sqrt 3 < 1 + sqrt 2 at 32 bits
+    assert sorted(calls) == [1, 2, 3]
 
 
 def test_interior_sum_equals_inclusive_sum_for_zero_boundary():
