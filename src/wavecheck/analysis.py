@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .grid import Field, Grid, apply_Ah, build_grid, dot_dx, norm_dx
+from .grid import Field, Grid, apply_Ah, build_grid, norm_dx
 from .problem import AnalyticSolution, CallableSpace, WaveProblem
-from .scalars import BINARY64
+from .scalars import BINARY64, zero
 from .scheme import DEFAULT_XI, SchemeRun, solve
 
 
@@ -44,7 +43,7 @@ def convergence_error(ref: AnalyticSolution, run: SchemeRun) -> Field:
         pk = run.column(k)
         col = [ref.value(g.x(i), tk) - pk[i] for i in range(g.i_max + 1)]
         cols.append(col)
-    return Field.from_columns(cols, g.kind)
+    return Field(cols, g.kind)
 
 
 def truncation_error(ref: AnalyticSolution, g: Grid, c) -> Field:
@@ -59,7 +58,7 @@ def truncation_error(ref: AnalyticSolution, g: Grid, c) -> Field:
     dt = g.dt
     samples = [[ref.value(g.x(i), g.t(k)) for i in range(imax + 1)]
                for k in range(kmax + 1)]
-    z = 0.0 if g.kind == BINARY64 else Fraction(0)
+    z = zero(g.kind)
     cols = [[z] * (imax + 1)]
 
     p0, p1 = samples[0], samples[1]
@@ -78,7 +77,7 @@ def truncation_error(ref: AnalyticSolution, g: Grid, c) -> Field:
         for i in range(1, imax):
             col[i] = (pk[i] - 2 * pkm1[i] + pkm2[i]) / dt2 + ah[i]
         cols.append(col)
-    return Field.from_columns(cols, g.kind)
+    return Field(cols, g.kind)
 
 
 def max_norm_over_time(table: Field, g: Grid) -> float:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import analysis, energy, fundamental, roundoff
+from . import analysis, energy, fundamental, report, roundoff
 from .errors import (
     CflViolationError,
     DomainError,
@@ -311,17 +312,8 @@ def cmd_roundoff(args) -> int:
     verdict = "skipped"
     mismatch = None
     if not args.no_reconstruction:
-        table = fundamental.build_table(run.a_exact, g.k_max)
-        rec = roundoff.reconstruct_global_error(run.delta, table, g.i_max)
-        verdict = "exact-equal"
-        for k in range(g.k_max + 1):
-            for i in range(g.i_max + 1):
-                if rec[k][i] != run.global_err[k][i]:
-                    verdict = "mismatch"
-                    mismatch = [i, k]
-                    break
-            if mismatch:
-                break
+        mismatch = report.reconstruction_mismatch(run, run.a_exact)
+        verdict = "exact-equal" if mismatch is None else "mismatch"
 
     args.out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -338,7 +330,7 @@ def cmd_roundoff(args) -> int:
         "global_max_ratio": bound_rep.max_ratio,
         "norm_level_ok": bound_rep.norm_level_ok,
         "reconstruction": verdict if mismatch is None else
-                          {"verdict": verdict, "first_mismatch": mismatch},
+                          {"verdict": verdict, "first_mismatch": list(mismatch[:2])},
     }
     write_json(args.out / "roundoff.json", payload)
     print(f"roundoff: max|delta|={float(worst_delta):.3e} "
@@ -347,54 +339,30 @@ def cmd_roundoff(args) -> int:
 
 
 def cmd_fundamental(args) -> int:
-    import random as _random
-
-    counts = {}
     failures = []
     for a in args.a:
         table = fundamental.build_table(a, args.depth)
-        for k in range(args.depth + 1):
-            for i in range(-k, k + 1):
-                v = table.entry(i, k)
-                if v != fundamental.lambda_closed_form(a, i, k):
-                    failures.append(("closed-form", str(a), i, k))
-                if v != fundamental.lambda_via_jacobi(a, i, k):
-                    failures.append(("jacobi-form", str(a), i, k))
-                if v < 0:
-                    failures.append(("nonnegativity", str(a), i, k))
-        for k in range(args.depth + 2):
-            if fundamental.row_sum(table, k) != k:
-                failures.append(("row-sum", str(a), k))
-    counts["closed_form_points"] = len(args.a) * (args.depth + 1) ** 2
-    counts["row_sums"] = len(args.a) * (args.depth + 2)
-
-    ident = 0
-    for k in range(args.sweep + 1):
-        for n in range(k + 1):
-            for i in range(n + 1):
-                if not fundamental.check_binomial_identity(i, n, k):
-                    failures.append(("binomial-identity", i, n, k))
-                if k <= min(args.sweep, 25):
-                    if not fundamental.check_zeilberger_recurrences(i, n, k):
-                        failures.append(("shift-recurrence", i, n, k))
-                ident += 1
-    counts["identity_triples"] = ident
-
-    rng = _random.Random(args.seed)
-    checked = skipped = 0
-    for _ in range(args.certificates):
-        k = rng.randint(0, args.sweep)
-        n = rng.randint(0, k)
-        i = rng.randint(0, n)
-        p = rng.randint(i, n)
-        res = fundamental.check_certificate(i, n, k, p)
-        if not res.ok:
-            failures.append(("certificate", res.point, res.results))
-        checked += res.checked
-        skipped += 3 - res.checked
-    counts["certificates_checked"] = checked
-    counts["certificates_skipped"] = skipped
-    counts["all_pass"] = not failures
+        failures += [(f"{form}-form", str(a), i, k)
+                     for form, i, k in report.closed_form_failures(table)]
+        failures += [("nonnegativity", str(a), i, k) for i, k in table.negative_entries()]
+        failures += [("row-sum", str(a), k) for k, _ in report.row_sum_failures(table)]
+    failures += [("binomial-identity", *t) for t in report.identity_failures(
+        fundamental.check_binomial_identity, args.sweep)]
+    failures += [("shift-recurrence", *t) for t in report.identity_failures(
+        fundamental.check_zeilberger_recurrences, min(args.sweep, 25))]
+    certificates = list(report.certificate_samples(
+        random.Random(args.seed), args.certificates, args.sweep))
+    failures += [("certificate", res.point, res.results)
+                 for res in certificates if not res.ok]
+    checked = sum(res.checked for res in certificates)
+    counts = {
+        "closed_form_points": len(args.a) * (args.depth + 1) ** 2,
+        "row_sums": len(args.a) * (args.depth + 2),
+        "identity_triples": report.triple_count(args.sweep),
+        "certificates_checked": checked,
+        "certificates_skipped": 3 * args.certificates - checked,
+        "all_pass": not failures,
+    }
 
     args.out.mkdir(parents=True, exist_ok=True)
     write_json(args.out / "fundamental.json", {
@@ -417,17 +385,11 @@ def cmd_bound(args) -> int:
     xi = args.xi if args.xi != 2.0 ** -50 else min(0.5, 1.0 - args.cn)
     consts = analysis.derive_constants(xi, tc.C3, tc.C4, tc.alpha3, tc.alpha4,
                                        float(args.c), float(args.tmax), 0.0, 1.0)
-    rows = []
-    holds = True
-    for imax in args.chain:
-        g = analysis.refinement_chain([imax], args.cn, float(args.c),
-                                      t_max=float(args.tmax))[0]
-        run = solve(analysis.problem_for(wave), g, xi=2.0 ** -50)
-        err = analysis.max_norm_over_time(analysis.convergence_error(wave, run), g)
-        b = analysis.total_error_bound(consts, float(g.dx), float(g.dt))
-        rows.append({"i_max": imax, "dx": float(g.dx), "dt": float(g.dt),
-                     "measured": err, "bound": b, "holds": err <= b})
-        holds = holds and err <= b
+    measured = report.total_error_rows(wave, consts, args.chain, args.cn, xi=2.0 ** -50,
+                                       t_max=float(args.tmax))
+    rows = [{"i_max": imax, **row, "holds": row["measured"] <= row["bound"]}
+            for imax, row in zip(args.chain, measured)]
+    holds = all(row["holds"] for row in rows)
     dt_star, bound_star = analysis.optimal_dt(consts, args.cn)
     args.out.mkdir(parents=True, exist_ok=True)
     write_json(args.out / "bound.json", {
@@ -454,6 +416,7 @@ def cmd_report(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     write_json(args.out / "claims.json", rep.to_dict())
     (args.out / "claims.txt").write_text(rep.to_text() + "\n")
+    write_json(args.out / "timings.json", rep.timings())
     print(rep.to_text())
     return rep.exit_code
 

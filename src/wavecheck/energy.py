@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import DomainError, ParameterError
 from .grid import dot_Ah, dot_dx
-from .scalars import BINARY64, EXACT, Scalar, certified_sqrt_leq, to_fraction
+from .scalars import EXACT, Scalar, certified_sqrt_leq, to_fraction
 from .scheme import SchemeRun
 
 
@@ -29,12 +29,9 @@ def discrete_energy(run: SchemeRun, k: int) -> Scalar:
     g = run.grid
     pk = run.column(k)
     pk1 = run.column(k + 1)
-    if run.kind == BINARY64:
-        v = [(pk1[i] - pk[i]) / g.dt for i in range(g.i_max + 1)]
-        return 0.5 * dot_dx(v, v, g) + 0.5 * dot_Ah(pk, pk1, g, run.problem.c)
     v = [(pk1[i] - pk[i]) / g.dt for i in range(g.i_max + 1)]
-    half = Fraction(1, 2)
-    return half * dot_dx(v, v, g) + half * dot_Ah(pk, pk1, g, run.problem.c)
+    # x / 2 == 0.5 * x bit for bit in binary64: halving adds no rounding.
+    return dot_dx(v, v, g) / 2 + dot_Ah(pk, pk1, g, run.problem.c) / 2
 
 
 @dataclass
@@ -65,9 +62,7 @@ def energy_lower_bound_gap(run: SchemeRun, k: int) -> Scalar:
     e = discrete_energy(run, k)
     v = [(pk1[i] - pk[i]) / g.dt for i in range(g.i_max + 1)]
     kinetic = dot_dx(v, v, g)
-    if run.kind == BINARY64:
-        return e - 0.5 * (1.0 - float(run.cn) ** 2) * kinetic
-    return e - Fraction(1, 2) * (1 - run.cn ** 2) * kinetic
+    return e - (1 - run.cn ** 2) / 2 * kinetic
 
 
 def stability_constants(xi: float, e_half) -> tuple[float, float]:

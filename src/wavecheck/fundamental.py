@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DomainError, ParameterError
 from .scalars import to_fraction
@@ -81,8 +80,15 @@ class FundamentalTable:
             raise DomainError(f"time index {k} outside [0, {self.K}]")
         return Fraction(sum(self._rows[k]), self._q ** k)
 
+    def negative_entries(self):
+        """``(i, k)`` of every negative entry, row by row; read off the scaled rows."""
+        for k, row in enumerate(self._rows):
+            for j, v in enumerate(row):
+                if v < 0:
+                    yield j - k, k
+
     def all_nonnegative(self) -> bool:
-        return all(v >= 0 for row in self._rows for v in row)
+        return next(self.negative_entries(), None) is None
 
     def is_symmetric(self) -> bool:
         return all(row == row[::-1] for row in self._rows)

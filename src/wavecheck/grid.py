@@ -5,16 +5,19 @@ measure every error norm in the package is expressed in.  For vectors that
 vanish on the boundary it coincides with the inclusive sum over all nodes,
 which is the form some derived bounds are stated in; the test suite pins
 that equivalence.
+
+Every function here has one code path for both scalar kinds: Python's
+``+ - * /`` act on floats and Fractions alike, and the binary64 evaluation
+order (left-to-right accumulation, one final ``dx`` scaling) is also a valid
+order for exact arithmetic.  A :class:`Field` is a plain list of per-step
+columns in either kind.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DomainError, NumericDomainError, ParameterError, ShapeError
 from .scalars import BINARY64, EXACT, Scalar, convert, ensure_kind, zero
@@ -107,17 +110,15 @@ def check_vector(q: Sequence, g: Grid) -> None:
 def dot_dx(q: Sequence, r: Sequence, g: Grid) -> Scalar:
     """Interior dot product ``sum_{i=1}^{i_max-1} q_i r_i dx``.
 
-    binary64 grids accumulate the products left to right and apply the final
-    ``dx`` scaling once; exact grids are order-independent by construction.
+    The products are accumulated left to right and scaled by ``dx`` once,
+    which fixes the rounding of binary64 grids; exact grids are
+    order-independent.  The loop is explicit on purpose: the built-in
+    ``sum`` compensates float sums on newer interpreters and would change
+    the bits.
     """
     check_vector(q, g)
     check_vector(r, g)
-    if g.kind == BINARY64:
-        acc = 0.0
-        for i in range(1, g.i_max):
-            acc += float(q[i]) * float(r[i])
-        return acc * g.dx
-    acc = Fraction(0)
+    acc = zero(g.kind)
     for i in range(1, g.i_max):
         acc += q[i] * r[i]
     return acc * g.dx
@@ -139,17 +140,10 @@ def apply_Ah(c, g: Grid, q: Sequence):
     c = convert(c, g.kind)
     if not c > 0:
         raise ParameterError(f"propagation velocity must be positive, got {c}")
-    if g.kind == BINARY64:
-        c2 = c * c
-        dx2 = g.dx * g.dx
-        out = [0.0] * (g.i_max + 1)
-        for i in range(1, g.i_max):
-            d2 = (float(q[i + 1]) - 2.0 * float(q[i])) + float(q[i - 1])
-            out[i] = -(c2 * d2) / dx2
-        return out
+    q = [convert(v, g.kind) for v in q]
     c2 = c * c
     dx2 = g.dx * g.dx
-    out = [Fraction(0)] * (g.i_max + 1)
+    out = [zero(g.kind)] * (g.i_max + 1)
     for i in range(1, g.i_max):
         d2 = (q[i + 1] - 2 * q[i]) + q[i - 1]
         out[i] = -(c2 * d2) / dx2
@@ -174,63 +168,25 @@ def seminorm_Ah(q: Sequence, g: Grid, c) -> float:
 class Field:
     """Space-time table of scalars, ``(i_max+1) x (k_max+1)``.
 
-    binary64 fields wrap a numpy array indexed ``[i, k]``; exact fields store
-    a list of per-time-step columns of rationals.  Solver-produced fields keep
-    rows 0 and i_max identically zero.
+    Stored as a list of per-time-step columns (lists of floats or of
+    Fractions, per ``kind``), indexed ``columns[k][i]``.  Solver-produced
+    fields keep rows 0 and i_max identically zero.
     """
 
-    def __init__(self, kind: str, *, array: np.ndarray | None = None,
-                 columns: list | None = None):
-        ensure_kind(kind)
-        self.kind = kind
-        if kind == BINARY64:
-            if array is None:
-                raise ParameterError("binary64 field needs an array")
-            self._array = array
-            self._columns = None
-            self.i_max = array.shape[0] - 1
-            self.k_max = array.shape[1] - 1
-        else:
-            if columns is None:
-                raise ParameterError("exact field needs columns")
-            self._columns = columns
-            self._array = None
-            self.i_max = len(columns[0]) - 1
-            self.k_max = len(columns) - 1
-
-    @classmethod
-    def from_columns(cls, columns: list, kind: str) -> "Field":
-        if kind == BINARY64:
-            return cls(kind, array=np.array(columns, dtype=np.float64).T)
-        return cls(kind, columns=[list(col) for col in columns])
+    def __init__(self, columns: list, kind: str):
+        self.kind = ensure_kind(kind)
+        self._columns = columns
+        self.i_max = len(columns[0]) - 1
+        self.k_max = len(columns) - 1
 
     def value(self, i: int, k: int) -> Scalar:
-        if self._array is not None:
-            return float(self._array[i, k])
         return self._columns[k][i]
 
     def column(self, k: int) -> Sequence:
-        if self._array is not None:
-            return self._array[:, k]
         return self._columns[k]
 
     def columns(self):
-        for k in range(self.k_max + 1):
-            yield self.column(k)
-
-    @property
-    def array(self) -> np.ndarray:
-        """binary64 view of the table (lossy for exact fields)."""
-        if self._array is not None:
-            return self._array
-        return np.array([[float(v) for v in col] for col in self._columns]).T
+        return iter(self._columns)
 
     def max_abs(self) -> Scalar:
-        if self._array is not None:
-            return float(np.max(np.abs(self._array)))
-        best = Fraction(0)
-        for col in self._columns:
-            for v in col:
-                if abs(v) > best:
-                    best = abs(v)
-        return best
+        return max(abs(v) for col in self._columns for v in col)

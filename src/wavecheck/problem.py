@@ -13,12 +13,12 @@ odd reflections, which turns the Dirichlet problem into a free-space one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import ParameterError, UnsupportedFeatureError
-from .scalars import Scalar, to_fraction
+from .scalars import BINARY64, EXACT, convert, to_fraction
 
 
 class SpaceFunction:
@@ -301,28 +301,17 @@ class DalembertSolution(AnalyticSolution):
         raise UnsupportedFeatureError("d'Alembert reference exposes values only")
 
     def value(self, x, t):
-        exact = isinstance(x, Fraction) or isinstance(t, Fraction)
-        if exact:
-            if not (isinstance(self.p0, SpaceFunction) and self.p0.exactly_evaluable):
-                raise UnsupportedFeatureError(
-                    "exact evaluation needs an exactly evaluable initial shape"
-                )
-            x = to_fraction(x)
-            t = to_fraction(t)
-            c = to_fraction(self.c)
-            x_min = to_fraction(self.x_min)
-            x_max = to_fraction(self.x_max)
-            left = antisym_value(self.p0.exact_eval, x_min, x_max, x + c * t)
-            right = antisym_value(self.p0.exact_eval, x_min, x_max, x - c * t)
-            return Fraction(1, 2) * (left + right)
-        x = float(x)
-        t = float(t)
-        c = float(self.c)
-        left = antisym_value(self.p0.float_eval, float(self.x_min), float(self.x_max),
-                             x + c * t)
-        right = antisym_value(self.p0.float_eval, float(self.x_min), float(self.x_max),
-                              x - c * t)
-        return 0.5 * (left + right)
+        kind = EXACT if isinstance(x, Fraction) or isinstance(t, Fraction) else BINARY64
+        if kind == EXACT and not (isinstance(self.p0, SpaceFunction)
+                                  and self.p0.exactly_evaluable):
+            raise UnsupportedFeatureError(
+                "exact evaluation needs an exactly evaluable initial shape"
+            )
+        x, t, c, x_min, x_max = (convert(v, kind)
+                                 for v in (x, t, self.c, self.x_min, self.x_max))
+        left = antisym_value(self.p0, x_min, x_max, x + c * t)
+        right = antisym_value(self.p0, x_min, x_max, x - c * t)
+        return (left + right) / 2
 
 
 def dalembert_zero_velocity(p0, c, x_min=0, x_max=1, p1=None) -> DalembertSolution:

@@ -15,19 +15,22 @@ Each claim runs a self-contained experiment and returns a status from
 A report with a violated or errored claim exits nonzero.
 
 The acceptance test suite drives these same functions at the documented
-parameters, so the CLI report and the test suite cannot drift apart.
+parameters, so the CLI report and the test suite cannot drift apart.  The
+CLI subcommands run the same sweeps: a claim stops at the first failure, a
+subcommand collects them all.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analysis, energy, fundamental, roundoff
 from .errors import ParameterError
-from .grid import build_grid, dot_dx
+from .grid import build_grid
 from .problem import WaveProblem, default_problem, standing_wave
 from .scalars import BINARY64, EXACT, sqrt_bounds, to_fraction
 from .scheme import solve
@@ -96,6 +99,7 @@ class ClaimsReport:
         return 1 if self.violated or self.errored else 0
 
     def to_dict(self) -> dict:
+        """Verdicts only: deterministic for a fixed configuration."""
         return {
             "claims": [
                 {
@@ -103,7 +107,6 @@ class ClaimsReport:
                     "statement": r.statement,
                     "status": r.status,
                     "evidence": r.evidence,
-                    "seconds": round(r.seconds, 3),
                 }
                 for r in self.results
             ],
@@ -111,16 +114,100 @@ class ClaimsReport:
             "errored": len(self.errored),
         }
 
+    def timings(self) -> dict:
+        """Wall-clock seconds per claim, kept apart from the verdicts."""
+        return {
+            "claims": [{"id": r.claim_id, "seconds": round(r.seconds, 3)}
+                       for r in self.results],
+            "total_seconds": round(sum(r.seconds for r in self.results), 3),
+        }
+
     def to_text(self) -> str:
         lines = []
         width = max(len(r.claim_id) for r in self.results)
         for r in self.results:
-            lines.append(f"{r.claim_id.ljust(width)}  {r.status.upper():27s} "
-                         f"({r.seconds:6.2f}s)  {r.statement}")
+            lines.append(f"{r.claim_id.ljust(width)}  {r.status.upper():27s}  "
+                         f"{r.statement}")
         lines.append(f"violated: {len(self.violated)} / {len(self.results)}")
         if self.errored:
             lines.append(f"errored: {len(self.errored)} / {len(self.results)}")
         return "\n".join(lines)
+
+
+# --- sweeps shared with the CLI ----------------------------------------------
+#
+# ``fundamental`` functions are looked up on the module at call time, so that
+# wrappers installed on the module see every call.
+
+
+def closed_form_failures(table: fundamental.FundamentalTable):
+    """``(form, i, k)`` wherever a table entry differs from the closed form
+    (``form == "closed"``) or from the Jacobi representation (``"jacobi"``)."""
+    a = table.a
+    for k in range(table.K + 1):
+        for i in range(-k, k + 1):
+            rec = table.entry(i, k)
+            if rec != fundamental.lambda_closed_form(a, i, k):
+                yield "closed", i, k
+            if rec != fundamental.lambda_via_jacobi(a, i, k):
+                yield "jacobi", i, k
+
+
+def row_sum_failures(table: fundamental.FundamentalTable):
+    """``(k, row sum)`` wherever the row sum of the fundamental solution is not k."""
+    for k in range(table.K + 2):
+        total = fundamental.row_sum(table, k)
+        if total != k:
+            yield k, total
+
+
+def triple_count(k_max: int) -> int:
+    """Number of ordered triples ``0 <= i <= n <= k <= k_max``."""
+    return math.comb(k_max + 3, 3)
+
+
+def identity_failures(check, k_max: int):
+    """``(i, n, k)`` of every ordered triple up to ``k_max`` where ``check`` fails."""
+    for k in range(k_max + 1):
+        for n in range(k + 1):
+            for i in range(n + 1):
+                if not check(i, n, k):
+                    yield i, n, k
+
+
+def certificate_samples(rng: random.Random, samples: int, k_max: int):
+    """Telescoping-certificate results at random ``0 <= i <= p <= n <= k <= k_max``."""
+    for _ in range(samples):
+        k = rng.randint(0, k_max)
+        n = rng.randint(0, k)
+        i = rng.randint(0, n)
+        p = rng.randint(i, n)
+        yield fundamental.check_certificate(i, n, k, p)
+
+
+def reconstruction_mismatch(run: roundoff.ShadowRun, a):
+    """``(i, k, reconstructed, measured)`` at the first node, time step by time
+    step, where the convolution with the table for ``a`` misses the measured
+    global error; None when they agree everywhere."""
+    table = fundamental.build_table(a, run.k_max)
+    rec = roundoff.reconstruct_global_error(run.delta, table, run.i_max)
+    for k, (rec_col, measured_col) in enumerate(zip(rec, run.global_err)):
+        for i, (r, m) in enumerate(zip(rec_col, measured_col)):
+            if r != m:
+                return i, k, r, m
+    return None
+
+
+def total_error_rows(wave, consts: analysis.ErrorConstants, chain, cn, xi, t_max=1.0):
+    """``dx``, ``dt``, measured max-over-time error of ``wave`` and its a-priori
+    bound, per grid of the fixed-``cn`` refinement chain over ``chain``."""
+    prob = analysis.problem_for(wave)
+    for imax in chain:
+        g = analysis.refinement_chain([imax], cn, wave.c, t_max=t_max)[0]
+        run = solve(prob, g, xi=xi)
+        err = analysis.max_norm_over_time(analysis.convergence_error(wave, run), g)
+        bound = analysis.total_error_bound(consts, float(g.dx), float(g.dt))
+        yield {"dx": float(g.dx), "dt": float(g.dt), "measured": err, "bound": bound}
 
 
 # --- individual claims -------------------------------------------------------
@@ -213,10 +300,10 @@ def claim_energy_lower_bound(cfg: ClaimConfig):
 def claim_row_sums(cfg: ClaimConfig):
     for a in cfg.row_sum_a:
         table = fundamental.build_table(a, cfg.row_sum_kmax)
-        for k in range(cfg.row_sum_kmax + 2):
-            if fundamental.row_sum(table, k) != k:
-                return VIOLATED, {"a": str(a), "k": k,
-                                  "sum": str(fundamental.row_sum(table, k))}
+        failure = next(row_sum_failures(table), None)
+        if failure is not None:
+            k, total = failure
+            return VIOLATED, {"a": str(a), "k": k, "sum": str(total)}
     return VERIFIED_EXACT, {"k_max": cfg.row_sum_kmax,
                             "a_values": [str(a) for a in cfg.row_sum_a]}
 
@@ -225,13 +312,10 @@ def claim_closed_form(cfg: ClaimConfig):
     kmax = cfg.closed_form_kmax
     for a in cfg.closed_form_a:
         table = fundamental.build_table(a, kmax)
-        for k in range(kmax + 1):
-            for i in range(-k, k + 1):
-                rec = table.entry(i, k)
-                if rec != fundamental.lambda_closed_form(a, i, k):
-                    return VIOLATED, {"a": str(a), "i": i, "k": k, "form": "closed"}
-                if rec != fundamental.lambda_via_jacobi(a, i, k):
-                    return VIOLATED, {"a": str(a), "i": i, "k": k, "form": "jacobi"}
+        failure = next(closed_form_failures(table), None)
+        if failure is not None:
+            form, i, k = failure
+            return VIOLATED, {"a": str(a), "i": i, "k": k, "form": form}
     return VERIFIED_EXACT, {"k_max": kmax, "a_values": [str(a) for a in cfg.closed_form_a]}
 
 
@@ -253,41 +337,30 @@ def claim_nonnegativity(cfg: ClaimConfig):
 
 def claim_binomial_identities(cfg: ClaimConfig):
     kmax = cfg.identity_kmax
-    count = 0
-    for k in range(kmax + 1):
-        for n in range(k + 1):
-            for i in range(n + 1):
-                if not fundamental.check_binomial_identity(i, n, k):
-                    return VIOLATED, {"i": i, "n": n, "k": k}
-                count += 1
-    return VERIFIED_EXACT, {"k_max": kmax, "triples": count}
+    failure = next(identity_failures(fundamental.check_binomial_identity, kmax), None)
+    if failure is not None:
+        i, n, k = failure
+        return VIOLATED, {"i": i, "n": n, "k": k}
+    return VERIFIED_EXACT, {"k_max": kmax, "triples": triple_count(kmax)}
 
 
 def claim_telescoping(cfg: ClaimConfig):
-    count = 0
-    for k in range(cfg.zeilberger_kmax + 1):
-        for n in range(k + 1):
-            for i in range(n + 1):
-                if not fundamental.check_zeilberger_recurrences(i, n, k):
-                    return VIOLATED, {"i": i, "n": n, "k": k, "what": "recurrence"}
-                count += 1
+    kmax = cfg.zeilberger_kmax
+    failure = next(identity_failures(fundamental.check_zeilberger_recurrences, kmax), None)
+    if failure is not None:
+        i, n, k = failure
+        return VIOLATED, {"i": i, "n": n, "k": k, "what": "recurrence"}
     rng = random.Random(cfg.random_seed + 2)
-    checked = skipped = 0
-    for _ in range(cfg.certificate_samples):
-        k = rng.randint(0, cfg.certificate_kmax)
-        n = rng.randint(0, k)
-        i = rng.randint(0, n)
-        p = rng.randint(i, n)
-        res = fundamental.check_certificate(i, n, k, p)
+    checked = 0
+    for res in certificate_samples(rng, cfg.certificate_samples, cfg.certificate_kmax):
         if not res.ok:
             return VIOLATED, {"point": res.point, "results": res.results}
         checked += res.checked
-        skipped += 3 - res.checked
     return VERIFIED_EXACT, {
-        "recurrence_triples": count,
+        "recurrence_triples": triple_count(kmax),
         "certificate_samples": cfg.certificate_samples,
         "certificate_identities_checked": checked,
-        "certificate_skipped_zero_denominator": skipped,
+        "certificate_skipped_zero_denominator": 3 * cfg.certificate_samples - checked,
     }
 
 
@@ -299,16 +372,13 @@ def claim_reconstruction(cfg: ClaimConfig):
         a = run.a_exact
         if cfg.inject_wrong_a:
             a = a / 2  # deliberately wrong table: must surface as violated
-        table = fundamental.build_table(a, k_max)
-        rec = roundoff.reconstruct_global_error(run.delta, table, i_max)
-        for k in range(k_max + 1):
-            for i in range(i_max + 1):
-                if rec[k][i] != run.global_err[k][i]:
-                    return VIOLATED, {
-                        "grid": [i_max, k_max], "first_mismatch": [i, k],
-                        "reconstructed": str(rec[k][i]),
-                        "measured": str(run.global_err[k][i]),
-                    }
+        mismatch = reconstruction_mismatch(run, a)
+        if mismatch is not None:
+            i, k, rec, measured = mismatch
+            return VIOLATED, {
+                "grid": [i_max, k_max], "first_mismatch": [i, k],
+                "reconstructed": str(rec), "measured": str(measured),
+            }
     return VERIFIED_EXACT, {"grids": [list(gk) for gk in cfg.reconstruction_grids],
                             "tolerance": "zero (rational arithmetic)"}
 
@@ -365,15 +435,10 @@ def claim_total_error(cfg: ClaimConfig):
         xi_for_constants, tc.C3, tc.C4, tc.alpha3, tc.alpha4, 1.0, 1.0, 0.0, 1.0
     )
     rows = []
-    for imax in cfg.total_error_chain:
-        g = analysis.refinement_chain([imax], cfg.order_cn, 1.0)[0]
-        run = solve(analysis.problem_for(wave), g, xi=cfg.xi)
-        err = analysis.max_norm_over_time(analysis.convergence_error(wave, run), g)
-        bound = analysis.total_error_bound(consts, float(g.dx), float(g.dt))
-        rows.append({"dx": float(g.dx), "dt": float(g.dt),
-                     "measured": err, "bound": bound})
-        if err > bound:
-            return VIOLATED, {"at": rows[-1]}
+    for row in total_error_rows(wave, consts, cfg.total_error_chain, cfg.order_cn, cfg.xi):
+        rows.append(row)
+        if row["measured"] > row["bound"]:
+            return VIOLATED, {"at": row}
     return VERIFIED_TOL, {
         "C_e": consts.C_e, "C_Delta": consts.C_Delta,
         "rows": rows,
@@ -511,8 +576,18 @@ def _error_evidence(exc: Exception) -> dict:
 
 
 def run_claims(cfg: ClaimConfig | None = None, only: list | None = None) -> ClaimsReport:
-    """Execute the catalog; every claim id appears exactly once in the result."""
+    """Execute the catalog; every claim id appears exactly once in the result.
+
+    ``only`` selects claims by id; an unknown id raises ParameterError, so a
+    misspelt selection cannot pass by running nothing.
+    """
     cfg = cfg or ClaimConfig()
+    if only is not None:
+        valid = [claim_id for claim_id, _, _ in CLAIMS]
+        unknown = [claim_id for claim_id in only if claim_id not in valid]
+        if unknown:
+            raise ParameterError(f"unknown claim id(s): {', '.join(map(repr, unknown))}; "
+                                 f"valid ids: {', '.join(valid)}")
     results = []
     for claim_id, statement, fn in CLAIMS:
         if only is not None and claim_id not in only:

@@ -8,6 +8,13 @@ Every numeric operation in the package is parameterized by a scalar kind:
   The update rules of the solver use only +, -, *, so rational arithmetic
   reproduces the ideal real-number run bit for bit.
 
+The kind only picks the type of the operands (:func:`convert`,
+:func:`zero`); the arithmetic is one code path for both.  Python's
+``+ - * /`` act on floats and Fractions alike, and the binary64 evaluation
+order is a valid order for exact arithmetic, so one expression written in
+that order is the float computation for floats and the exact one for
+Fractions.
+
 Exact square roots do not stay rational, so comparisons involving square
 roots of rationals are decided with certified integer-square-root interval
 bounds (:func:`sqrt_bounds`, :func:`certified_sqrt_leq`) instead of floats.

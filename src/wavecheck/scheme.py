@@ -9,10 +9,13 @@ The binary64 path reproduces the reference C loop operation for operation:
 
 Each Python expression below mirrors that evaluation order (left to right,
 ``dp`` materialized, no fused multiply-add), so round-off measurements made
-against this solver are measurements of that operation schedule.  The exact
-path runs the same recurrences without rounding, where the order is
-immaterial: fraction-free, as integers over a common denominator per time
-step (``2*D*q**k`` for ``a = p/q``), with one Fraction built per node.
+against this solver are measurements of that operation schedule.
+
+Sampling the data, the Courant number and the field storage are one code
+path for both scalar kinds.  Only the march itself is chosen by kind: the
+exact recurrences run without rounding, where the order is immaterial, so
+they run fraction-free, as integers over a common denominator per time step
+(``2*D*q**k`` for ``a = p/q``), with one Fraction built per node.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
 )
 from .grid import Field, Grid, apply_Ah, build_grid, check_vector
 from .problem import SpaceFunction, WaveProblem
-from .scalars import BINARY64, EXACT, Scalar, to_fraction, zero
+from .scalars import BINARY64, Scalar, convert, to_fraction, zero
 
 #: Default Courant margin; the reference program is specified down to this value.
 DEFAULT_XI = 2.0 ** -50
@@ -55,12 +58,10 @@ class CflReport:
 
 
 def courant_number(c, g: Grid) -> Scalar:
-    """``c dt / dx`` in the grid's scalar kind (binary64: ``dt/dx*c``)."""
+    """``c dt / dx`` in the grid's scalar kind, evaluated as ``(dt/dx)*c``."""
     if not float(c) > 0:
         raise ParameterError(f"velocity must be positive, got {c}")
-    if g.kind == BINARY64:
-        return (g.dt / g.dx) * float(c)
-    return to_fraction(c) * g.dt / g.dx
+    return (g.dt / g.dx) * convert(c, g.kind)
 
 
 def check_cfl(c, g: Grid, xi) -> CflReport:
@@ -100,40 +101,27 @@ def _sample_space(data, g: Grid, what: str) -> list:
     if data is None:
         return [z] * (g.i_max + 1)
     if isinstance(data, SpaceFunction):
-        out = [z] * (g.i_max + 1)
-        for i in range(1, g.i_max):
-            xi = g.x(i)
-            out[i] = data.float_eval(xi) if g.kind == BINARY64 else data.exact_eval(xi)
-        return out
+        return [z] + [convert(data(g.x(i)), g.kind) for i in range(1, g.i_max)] + [z]
     check_vector(data, g)
     if data[0] != 0 or data[g.i_max] != 0:
         raise ParameterError(f"sampled {what} must vanish on the boundary")
-    if g.kind == BINARY64:
-        return [float(v) for v in data]
-    return [to_fraction(v) for v in data]
+    return [convert(v, g.kind) for v in data]
 
 
 def _sample_source(s, g: Grid) -> Optional[list]:
     """Full source table as per-time-step columns, or None when absent."""
     if s is None:
         return None
-    z = zero(g.kind)
-    cols = []
     if callable(s):
-        for k in range(g.k_max + 1):
-            tk = g.t(k)
-            col = [z] * (g.i_max + 1)
-            for i in range(1, g.i_max):
-                v = s(g.x(i), tk)
-                col[i] = float(v) if g.kind == BINARY64 else to_fraction(v)
-            cols.append(col)
-        return cols
+        z = zero(g.kind)
+        return [[z] + [convert(s(g.x(i), g.t(k)), g.kind) for i in range(1, g.i_max)] + [z]
+                for k in range(g.k_max + 1)]
+    cols = []
     for k in range(g.k_max + 1):
         row = s[k]
         if len(row) != g.i_max + 1:
             raise ShapeError(f"source column {k} has length {len(row)}")
-        col = [float(v) for v in row] if g.kind == BINARY64 else [to_fraction(v) for v in row]
-        cols.append(col)
+        cols.append([convert(v, g.kind) for v in row])
     return cols
 
 
@@ -161,18 +149,10 @@ def solve(p: WaveProblem, g: Grid, kind: str | None = None,
     u1 = _sample_space(p.u1, g, "u1") if p.u1 is not None else None
     source = _sample_source(p.s, g)
 
-    if g.kind == BINARY64:
-        c = float(p.c)
-        a1 = (g.dt / g.dx) * c
-        a = a1 * a1
-        cols = _march_binary64(g, a, u0, u1, source)
-        cn: Scalar = a1
-    else:
-        cn = to_fraction(p.c) * g.dt / g.dx
-        a = cn * cn
-        cols = _march_exact(g, a, u0, u1, source)
-
-    field = Field.from_columns(cols, g.kind)
+    cn = report.cn
+    a = cn * cn
+    march = _march_binary64 if g.kind == BINARY64 else _march_exact
+    field = Field(march(g, a, u0, u1, source), g.kind)
     return SchemeRun(grid=g, problem=p, kind=g.kind, field=field, a=a, cn=cn,
                      cfl=report, u0=u0, u1=u1, source=source)
 
@@ -182,7 +162,7 @@ def _march_binary64(g: Grid, a: float, u0, u1, source) -> list:
     dt = g.dt
     ha = 0.5 * a
     dt2 = dt * dt
-    cols = [list(map(float, u0))]
+    cols = [list(u0)]
 
     prev = cols[0]
     col = [0.0] * (imax + 1)

@@ -139,8 +139,31 @@ def test_outputs_are_deterministic(tmp_path):
     for out in (out1, out2):
         assert main(["solve", "--imax", "16", "--kmax", "32",
                      "--out", str(out)]) == 0
-    assert (out1 / "field.csv").read_bytes() == (out2 / "field.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+        assert main(["report", "--only", "energy-constant,constants-derivation",
+                     "--out", str(out)]) == 0
+    for name in ("field.csv", "summary.json", "claims.json", "claims.txt"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # Wall-clock times live in their own file, one entry per claim.
+    claims = read_json(out1 / "claims.json")["claims"]
+    assert all("seconds" not in c for c in claims)
+    timings = read_json(out1 / "timings.json")["claims"]
+    assert [c["id"] for c in timings] == [c["id"] for c in claims]
+
+
+def test_report_unknown_claim_id_exits_2(tmp_path, capsys):
+    assert main(["report", "--only", "row-sums-linaer", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "row-sums-linaer" in err
+    assert "row-sums-linear" in err  # the valid ids are listed
+    assert not (tmp_path / "claims.json").exists()
+
+
+def test_run_claims_rejects_unknown_ids():
+    from wavecheck.errors import ParameterError
+    from wavecheck.report import run_claims
+
+    with pytest.raises(ParameterError, match="unknown claim id.*no-such-claim"):
+        run_claims(only=["row-sums-linear", "no-such-claim"])
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
@@ -218,3 +241,49 @@ def test_roundoff_artifacts_match_recorded_digests(tmp_path, i_max, k_max):
         digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                         for path in out.iterdir()})
     assert digests[0] == digests[1] == ROUNDOFF_SHA256[i_max, k_max]
+
+
+#: SHA-256 of every artifact of one run per subcommand and scalar kind,
+#: recorded before the binary64 and exact code paths were merged into one
+#: scalar-generic path; the merged path must reproduce them byte for byte.
+ARTIFACT_SHA256 = {
+    "solve-binary64": (
+        ["solve", "--imax", "16", "--kmax", "32"],
+        {"field.csv": "463a05ccfacf00db1ffe73fde380219327beb93e3fcb3ded7745eeccf83e5ab3",
+         "summary.json": "5e70156031a39ffdae79b5e6a86cf352d3fecd7d8feed0456fb33b4e3e3dc538"}),
+    "solve-exact": (
+        ["solve", "--scalar", "exact", "--imax", "8", "--kmax", "16", "--tmax", "1/2"],
+        {"field.csv": "48793a02559668a620e157b6aeb4766c2df124b28902b6285175aab04536692a",
+         "summary.json": "4e621783642ccc35c0ef9267370a92e2aaf0ce4c74c4f8b2a9c4c40f1b54bbb8"}),
+    "energy-exact": (
+        ["energy", "--imax", "12", "--kmax", "12", "--tmax", "1/2"],
+        {"energy.csv": "ece347ab406661da19d89f784f65f81e8366d0a4aa5d4e7fe555a2c1b7aa21e8",
+         "energy.json": "ca744a169e1226b15e778bb2cf13127d1c06118256ef2074989eb7e0f9698e05"}),
+    "energy-binary64": (
+        ["energy", "--scalar", "binary64", "--problem", "standing"],
+        {"energy.csv": "6cf627e6c3692c7f5885904e3dccc3ef4f4d4cfb17bd02eda03c837fb457c017",
+         "energy.json": "4985206281bc41953f9b7b2de68d07ecce5a121aff66b397588cc565859b4636"}),
+    "order": (
+        ["order", "--chain", "10,20,40"],
+        {"order.csv": "2c8d45c5b7cc2ac112288e0c4c5282c995feaed8c8b000c285b827f6aa50aaa7",
+         "order.json": "bdb1807cb6d07f6051d516c9dfce7981f9df707924f891b684deedd5234eeaac"}),
+    "fundamental": (
+        ["fundamental", "--depth", "10", "--range", "10", "--certificates", "80"],
+        {"fundamental.json":
+         "4217bea2320d9d9eb850206247054dd90ecad1edbed8fd260e2e02ca29b17721"}),
+    "bound": (
+        ["bound", "--chain", "20,40,80"],
+        {"bound.json": "79bfd43a11bf302e1aac6c191952f9259c34ec701a0b6a44d46acc49884adaca"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
+def test_artifacts_match_recorded_digests(tmp_path, name):
+    argv, expected = ARTIFACT_SHA256[name]
+    digests = []
+    for run in ("run1", "run2"):
+        out = tmp_path / run
+        assert main(argv + ["--out", str(out)]) == 0
+        digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in out.iterdir()})
+    assert digests[0] == digests[1] == expected

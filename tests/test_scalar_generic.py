@@ -1,0 +1,222 @@
+"""The scalar-generic core against per-kind oracles.
+
+``dot_dx``, ``apply_Ah``, ``discrete_energy`` and ``energy_lower_bound_gap``
+run one code path for floats and Fractions.  On binary64 grids they must
+reproduce, bit for bit, the dedicated float code they replaced, copied below
+with an explicit ``float()`` per operand.  On exact grids they must equal
+the rational formulas.
+"""
+
+import ast
+from fractions import Fraction as Fr
+from pathlib import Path
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from wavecheck import WaveProblem, build_grid, solve
+from wavecheck.energy import discrete_energy, energy_lower_bound_gap
+from wavecheck.grid import apply_Ah, dot_dx
+from wavecheck.scheme import DEFAULT_XI, check_cfl
+
+# --- binary64 oracles: the dedicated float code, one float() per operand ----
+
+
+def oracle_dot_dx(q, r, g):
+    acc = 0.0
+    for i in range(1, g.i_max):
+        acc += float(q[i]) * float(r[i])
+    return acc * g.dx
+
+
+def oracle_apply_Ah(c, g, q):
+    c = float(c)
+    c2 = c * c
+    dx2 = g.dx * g.dx
+    out = [0.0] * (g.i_max + 1)
+    for i in range(1, g.i_max):
+        d2 = (float(q[i + 1]) - 2.0 * float(q[i])) + float(q[i - 1])
+        out[i] = -(c2 * d2) / dx2
+    return out
+
+
+def oracle_kinetic(run, k):
+    g = run.grid
+    pk, pk1 = run.column(k), run.column(k + 1)
+    v = [(float(pk1[i]) - float(pk[i])) / g.dt for i in range(g.i_max + 1)]
+    return oracle_dot_dx(v, v, g)
+
+
+def oracle_discrete_energy(run, k):
+    g = run.grid
+    pk, pk1 = run.column(k), run.column(k + 1)
+    potential = oracle_dot_dx(oracle_apply_Ah(run.problem.c, g, pk), pk1, g)
+    return 0.5 * oracle_kinetic(run, k) + 0.5 * potential
+
+
+def oracle_gap(run, k):
+    e = oracle_discrete_energy(run, k)
+    return e - 0.5 * (1.0 - float(run.cn) ** 2) * oracle_kinetic(run, k)
+
+
+def same_bits(x, y):
+    return type(x) is float and type(y) is float and x.hex() == y.hex()
+
+
+# --- rational formulas -------------------------------------------------------
+
+
+def rational_dot(q, r, g):
+    return sum((q[i] * r[i] for i in range(1, g.i_max)), Fr(0)) * g.dx
+
+
+def rational_Ah(c, g, q):
+    return [Fr(0)] + [-c * c * (q[i + 1] - 2 * q[i] + q[i - 1]) / (g.dx * g.dx)
+                      for i in range(1, g.i_max)] + [Fr(0)]
+
+
+def rational_energy(run, k):
+    g = run.grid
+    pk, pk1 = run.column(k), run.column(k + 1)
+    v = [(b - a) / g.dt for a, b in zip(pk, pk1)]
+    c = Fr(run.problem.c)
+    return (rational_dot(v, v, g) + rational_dot(rational_Ah(c, g, pk), pk1, g)) / 2
+
+
+# --- strategies ----------------------------------------------------------------
+
+floats = st.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False)
+fractions = st.fractions(min_value=-8, max_value=8, max_denominator=64)
+
+
+@st.composite
+def float_grids(draw):
+    i_max = draw(st.integers(2, 12))
+    k_max = draw(st.integers(2, 12))
+    x_max = draw(st.floats(min_value=0.25, max_value=4))
+    t_max = draw(st.floats(min_value=0.25, max_value=4))
+    return build_grid(0.0, x_max, t_max, i_max, k_max)
+
+
+@st.composite
+def exact_grids(draw):
+    i_max = draw(st.integers(2, 10))
+    k_max = draw(st.integers(2, 10))
+    x_max = draw(st.fractions(min_value=Fr(1, 4), max_value=4, max_denominator=8))
+    t_max = draw(st.fractions(min_value=Fr(1, 4), max_value=4, max_denominator=8))
+    return build_grid(0, x_max, t_max, i_max, k_max, "exact")
+
+
+def vectors(g, elements):
+    return st.lists(elements, min_size=g.i_max + 1, max_size=g.i_max + 1)
+
+
+def dirichlet_vectors(g, elements, zero):
+    """Vectors with zero boundary entries, as the solver's data must be."""
+    inner = st.lists(elements, min_size=g.i_max - 1, max_size=g.i_max - 1)
+    return inner.map(lambda v: [zero] + v + [zero])
+
+
+@st.composite
+def margin_velocity(draw, g):
+    """A velocity whose Courant number on ``g`` satisfies ``cn <= 1 - xi``."""
+    cn = draw(st.floats(min_value=0.05, max_value=1.0))
+    c = cn * float(g.dx) / float(g.dt)
+    if g.kind == "exact":
+        c = Fr(c).limit_denominator(64)
+    assume(c > 0 and check_cfl(c, g, DEFAULT_XI).satisfied)
+    return c
+
+
+# --- binary64: bit for bit ------------------------------------------------------
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_binary64_dot_dx_matches_float_oracle(data):
+    g = data.draw(float_grids())
+    q = data.draw(vectors(g, floats))
+    r = data.draw(vectors(g, floats))
+    assert same_bits(dot_dx(q, r, g), oracle_dot_dx(q, r, g))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_binary64_apply_Ah_matches_float_oracle(data):
+    g = data.draw(float_grids())
+    c = data.draw(st.floats(min_value=0.01, max_value=8))
+    q = data.draw(vectors(g, floats))
+    got, want = apply_Ah(c, g, q), oracle_apply_Ah(c, g, q)
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_binary64_energy_and_gap_match_float_oracle(data):
+    g = data.draw(float_grids())
+    c = data.draw(margin_velocity(g))
+    u0 = data.draw(dirichlet_vectors(g, floats, 0.0))
+    u1 = data.draw(dirichlet_vectors(g, floats, 0.0))
+    run = solve(WaveProblem(c=c, u0=u0, u1=u1), g)
+    for k in range(g.k_max):
+        assert same_bits(discrete_energy(run, k), oracle_discrete_energy(run, k))
+        assert same_bits(energy_lower_bound_gap(run, k), oracle_gap(run, k))
+
+
+# --- exact: the rational formulas ------------------------------------------------
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_exact_dot_dx_and_apply_Ah_equal_rational_formulas(data):
+    g = data.draw(exact_grids())
+    c = data.draw(st.fractions(min_value=Fr(1, 16), max_value=8, max_denominator=16))
+    q = data.draw(vectors(g, fractions))
+    r = data.draw(vectors(g, fractions))
+    assert dot_dx(q, r, g) == rational_dot(q, r, g)
+    assert apply_Ah(c, g, q) == rational_Ah(c, g, q)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_exact_energy_and_gap_equal_rational_formulas(data):
+    g = data.draw(exact_grids())
+    c = data.draw(margin_velocity(g))
+    u0 = data.draw(dirichlet_vectors(g, fractions, Fr(0)))
+    u1 = data.draw(dirichlet_vectors(g, fractions, Fr(0)))
+    run = solve(WaveProblem(c=c, u0=u0, u1=u1), g)
+    cn = Fr(c) * g.dt / g.dx
+    for k in range(g.k_max):
+        e = rational_energy(run, k)
+        pk, pk1 = run.column(k), run.column(k + 1)
+        v = [(b - a) / g.dt for a, b in zip(pk, pk1)]
+        assert discrete_energy(run, k) == e
+        assert energy_lower_bound_gap(run, k) == e - (1 - cn * cn) / 2 * rational_dot(v, v, g)
+
+
+# --- dependencies -----------------------------------------------------------------
+
+
+def test_only_analysis_imports_numpy():
+    package = Path(__file__).resolve().parent.parent / "src" / "wavecheck"
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append(path.name)
+    assert importers == ["analysis.py"]
+
+
+def test_field_storage_is_plain_lists():
+    g = build_grid(0, 1, 1, 6, 12)
+    run = solve(WaveProblem(c=1, u0=[0.0, 0.1, 0.2, 0.3, 0.2, 0.1, 0.0]), g)
+    cols = list(run.field.columns())
+    assert all(type(col) is list for col in cols)
+    assert all(type(v) is float for col in cols for v in col)
+    assert run.field.max_abs() == 0.3
