@@ -9,6 +9,10 @@ The table stores the time-shifted sequence ``L`` with ``L_i^{-1} = 0``,
 
     L_i^{k+1} = a (L_{i-1}^k + L_{i+1}^k) + 2 (1 - a) L_i^k - L_i^{k-1}.
 
+The stencil is :func:`three_term`, written once in fraction-free integers
+(``a = p/q``) and shared with the exact march in :mod:`wavecheck.scheme` and
+the local-error table in :mod:`wavecheck.roundoff`.
+
 The fundamental solution proper (unit impulse in the second Cauchy datum)
 is the shift ``lam(i, k) = L(i, k-1)``; row sums of ``lam`` grow linearly
 and the entries vanish outside the light cone ``|i| < k``.
@@ -94,8 +98,24 @@ class FundamentalTable:
         return all(row == row[::-1] for row in self._rows)
 
 
+def three_term(cur: list, old: list, p, t, w) -> list:
+    """``p*(cur[i-1] + cur[i+1]) + t*cur[i] - w*old[i]`` over the interior of ``cur``.
+
+    ``old`` is aligned with ``cur[1:]``.  With ``a = p/q`` and ``t = 2*(q -
+    p)`` the first two terms are ``q`` times ``a (L_{i-1} + L_{i+1}) + 2 (1 -
+    a) L_i``; callers differ only in the weight ``w`` on the older term.
+    """
+    return [p * (left + right) + t * mid - w * back
+            for left, mid, right, back in zip(cur, cur[1:], cur[2:], old)]
+
+
 def build_table(a, K: int) -> FundamentalTable:
-    """Run the three-term recurrence up to time index K."""
+    """Run the three-term recurrence up to time index K.
+
+    Row k + 1 is the stencil over row k padded with two zeros on each side,
+    minus ``q**2`` times row k - 1 padded the same way; the fictitious row
+    -1 is zero.
+    """
     a = to_fraction(a)
     if not 0 < a < 1:
         raise ParameterError(f"a must lie in (0, 1), got {a}")
@@ -103,27 +123,13 @@ def build_table(a, K: int) -> FundamentalTable:
         raise ParameterError(f"table depth must be nonnegative, got {K}")
     p, q = a.numerator, a.denominator
     two_q_minus_p = 2 * (q - p)
-    q2 = q * q
 
     rows: list[list[int]] = [[1]]
-    if K == 0:
-        return FundamentalTable(a, K, rows)
-    rows.append([p, two_q_minus_p, p])
-    for k in range(1, K):
-        cur = rows[k]
-        prev = rows[k - 1]
-        width = 2 * (k + 1) + 1
-
-        def at(row: list[int], off: int, i: int) -> int:
-            idx = i + off
-            return row[idx] if 0 <= idx < len(row) else 0
-
-        nxt = [0] * width
-        for i in range(-(k + 1), k + 2):
-            acc = p * (at(cur, k, i - 1) + at(cur, k, i + 1)) + two_q_minus_p * at(cur, k, i)
-            acc -= q2 * at(prev, k - 1, i)
-            nxt[i + k + 1] = acc
-        rows.append(nxt)
+    old = [0, 0, 0]
+    for k in range(K):
+        padded = [0, 0, *rows[k], 0, 0]
+        rows.append(three_term(padded, old, p, two_q_minus_p, q * q))
+        old = padded
     return FundamentalTable(a, K, rows)
 
 

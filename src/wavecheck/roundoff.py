@@ -10,9 +10,11 @@ The exact layers run fraction-free (Bareiss-style): values sharing a
 denominator are held as integers over it, and each output node becomes one
 Fraction at the end.  The exact march keeps a column over ``2*D*q**k`` (see
 :mod:`wavecheck.scheme`), a local-error update of dyadic binary64 values is
-an integer over ``q * 2**e``, and the convolution sums each node over
-``D * q**k`` with ``D`` the common denominator of all local errors.  Every
-table returned is the same list of Fractions a plain rational loop gives.
+an integer over ``q * 2**e``, both through the one integer stencil
+:func:`wavecheck.fundamental.three_term` that also builds the fundamental
+table, and the convolution sums each node over ``D * q**k`` with ``D`` the
+common denominator of all local errors.  Every table returned is the same
+list of Fractions a plain rational loop gives.
 
 Sign bookkeeping, fixed once here: the local errors measure *exact update of
 computed values minus computed value* (the amount the float fell short), so
@@ -30,7 +32,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import ParameterError, UnsupportedFeatureError
-from .fundamental import FundamentalTable
+from .fundamental import FundamentalTable, three_term
 from .grid import Grid, dot_dx
 from .problem import SpaceFunction, WaveProblem, antisym_extension
 from .scalars import BINARY64, EXACT, to_fraction
@@ -70,15 +72,6 @@ class ShadowRun:
         return self.exact_run.grid.k_max
 
 
-def _float_columns_as_fractions(run: SchemeRun) -> list:
-    return [[to_fraction(v) for v in run.column(k)]
-            for k in range(run.grid.k_max + 1)]
-
-
-def _second_diff(col, i):
-    return (col[i + 1] - 2 * col[i]) + col[i - 1]
-
-
 def _dyadic_column(col) -> tuple[list[int], int]:
     """Binary64 values as integers over one power of two: ``(ints, e)``.
 
@@ -93,32 +86,27 @@ def _dyadic_column(col) -> tuple[list[int], int]:
 def _local_error_table(fl_cols: list, exact_col0: list, a: Fraction) -> list:
     """Local errors per the update definitions, from the binary64 columns.
 
-    ``d^0`` and ``d^1`` are single columns worked in Fractions.  For k >= 1
-    the update ``2 p^k - p^(k-1) + a (p^k_(i+1) - 2 p^k_i + p^k_(i-1)) -
-    p^(k+1)`` of dyadic values is an integer over ``q * 2**e``, with ``a =
-    p/q`` and ``2**e`` the widest of the three columns' exponents, so it runs
-    in integers and builds one Fraction per node.
+    With ``a = p/q`` every update is :func:`three_term` divided by a weight.
+    ``d^0`` is the data error.  ``d^1 = y + (a/2) (y_(i+1) - 2 y_i + y_(i-1))
+    - p^1`` with ``y = p^0 - d^0`` is the stencil with ``w = 2q`` on ``p^1``,
+    over ``2q``, in Fractions.  For k >= 1, ``2 p^k - p^(k-1) + a (p^k_(i+1) -
+    2 p^k_i + p^k_(i-1)) - p^(k+1)`` is the stencil with ``w = q`` on
+    ``p^(k-1) + p^(k+1)``: of dyadic values, an integer over ``q * 2**e``
+    with ``2**e`` the widest of the three columns' exponents, so it builds
+    one Fraction per node.
     """
-    imax = len(fl_cols[0]) - 1
     kmax = len(fl_cols) - 1
     z = Fraction(0)
-    half_a = a / 2
+    p, q = a.numerator, a.denominator
+    two_q_minus_p = 2 * (q - p)
     fl0 = [to_fraction(v) for v in fl_cols[0]]
     fl1 = [to_fraction(v) for v in fl_cols[1]]
 
-    d0 = [z] * (imax + 1)
-    for i in range(1, imax):
-        d0[i] = exact_col0[i] - fl0[i]
-
-    d1 = [z] * (imax + 1)
-    for i in range(1, imax):
-        ideal = fl0[i] + half_a * _second_diff(fl0, i)
-        inherited = d0[i] + half_a * _second_diff(d0, i)
-        d1[i] = ideal - fl1[i] - inherited
+    d0 = [z, *(ex - fl for ex, fl in zip(exact_col0[1:-1], fl0[1:-1])), z]
+    y = [fl - d for fl, d in zip(fl0, d0)]
+    d1 = [z, *(n / (2 * q) for n in three_term(y, fl1[1:], p, two_q_minus_p, 2 * q)), z]
 
     cols = [d0, d1]
-    p, q = a.numerator, a.denominator
-    two_q_minus_p = 2 * (q - p)
     prev_dy, cur_dy = _dyadic_column(fl_cols[0]), _dyadic_column(fl_cols[1])
     for k in range(1, kmax):
         next_dy = _dyadic_column(fl_cols[k + 1])
@@ -126,11 +114,9 @@ def _local_error_table(fl_cols: list, exact_col0: list, a: Fraction) -> list:
         prev, cur, nxt = ([n << (e - ej) for n in col] if ej < e else col
                           for col, ej in (prev_dy, cur_dy, next_dy))
         den = q << e
-        cols.append([z] + [
-            Fraction(p * (left + right) + two_q_minus_p * mid - q * (back + ahead), den)
-            for left, mid, right, back, ahead
-            in zip(cur, cur[1:], cur[2:], prev[1:], nxt[1:])
-        ] + [z])
+        old = [back + ahead for back, ahead in zip(prev[1:], nxt[1:])]
+        cols.append([z, *(Fraction(n, den)
+                          for n in three_term(cur, old, p, two_q_minus_p, q)), z])
         prev_dy, cur_dy = cur_dy, next_dy
     return cols
 
@@ -157,29 +143,19 @@ def shadow_solve(p: WaveProblem, g: Grid, xi: float = DEFAULT_XI) -> ShadowRun:
     a_float = float_run.a
     a_gap_ok = abs(to_fraction(a_float) - a_exact) <= A_GAP
 
-    fl_cols = _float_columns_as_fractions(float_run)
-    ex_cols = [exact_run.column(k) for k in range(g.k_max + 1)]
-    global_err = [[fl_cols[k][i] - ex_cols[k][i] for i in range(g.i_max + 1)]
-                  for k in range(g.k_max + 1)]
+    fl_cols = list(float_run.field.columns())
+    ex_cols = list(exact_run.field.columns())
+    global_err = [[to_fraction(fl) - ex for fl, ex in zip(fl_col, ex_col)]
+                  for fl_col, ex_col in zip(fl_cols, ex_cols)]
     delta = _local_error_table(fl_cols, ex_cols[0], a_exact)
-
-    range_ok = True
-    range_violation = None
-    for k in range(g.k_max + 1):
-        col = float_run.column(k)
-        for i in range(g.i_max + 1):
-            if not -2.0 <= col[i] <= 2.0:
-                range_ok = False
-                range_violation = (i, k, col[i])
-                break
-        if not range_ok:
-            break
+    range_violation = next(((i, k, v) for k, col in enumerate(fl_cols)
+                            for i, v in enumerate(col) if not -2.0 <= v <= 2.0), None)
 
     return ShadowRun(
         float_run=float_run, exact_run=exact_run,
         a_float=a_float, a_exact=a_exact,
-        delta=delta, global_err=global_err,
-        a_gap_ok=a_gap_ok, range_ok=range_ok, range_violation=range_violation,
+        delta=delta, global_err=global_err, a_gap_ok=a_gap_ok,
+        range_ok=range_violation is None, range_violation=range_violation,
     )
 
 
@@ -306,29 +282,19 @@ def check_range(run: ShadowRun) -> RangeReport:
     that computed = reference + signed method error + round-off error, an
     identity that ties the three error tables together.
     """
-    max_abs = max(
-        abs(run.float_run.value(i, k))
-        for k in range(run.k_max + 1) for i in range(run.i_max + 1)
-    )
     decomposition_ok: Optional[bool] = None
     ref = run.float_run.problem.reference
     if ref is not None:
         g = run.grid
-        decomposition_ok = True
-        for k in range(g.k_max + 1):
-            tk = g.t(k)
-            for i in range(g.i_max + 1):
-                ref_v = ref.value(g.x(i), tk)
-                computed = to_fraction(run.float_run.value(i, k))
-                e_signed = run.exact_run.value(i, k) - ref_v
-                if computed - ref_v != e_signed + run.global_err[k][i]:
-                    decomposition_ok = False
-                    break
-            if not decomposition_ok:
-                break
+        decomposition_ok = all(
+            to_fraction(run.float_run.value(i, k)) - ref_v
+            == run.exact_run.value(i, k) - ref_v + run.global_err[k][i]
+            for k in range(g.k_max + 1) for i in range(g.i_max + 1)
+            for ref_v in (ref.value(g.x(i), g.t(k)),)
+        )
     return RangeReport(
         in_range=run.range_ok,
         violation=run.range_violation,
-        max_abs=float(max_abs),
+        max_abs=float(run.float_run.field.max_abs()),
         decomposition_ok=decomposition_ok,
     )

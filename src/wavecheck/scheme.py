@@ -15,7 +15,9 @@ Sampling the data, the Courant number and the field storage are one code
 path for both scalar kinds.  Only the march itself is chosen by kind: the
 exact recurrences run without rounding, where the order is immaterial, so
 they run fraction-free, as integers over a common denominator per time step
-(``2*D*q**k`` for ``a = p/q``), with one Fraction built per node.
+(``2*D*q**k`` for ``a = p/q``), with one Fraction built per node.  Their
+stencil is :func:`wavecheck.fundamental.three_term`, the one integer kernel
+the fundamental table and the local-error table also use.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
+from .fundamental import three_term
 from .grid import Field, Grid, apply_Ah, build_grid, check_vector
 from .problem import SpaceFunction, WaveProblem
 from .scalars import BINARY64, Scalar, convert, to_fraction, zero
@@ -198,9 +201,10 @@ def _march_exact(g: Grid, a: Fraction, u0, u1, source) -> list:
 
     With ``a = p/q`` and ``D`` the lcm of the denominators of ``u0``,
     ``dt*u1`` and ``dt**2*s``, column k is held as integers over
-    ``2*D*q**k``.  The update is then the integer recurrence of
-    :func:`wavecheck.fundamental.build_table` plus the scaled data terms, so
-    no step pays for a gcd; each column becomes Fractions as soon as it is
+    ``2*D*q**k``.  Each step is then :func:`wavecheck.fundamental.three_term`
+    plus the scaled data terms: the first step adds the scaled velocity
+    (weight -1), later ones subtract ``q**2`` times the column before.  No
+    step pays for a gcd; each column becomes Fractions as soon as it is
     done, and only the last two integer columns are kept.
     """
     imax = g.i_max
@@ -217,16 +221,13 @@ def _march_exact(g: Grid, a: Fraction, u0, u1, source) -> list:
         return [v.numerator * (factor // v.denominator) for v in col]
 
     u0_d = scaled(u0, D)
-    vel_2qd = scaled(vel, 2 * q * D)
     prev = [2 * v for v in u0_d]
-    cur = [0] + [p * (left + right) + two_q_minus_p * mid + v
-                 for left, mid, right, v in zip(u0_d, u0_d[1:], u0_d[2:], vel_2qd[1:])] + [0]
+    cur = [0, *three_term(u0_d, scaled(vel, 2 * q * D)[1:], p, two_q_minus_p, -1), 0]
     den = 2 * D * q
     cols = [list(u0), [Fraction(n, den) for n in cur]]
 
     for k in range(1, g.k_max):
-        nxt = [0] + [p * (left + right) + two_q_minus_p * mid - q2 * old
-                     for left, mid, right, old in zip(cur, cur[1:], cur[2:], prev[1:])] + [0]
+        nxt = [0, *three_term(cur, prev[1:], p, two_q_minus_p, q2), 0]
         if forcing:
             f = scaled(forcing[k - 1], den * q)
             for i in range(1, imax):

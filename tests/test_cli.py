@@ -110,6 +110,65 @@ def test_bound_holds(tmp_path):
     assert data["optimal"]["dt"] > 0
 
 
+def test_bound_rejects_cn_outside_margin_before_any_solve(tmp_path, capsys, monkeypatch):
+    from wavecheck import report
+
+    solves = []
+    solve = report.solve
+
+    def recording(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(report, "solve", recording)
+    assert main(["bound", "--xi", "0.4", "--cn", "0.7", "--chain", "20,40,80",
+                 "--out", str(tmp_path)]) == 2
+    assert solves == []
+    assert "--cn must lie in (0, 1 - xi]" in capsys.readouterr().err
+
+
+def test_bound_honours_an_explicit_xi_equal_to_the_run_margin(tmp_path):
+    assert main(["bound", "--xi", repr(2.0 ** -50), "--chain", "10,20,40",
+                 "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "bound.json")["constants"]["xi"] == 2.0 ** -50
+
+
+def test_fundamental_range_bounds_the_recurrence_sweep(tmp_path, monkeypatch):
+    from wavecheck import fundamental
+
+    seen = []
+    check = fundamental.check_zeilberger_recurrences
+
+    def recording(i, n, k):
+        seen.append(k)
+        return check(i, n, k)
+
+    monkeypatch.setattr(fundamental, "check_zeilberger_recurrences", recording)
+    assert main(["fundamental", "--depth", "2", "--range", "27", "--certificates", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert max(seen) == 27
+    assert read_json(tmp_path / "fundamental.json")["sweep"] == 27
+
+
+@pytest.mark.parametrize("argv,artifact", [
+    (["roundoff", "--imax", "10"], "roundoff.json"),
+    (["solve", "--scalar", "exact", "--imax", "8"], "summary.json"),
+])
+def test_default_problem_runs_at_the_given_velocity(tmp_path, argv, artifact):
+    assert main(argv + ["--c", "1/2", "--cn", "0.25", "--out", str(tmp_path)]) == 0
+    a = read_json(tmp_path / artifact)["a"]
+    assert (a["exact"] if artifact == "roundoff.json" else a) == "1/16"
+
+
+@pytest.mark.parametrize("command", ["order", "bound"])
+@pytest.mark.parametrize("flag", ["--imax", "--kmax"])
+def test_grid_flags_are_rejected_where_unread(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "10", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
+
+
 def test_report_subset_and_skip_labeling(tmp_path):
     code = main(["report", "--only", "row-sums-linear,binomial-identities",
                  "--out", str(tmp_path)])
