@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, ParameterError
 from .grid import Field, Grid, apply_Ah, build_grid, norm_dx
 from .problem import AnalyticSolution, CallableSpace, WaveProblem
+from .roundoff import NORM_SCALE
 from .scalars import BINARY64, zero
 from .scheme import DEFAULT_XI, SchemeRun, solve
 
@@ -88,6 +87,9 @@ def max_norm_over_time(table: Field, g: Grid) -> float:
 def refinement_chain(i_maxes, cn, c, t_max=1.0, x_min=0.0, x_max=1.0,
                      kind: str = BINARY64) -> list[Grid]:
     """Grids with dx halving and k_max chosen to hold the Courant number."""
+    for name, v in (("c", c), ("cn", cn)):
+        if not float(v) > 0:
+            raise ParameterError(f"{name} must be positive, got {v}")
     grids = []
     for imax in i_maxes:
         dx = (float(x_max) - float(x_min)) / imax
@@ -110,6 +112,9 @@ def estimate_order(ref: AnalyticSolution, grids: list[Grid], mode: str = "conver
         raise ParameterError(f"need at least 3 grids in the chain, got {len(grids)}")
     if mode not in ("convergence", "truncation"):
         raise ParameterError(f"unknown mode {mode!r}")
+    dxs = [float(g.dx) for g in grids]
+    if len(set(dxs)) < len(dxs):
+        raise ParameterError(f"the chain's grids need pairwise distinct dx, got {dxs}")
     points = []
     prob = problem_for(ref)
     for g in grids:
@@ -122,13 +127,12 @@ def estimate_order(ref: AnalyticSolution, grids: list[Grid], mode: str = "conver
         if err == 0.0:
             raise DomainError("zero-error family: order slope is undefined")
         points.append((float(g.dx), err))
+    import numpy as np  # only the slope fit needs it; importing wavecheck stays light
+
     xs = np.log([p[0] for p in points])
     ys = np.log([p[1] for p in points])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return OrderFit(slope=slope, points=points)
-
-
-TWO_POW_MINUS_53 = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,7 @@ def derive_constants(xi, C3, C4, alpha3, alpha4, c, t_max, x_min, x_max) -> Erro
         c_prime / math.sqrt(2.0) + 2.0 * c2 * (t_max + 1.0) * c_second
     )
     alpha_delta = min(1.0, t_max / 2.0)
-    c_delta = 234.0 * TWO_POW_MINUS_53 * t_max ** 2 * math.sqrt(span + 1.0)
+    c_delta = float(NORM_SCALE) * t_max ** 2 * math.sqrt(span + 1.0)
     return ErrorConstants(
         xi=xi, alpha3=alpha3, C3=C3, alpha4=alpha4, C4=C4, c=c,
         t_max=t_max, x_min=x_min, x_max=x_max,

@@ -32,7 +32,7 @@ from .grid import Field, build_grid
 from .problem import default_problem, standing_wave
 from .report import ClaimConfig, run_claims
 from .scalars import BINARY64, EXACT, scalar_json
-from .scheme import solve
+from .scheme import DEFAULT_XI, solve
 
 USAGE_ERRORS = (
     ParameterError, ShapeError, DomainError, CflViolationError,
@@ -55,6 +55,9 @@ def int_list(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The catalog's defaults, read from report.ClaimConfig: the name
+    # cli.ClaimConfig may be rebound to a factory with other sizes.
+    catalog = report.ClaimConfig()
     parser = argparse.ArgumentParser(
         prog="wavecheck",
         description="verify quantitative claims of the centered scheme for the "
@@ -76,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="propagation velocity (accepts p/q)")
         p.add_argument("--tmax", type=rational_or_float, default=1,
                        help="end time (accepts p/q)")
-        p.add_argument("--cn", type=float, default=0.5,
+        p.add_argument("--cn", type=float, default=report.ORDER_CN,
                        help="target Courant number when --kmax is absent")
-        p.add_argument("--xi", type=float, default=2.0 ** -50,
+        p.add_argument("--xi", type=float, default=DEFAULT_XI,
                        help="Courant margin: require cn <= 1 - xi")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory")
@@ -95,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_order, grid=False)
     p_order.add_argument("--mode", choices=("convergence", "truncation"),
                          default="convergence")
-    p_order.add_argument("--chain", type=int_list, default=[50, 100, 200, 400],
+    p_order.add_argument("--chain", type=int_list, default=list(catalog.order_chain),
                          help="comma-separated i_max chain")
     p_order.add_argument("--m", type=int, default=1)
     p_order.set_defaults(func=cmd_order)
@@ -116,30 +119,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_round.set_defaults(func=cmd_roundoff)
 
     p_fund = sub.add_parser("fundamental", help="fundamental-solution identity checks")
-    p_fund.add_argument("--depth", type=int, default=40,
+    p_fund.add_argument("--depth", type=int, default=catalog.closed_form_kmax,
                         help="table depth for closed-form/row-sum/nonneg checks")
-    p_fund.add_argument("--range", dest="sweep", type=int, default=30,
+    p_fund.add_argument("--range", dest="sweep", type=int, default=catalog.identity_kmax,
                         help="max k for the identity / recurrence sweeps")
-    p_fund.add_argument("--a", type=rational_list,
-                        default=[Fraction(1, 4), Fraction(1, 2), Fraction(3, 4),
-                                 Fraction(9, 10)],
+    p_fund.add_argument("--a", type=rational_list, default=list(report.A_VALUES),
                         help="comma-separated rationals in (0,1)")
-    p_fund.add_argument("--certificates", type=int, default=500)
-    p_fund.add_argument("--seed", type=int, default=20130)
+    p_fund.add_argument("--certificates", type=int, default=catalog.certificate_samples)
+    p_fund.add_argument("--seed", type=int, default=catalog.random_seed)
     p_fund.add_argument("--out", type=Path, default=Path("."))
     p_fund.set_defaults(func=cmd_fundamental)
 
     p_bound = sub.add_parser("bound", help="a-priori total-error bound and optimum")
     common(p_bound, grid=False)
     p_bound.add_argument("--m", type=int, default=1)
-    p_bound.add_argument("--chain", type=int_list, default=[50, 100, 200])
+    p_bound.add_argument("--chain", type=int_list, default=list(report.TOTAL_ERROR_CHAIN))
     # Here --xi sets the margin of the bound constants; unset, it is min(0.5, 1 - cn).
     p_bound.set_defaults(func=cmd_bound, xi=None)
 
     p_report = sub.add_parser("report", help="run the full claims catalog")
     p_report.add_argument("--only", type=str, default=None,
                           help="comma-separated claim ids to run; others skip")
-    p_report.add_argument("--seed", type=int, default=20130)
+    p_report.add_argument("--seed", type=int, default=catalog.random_seed)
     p_report.add_argument("--out", type=Path, default=Path("."))
     p_report.add_argument("--selftest-inject-fault", action="store_true",
                           help="deliberately corrupt one check to exercise the "
@@ -253,8 +254,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_order(args) -> int:
-    if len(args.chain) < 3:
-        raise ParameterError("need at least 3 grids in the chain (use --chain)")
     wave = standing_wave(args.m, float(args.c))
     grids = analysis.refinement_chain(args.chain, args.cn, float(args.c),
                                       t_max=float(args.tmax))
@@ -341,6 +340,9 @@ def cmd_roundoff(args) -> int:
 
 
 def cmd_fundamental(args) -> int:
+    for flag, value in (("--range", args.sweep), ("--certificates", args.certificates)):
+        if value < 0:
+            raise ParameterError(f"{flag} must be nonnegative, got {value}")
     failures = []
     for a in args.a:
         table = fundamental.build_table(a, args.depth)
@@ -384,12 +386,14 @@ def cmd_fundamental(args) -> int:
 def cmd_bound(args) -> int:
     wave = standing_wave(args.m, float(args.c))
     tc = wave.taylor_constants()
+    if not 0 < args.cn < 1:
+        raise ParameterError(f"--cn must lie in (0, 1), got {args.cn}")
     xi = min(0.5, 1.0 - args.cn) if args.xi is None else args.xi
-    if not 0 < args.cn <= 1 - xi:
+    if args.cn > 1 - xi:
         raise ParameterError(f"--cn must lie in (0, 1 - xi] = (0, {1 - xi}], got {args.cn}")
     consts = analysis.derive_constants(xi, tc.C3, tc.C4, tc.alpha3, tc.alpha4,
                                        float(args.c), float(args.tmax), 0.0, 1.0)
-    measured = report.total_error_rows(wave, consts, args.chain, args.cn, xi=2.0 ** -50,
+    measured = report.total_error_rows(wave, consts, args.chain, args.cn,
                                        t_max=float(args.tmax))
     rows = [{"i_max": imax, **row, "holds": row["measured"] <= row["bound"]}
             for imax, row in zip(args.chain, measured)]

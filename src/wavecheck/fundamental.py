@@ -147,13 +147,12 @@ def lambda_closed_form(a, i: int, k: int) -> Fraction:
     a = to_fraction(a)
     if abs(i) > k:
         raise DomainError(f"(i={i}, k={k}) outside the triangle |i| <= k")
-    total = Fraction(0)
-    a_pow = a ** abs(i)
+    p, q = a.numerator, a.denominator  # a**n = p**n q**(k - n) / q**k
+    total = 0
     for n in range(abs(i), k + 1):
         term = math.comb(2 * n, n + i) * math.comb(n + k + 1, 2 * n + 1)
-        total += (-1) ** (n + i) * term * a_pow
-        a_pow *= a
-    return total
+        total += (-1) ** (n + i) * term * p ** n * q ** (k - n)
+    return Fraction(total, q ** k)
 
 
 def jacobi_poly(n: int, alpha: int, beta: int, x) -> Fraction:
@@ -168,15 +167,15 @@ def jacobi_poly(n: int, alpha: int, beta: int, x) -> Fraction:
     if n < 0:
         raise ParameterError(f"degree must be nonnegative, got {n}")
     x = to_fraction(x)
-    plus = (x + 1) / 2
-    minus = (x - 1) / 2
-    total = Fraction(0)
+    r, s = x.numerator, x.denominator
+    # (x + 1)/2 = (r + s)/(2s) and (x - 1)/2 = (r - s)/(2s): integers over (2s)**n.
+    total = 0
     for p in range(n + 1):
         total += (
             math.comb(n + alpha, p) * math.comb(n + beta, n - p)
-            * plus ** p * minus ** (n - p)
+            * (r + s) ** p * (r - s) ** (n - p)
         )
-    return total
+    return Fraction(total, (2 * s) ** n)
 
 
 def lambda_via_jacobi(a, i: int, k: int) -> Fraction:

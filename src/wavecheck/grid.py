@@ -47,13 +47,6 @@ class Grid:
     def t(self, k: int) -> Scalar:
         return k * self.dt
 
-    def x_nodes(self) -> list:
-        return [self.x(i) for i in range(self.i_max + 1)]
-
-    @property
-    def span(self) -> Scalar:
-        return self.x_max - self.x_min
-
 
 def build_grid(x_min, x_max, t_max, i_max: int, k_max: int, kind: str = BINARY64) -> Grid:
     """Construct a grid, validating the program preconditions.

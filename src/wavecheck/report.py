@@ -33,7 +33,7 @@ from .errors import ParameterError
 from .grid import build_grid
 from .problem import WaveProblem, default_problem, standing_wave
 from .scalars import BINARY64, EXACT, sqrt_bounds, to_fraction
-from .scheme import solve
+from .scheme import DEFAULT_XI, solve
 
 VERIFIED_EXACT = "verified-exact"
 VERIFIED_TOL = "verified-within-tolerance"
@@ -43,33 +43,39 @@ ERRORED = "errored"
 SKIPPED = "skipped"
 
 
+#: Courant number of the order and total-error refinement chains.
+ORDER_CN = 0.5
+#: Band the fitted log-log order slope must fall in.
+SLOPE_BAND = (1.8, 2.2)
+#: Grid and end time of the exact zero-source energy run.
+ENERGY_IMAX, ENERGY_KMAX, ENERGY_TMAX = 50, 50, Fraction(1, 2)
+#: Stiffness coefficients of the row-sum and closed-form sweeps.
+A_VALUES = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
+#: Coefficients sampled in (0, 1) by the nonnegativity witness.
+NONNEG_SAMPLES = 20
+#: Largest k of the randomly placed telescoping certificates.
+CERTIFICATE_KMAX = 20
+#: i_max chain of the total-error claim.
+TOTAL_ERROR_CHAIN = (50, 100, 200)
+#: Random parameter sets of the constants derivation.
+CONSTANTS_SETS = 20
+
+
 @dataclass
 class ClaimConfig:
-    """Knobs for the catalog; defaults match the documented acceptance runs."""
+    """Sizes and seed of the catalog; defaults match the documented acceptance runs."""
 
     order_chain: tuple = (50, 100, 200, 400)
-    order_cn: float = 0.5
-    slope_band: tuple = (1.8, 2.2)
-    energy_imax: int = 50
-    energy_kmax: int = 50
-    energy_tmax: Fraction = Fraction(1, 2)
     random_runs: int = 50
     random_seed: int = 20130
     row_sum_kmax: int = 200
-    row_sum_a: tuple = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
     closed_form_kmax: int = 40
-    closed_form_a: tuple = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
     nonneg_kmax: int = 100
-    nonneg_samples: int = 20
     identity_kmax: int = 30
     zeilberger_kmax: int = 25
     certificate_samples: int = 500
-    certificate_kmax: int = 20
     reconstruction_grids: tuple = ((10, 20), (20, 40))
     local_bound_grid: tuple = (100, 200)
-    total_error_chain: tuple = (50, 100, 200)
-    constants_sets: int = 20
-    xi: float = 2.0 ** -50
     inject_wrong_a: bool = False  # fault-injection hook for exercising "violated"
 
 
@@ -198,13 +204,13 @@ def reconstruction_mismatch(run: roundoff.ShadowRun, a):
     return None
 
 
-def total_error_rows(wave, consts: analysis.ErrorConstants, chain, cn, xi, t_max=1.0):
+def total_error_rows(wave, consts: analysis.ErrorConstants, chain, cn, t_max=1.0):
     """``dx``, ``dt``, measured max-over-time error of ``wave`` and its a-priori
     bound, per grid of the fixed-``cn`` refinement chain over ``chain``."""
     prob = analysis.problem_for(wave)
     for imax in chain:
         g = analysis.refinement_chain([imax], cn, wave.c, t_max=t_max)[0]
-        run = solve(prob, g, xi=xi)
+        run = solve(prob, g)
         err = analysis.max_norm_over_time(analysis.convergence_error(wave, run), g)
         bound = analysis.total_error_bound(consts, float(g.dx), float(g.dt))
         yield {"dx": float(g.dx), "dt": float(g.dt), "measured": err, "bound": bound}
@@ -215,9 +221,9 @@ def total_error_rows(wave, consts: analysis.ErrorConstants, chain, cn, xi, t_max
 
 def _order_claim(cfg: ClaimConfig, mode: str):
     wave = standing_wave(1, 1)
-    grids = analysis.refinement_chain(cfg.order_chain, cfg.order_cn, 1.0)
-    fit = analysis.estimate_order(wave, grids, mode=mode, xi=cfg.xi)
-    lo, hi = cfg.slope_band
+    grids = analysis.refinement_chain(cfg.order_chain, ORDER_CN, 1.0)
+    fit = analysis.estimate_order(wave, grids, mode=mode)
+    lo, hi = SLOPE_BAND
     ok = lo <= fit.slope <= hi
     # One (alpha, C) pair witnessing the quadratic growth over the family.
     c_witness = max(err / dx ** 2 for dx, err in fit.points)
@@ -241,12 +247,12 @@ def claim_truncation_order(cfg: ClaimConfig):
 
 
 def claim_energy_constant(cfg: ClaimConfig):
-    g = build_grid(0, 1, cfg.energy_tmax, cfg.energy_imax, cfg.energy_kmax, EXACT)
-    run = solve(default_problem(), g, xi=cfg.xi)
+    g = build_grid(0, 1, ENERGY_TMAX, ENERGY_IMAX, ENERGY_KMAX, EXACT)
+    run = solve(default_problem(), g)
     series = energy.energy_series(run)
     drift = series.drift()
     evidence = {
-        "grid": [cfg.energy_imax, cfg.energy_kmax],
+        "grid": [ENERGY_IMAX, ENERGY_KMAX],
         "cn": str(run.cn),
         "energy": str(series.values[0]),
         "max_drift": str(drift),
@@ -278,7 +284,7 @@ def _random_exact_run(rng: random.Random, xi) -> object:
 
 def claim_energy_lower_bound(cfg: ClaimConfig):
     rng = random.Random(cfg.random_seed)
-    xis = [Fraction(1, 2 ** 50), Fraction(1, 10), Fraction(1, 2)]
+    xis = [Fraction(DEFAULT_XI), Fraction(1, 10), Fraction(1, 2)]
     checked = 0
     min_gap = None
     for j in range(cfg.random_runs):
@@ -298,30 +304,30 @@ def claim_energy_lower_bound(cfg: ClaimConfig):
 
 
 def claim_row_sums(cfg: ClaimConfig):
-    for a in cfg.row_sum_a:
+    for a in A_VALUES:
         table = fundamental.build_table(a, cfg.row_sum_kmax)
         failure = next(row_sum_failures(table), None)
         if failure is not None:
             k, total = failure
             return VIOLATED, {"a": str(a), "k": k, "sum": str(total)}
     return VERIFIED_EXACT, {"k_max": cfg.row_sum_kmax,
-                            "a_values": [str(a) for a in cfg.row_sum_a]}
+                            "a_values": [str(a) for a in A_VALUES]}
 
 
 def claim_closed_form(cfg: ClaimConfig):
     kmax = cfg.closed_form_kmax
-    for a in cfg.closed_form_a:
+    for a in A_VALUES:
         table = fundamental.build_table(a, kmax)
         failure = next(closed_form_failures(table), None)
         if failure is not None:
             form, i, k = failure
             return VIOLATED, {"a": str(a), "i": i, "k": k, "form": form}
-    return VERIFIED_EXACT, {"k_max": kmax, "a_values": [str(a) for a in cfg.closed_form_a]}
+    return VERIFIED_EXACT, {"k_max": kmax, "a_values": [str(a) for a in A_VALUES]}
 
 
 def claim_nonnegativity(cfg: ClaimConfig):
     rng = random.Random(cfg.random_seed + 1)
-    samples = [Fraction(j, cfg.nonneg_samples + 1) for j in range(1, cfg.nonneg_samples + 1)]
+    samples = [Fraction(j, NONNEG_SAMPLES + 1) for j in range(1, NONNEG_SAMPLES + 1)]
     # Nudge a few sample points off the uniform comb for variety.
     samples[::5] = [Fraction(rng.randint(1, 97), 98) for _ in samples[::5]]
     for a in samples:
@@ -352,7 +358,7 @@ def claim_telescoping(cfg: ClaimConfig):
         return VIOLATED, {"i": i, "n": n, "k": k, "what": "recurrence"}
     rng = random.Random(cfg.random_seed + 2)
     checked = 0
-    for res in certificate_samples(rng, cfg.certificate_samples, cfg.certificate_kmax):
+    for res in certificate_samples(rng, cfg.certificate_samples, CERTIFICATE_KMAX):
         if not res.ok:
             return VIOLATED, {"point": res.point, "results": res.results}
         checked += res.checked
@@ -368,7 +374,7 @@ def claim_reconstruction(cfg: ClaimConfig):
     prob = default_problem()
     for i_max, k_max in cfg.reconstruction_grids:
         g = build_grid(0, 1, 1, i_max, k_max, BINARY64)
-        run = roundoff.shadow_solve(prob, g, xi=cfg.xi)
+        run = roundoff.shadow_solve(prob, g)
         a = run.a_exact
         if cfg.inject_wrong_a:
             a = a / 2  # deliberately wrong table: must surface as violated
@@ -386,7 +392,7 @@ def claim_reconstruction(cfg: ClaimConfig):
 def claim_local_bound(cfg: ClaimConfig):
     i_max, k_max = cfg.local_bound_grid
     g = build_grid(0, 1, 1, i_max, k_max, BINARY64)
-    run = roundoff.shadow_solve(default_problem(), g, xi=cfg.xi)
+    run = roundoff.shadow_solve(default_problem(), g)
     if not run.a_gap_ok:
         return VIOLATED, {"reason": "stiffness coefficient gap exceeds 2^-49",
                           "a_float": run.a_float, "a_exact": str(run.a_exact)}
@@ -410,7 +416,7 @@ def claim_global_bound(cfg: ClaimConfig):
     worst_at = None
     for i_max, k_max in grids:
         g = build_grid(0, 1, 1, i_max, k_max, BINARY64)
-        run = roundoff.shadow_solve(default_problem(), g, xi=cfg.xi)
+        run = roundoff.shadow_solve(default_problem(), g)
         rep = roundoff.check_global_bound(run)
         if not rep.ok:
             return VIOLATED, {"grid": [i_max, k_max], "violations": rep.violations[:5]}
@@ -435,7 +441,7 @@ def claim_total_error(cfg: ClaimConfig):
         xi_for_constants, tc.C3, tc.C4, tc.alpha3, tc.alpha4, 1.0, 1.0, 0.0, 1.0
     )
     rows = []
-    for row in total_error_rows(wave, consts, cfg.total_error_chain, cfg.order_cn, cfg.xi):
+    for row in total_error_rows(wave, consts, TOTAL_ERROR_CHAIN, ORDER_CN):
         rows.append(row)
         if row["measured"] > row["bound"]:
             return VIOLATED, {"at": row}
@@ -509,7 +515,7 @@ def constants_match_oracle(consts: analysis.ErrorConstants, rel_tol=Fraction(1, 
 
 def claim_constants(cfg: ClaimConfig):
     rng = random.Random(cfg.random_seed + 3)
-    for j in range(cfg.constants_sets):
+    for j in range(CONSTANTS_SETS):
         xi = Fraction(rng.randint(1, 99), 100)
         c3 = Fraction(rng.randint(1, 500), rng.randint(1, 20))
         c4 = Fraction(rng.randint(1, 500), rng.randint(1, 20))
@@ -525,7 +531,7 @@ def claim_constants(cfg: ClaimConfig):
         # The oracle reads back the binary64 inputs the library actually saw.
         if not constants_match_oracle(consts):
             return VIOLATED, {"set": j, "xi": str(xi)}
-    return VERIFIED_TOL, {"parameter_sets": cfg.constants_sets,
+    return VERIFIED_TOL, {"parameter_sets": CONSTANTS_SETS,
                           "relative_tolerance": 1e-14}
 
 

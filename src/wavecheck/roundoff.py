@@ -44,6 +44,9 @@ LOCAL_BOUND = Fraction(78, 2 ** 52)
 #: Admissible gap between the computed and exact stiffness coefficients.
 A_GAP = Fraction(1, 2 ** 49)
 
+#: Round-off norm scale 234 * 2**-53 of the norm-level global bound and of C_Delta.
+NORM_SCALE = Fraction(234, 2 ** 53)
+
 
 @dataclass
 class ShadowRun:
@@ -250,7 +253,7 @@ def check_global_bound(run: ShadowRun) -> GlobalBoundReport:
     norm_level_ok: Optional[bool] = None
     if g.dx <= 1 and g.dt <= g.t_max / 2:
         span = g.x_max - g.x_min
-        scale = Fraction(234, 2 ** 53) * g.k_max ** 2
+        scale = NORM_SCALE * g.k_max ** 2
         limit_sq = (span + 1) * scale * scale
         norm_level_ok = all(
             dot_dx(run.global_err[k], run.global_err[k], g) <= limit_sq

@@ -34,9 +34,6 @@ BINARY64 = "binary64"
 EXACT = "exact"
 KINDS = (BINARY64, EXACT)
 
-#: Unit round-off of binary64, 2**-53.
-EPS64 = 2.0 ** -53
-
 
 def ensure_kind(kind: str) -> str:
     if kind not in KINDS:
@@ -153,13 +150,3 @@ def scalar_json(v):
     if isinstance(v, float):
         return {"decimal": v, "hex": v.hex()}
     return v
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Inverse of the CSV cell forms: 'p/q', hex float literals, or decimals."""
-    text = text.strip()
-    if "/" in text:
-        return Fraction(text)
-    if text.startswith(("0x", "-0x")):
-        return float.fromhex(text)
-    return float(text)

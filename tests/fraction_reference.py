@@ -1,11 +1,13 @@
 """Rational-arithmetic references for the fraction-free exact layers.
 
 These are the plain ``fractions.Fraction`` loops that the package's exact
-march, local-error table and convolution reconstruction used before they
-were rewritten in scaled integers.  They are kept verbatim as test oracles:
-every Fraction the package returns must equal the one computed here.
+march, local-error table, convolution reconstruction, closed form and Jacobi
+polynomials used before they were rewritten in scaled integers.  They are
+kept verbatim as test oracles: every Fraction the package returns must equal
+the one computed here.
 """
 
+import math
 from fractions import Fraction
 
 from wavecheck.errors import ParameterError
@@ -111,3 +113,27 @@ def reconstruct_global_error(delta: list, table: FundamentalTable, i_max: int) -
             col[i] = -acc
         out.append(col)
     return out
+
+
+def lambda_closed_form(a: Fraction, i: int, k: int) -> Fraction:
+    """Closed form of the table entry as an alternating binomial sum in a."""
+    total = Fraction(0)
+    a_pow = a ** abs(i)
+    for n in range(abs(i), k + 1):
+        term = math.comb(2 * n, n + i) * math.comb(n + k + 1, 2 * n + 1)
+        total += (-1) ** (n + i) * term * a_pow
+        a_pow *= a
+    return total
+
+
+def jacobi_poly(n: int, alpha: int, beta: int, x: Fraction) -> Fraction:
+    """Jacobi polynomial ``P_n^(alpha,beta)(x)`` from its binomial definition."""
+    plus = (x + 1) / 2
+    minus = (x - 1) / 2
+    total = Fraction(0)
+    for p in range(n + 1):
+        total += (
+            math.comb(n + alpha, p) * math.comb(n + beta, n - p)
+            * plus ** p * minus ** (n - p)
+        )
+    return total

@@ -1,9 +1,10 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from wavecheck.cli import main
+from wavecheck.cli import build_parser, main
 
 
 def run_cli(args, capsys=None):
@@ -160,6 +161,23 @@ def test_default_problem_runs_at_the_given_velocity(tmp_path, argv, artifact):
     assert (a["exact"] if artifact == "roundoff.json" else a) == "1/16"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--imax", "8", "--c", "0"], "c must be positive, got 0.0"),
+    (["solve", "--imax", "8", "--c", "-1"], "c must be positive, got -1.0"),
+    (["solve", "--imax", "8", "--cn", "0"], "cn must be positive, got 0.0"),
+    (["roundoff", "--c", "0"], "c must be positive, got 0.0"),
+    (["bound", "--cn", "1.5"], "--cn must lie in (0, 1), got 1.5"),
+    (["fundamental", "--certificates", "-5"], "--certificates must be nonnegative"),
+    (["fundamental", "--range", "-1"], "--range must be nonnegative"),
+    (["order", "--chain", "10,10,10"], "pairwise distinct dx"),
+    (["order", "--chain", "10,20,10"], "pairwise distinct dx"),
+])
+def test_bad_inputs_exit_2_naming_the_flag(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["order", "bound"])
 @pytest.mark.parametrize("flag", ["--imax", "--kmax"])
 def test_grid_flags_are_rejected_where_unread(tmp_path, capsys, command, flag):
@@ -167,6 +185,28 @@ def test_grid_flags_are_rejected_where_unread(tmp_path, capsys, command, flag):
         main([command, flag, "10", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
+
+
+#: Defaults of each subcommand's flags, recorded while the parser still wrote
+#: them out as literals; it now reads them from the catalog and the scheme.
+PARSER_DEFAULTS = {
+    "order": {"c": 1, "tmax": 1, "cn": 0.5, "xi": 2.0 ** -50, "mode": "convergence",
+              "chain": [50, 100, 200, 400], "m": 1},
+    "fundamental": {"depth": 40, "sweep": 30,
+                    "a": [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)],
+                    "certificates": 500, "seed": 20130},
+    "bound": {"c": 1, "tmax": 1, "cn": 0.5, "xi": None, "m": 1, "chain": [50, 100, 200]},
+    "report": {"only": None, "seed": 20130, "selftest_inject_fault": False},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSER_DEFAULTS))
+def test_parser_defaults_are_pinned(command):
+    expected = PARSER_DEFAULTS[command]
+    args = vars(build_parser().parse_args([command]))
+    got = {key: args[key] for key in expected}
+    assert got == expected
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in expected.items()}
 
 
 def test_report_subset_and_skip_labeling(tmp_path):

@@ -1,8 +1,9 @@
 """The fraction-free exact layers against their rational-arithmetic references.
 
-The exact march, the local-error table and the convolution reconstruction
-run in scaled integers; ``fraction_reference`` holds the plain Fraction loops
-they replaced.  Every output must be the same list of Fractions.
+The exact march, the local-error table, the convolution reconstruction, the
+closed form and the Jacobi polynomials run in scaled integers;
+``fraction_reference`` holds the plain Fraction loops they replaced.  Every
+output must be the same list of Fractions.
 """
 
 from fractions import Fraction as Fr
@@ -13,12 +14,16 @@ from hypothesis import strategies as st
 
 from fraction_reference import _local_error_table as ref_local_error_table
 from fraction_reference import _march_exact as ref_march_exact
+from fraction_reference import jacobi_poly as ref_jacobi_poly
+from fraction_reference import lambda_closed_form as ref_lambda_closed_form
 from fraction_reference import reconstruct_global_error as ref_reconstruct
 from wavecheck import (
     ParameterError,
     WaveProblem,
     build_grid,
     build_table,
+    jacobi_poly,
+    lambda_closed_form,
     local_errors,
     reconstruct_global_error,
     shadow_solve,
@@ -161,3 +166,15 @@ def test_antisym_extension_matches_pointwise_index():
     with pytest.raises(ParameterError, match="zero boundary"):
         antisym_extension([Fr(0), Fr(1)], 0, 1)
 
+
+@given(rationals(max_den=200), st.integers(0, 30), st.data())
+@settings(max_examples=80, deadline=None)
+def test_closed_form_equals_reference(a, k, data):
+    i = data.draw(st.integers(-k, k))
+    assert lambda_closed_form(a, i, k) == ref_lambda_closed_form(a, i, k)
+
+
+@given(st.integers(0, 25), st.integers(0, 8), st.integers(0, 8), rationals(max_den=50))
+@settings(max_examples=120, deadline=None)
+def test_jacobi_poly_equals_reference(n, alpha, beta, x):
+    assert jacobi_poly(n, alpha, beta, x) == ref_jacobi_poly(n, alpha, beta, x)

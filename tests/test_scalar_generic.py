@@ -8,6 +8,9 @@ the rational formulas.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -211,6 +214,14 @@ def test_only_analysis_imports_numpy():
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.append(path.name)
     assert importers == ["analysis.py"]
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, wavecheck; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_field_storage_is_plain_lists():
