@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError
-from .grid import Field, Grid, apply_Ah, build_grid, norm_dx
+from .grid import Field, Grid, apply_Ah, build_grid, check_count, norm_dx
 from .problem import AnalyticSolution, CallableSpace, WaveProblem
 from .roundoff import NORM_SCALE
 from .scalars import BINARY64, zero
@@ -36,12 +36,8 @@ def problem_for(ref: AnalyticSolution) -> WaveProblem:
 def convergence_error(ref: AnalyticSolution, run: SchemeRun) -> Field:
     """Node-wise ``ref(x_i, t_k) - p_i^k`` over the whole grid."""
     g = run.grid
-    cols = []
-    for k in range(g.k_max + 1):
-        tk = g.t(k)
-        pk = run.column(k)
-        col = [ref.value(g.x(i), tk) - pk[i] for i in range(g.i_max + 1)]
-        cols.append(col)
+    cols = [[r - p for r, p in zip(ref_col, run.column(k))]
+            for k, ref_col in enumerate(ref.sample(g))]
     return Field(cols, g.kind)
 
 
@@ -55,8 +51,7 @@ def truncation_error(ref: AnalyticSolution, g: Grid, c) -> Field:
     """
     imax, kmax = g.i_max, g.k_max
     dt = g.dt
-    samples = [[ref.value(g.x(i), g.t(k)) for i in range(imax + 1)]
-               for k in range(kmax + 1)]
+    samples = list(ref.sample(g))
     z = zero(g.kind)
     cols = [[z] * (imax + 1)]
 
@@ -92,6 +87,7 @@ def refinement_chain(i_maxes, cn, c, t_max=1.0, x_min=0.0, x_max=1.0,
             raise ParameterError(f"{name} must be positive, got {v}")
     grids = []
     for imax in i_maxes:
+        check_count("i_max", imax)
         dx = (float(x_max) - float(x_min)) / imax
         dt = float(cn) * dx / float(c)
         kmax = round(float(t_max) / dt)
@@ -155,6 +151,15 @@ class ErrorConstants:
     C_e: float
     alpha_Delta: float
     C_Delta: float
+
+
+def constants_margin(cn) -> float:
+    """Courant margin xi of the bound constants for runs at Courant number ``cn``.
+
+    It is the largest ``xi <= 1/2`` that the runs respect (``cn <= 1 - xi``);
+    a smaller ``xi`` only inflates ``C2``.
+    """
+    return min(0.5, 1.0 - float(cn))
 
 
 def derive_constants(xi, C3, C4, alpha3, alpha4, c, t_max, x_min, x_max) -> ErrorConstants:

@@ -134,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_bound, grid=False)
     p_bound.add_argument("--m", type=int, default=1)
     p_bound.add_argument("--chain", type=int_list, default=list(report.TOTAL_ERROR_CHAIN))
-    # Here --xi sets the margin of the bound constants; unset, it is min(0.5, 1 - cn).
+    # Here --xi sets the margin of the bound constants; unset, it follows --cn
+    # through analysis.constants_margin.
     p_bound.set_defaults(func=cmd_bound, xi=None)
 
     p_report = sub.add_parser("report", help="run the full claims catalog")
@@ -388,7 +389,7 @@ def cmd_bound(args) -> int:
     tc = wave.taylor_constants()
     if not 0 < args.cn < 1:
         raise ParameterError(f"--cn must lie in (0, 1), got {args.cn}")
-    xi = min(0.5, 1.0 - args.cn) if args.xi is None else args.xi
+    xi = analysis.constants_margin(args.cn) if args.xi is None else args.xi
     if args.cn > 1 - xi:
         raise ParameterError(f"--cn must lie in (0, 1 - xi] = (0, {1 - xi}], got {args.cn}")
     consts = analysis.derive_constants(xi, tc.C3, tc.C4, tc.alpha3, tc.alpha4,

@@ -48,18 +48,22 @@ class Grid:
         return k * self.dt
 
 
+def check_count(name: str, n) -> None:
+    """Interval counts are integers greater than one."""
+    if not isinstance(n, int):
+        raise ParameterError(f"{name} must be an integer, got {n!r}")
+    if n < 2:
+        raise ParameterError(f"{name} too small: {n} (must be greater than one)")
+
+
 def build_grid(x_min, x_max, t_max, i_max: int, k_max: int, kind: str = BINARY64) -> Grid:
     """Construct a grid, validating the program preconditions.
 
     Interval counts must be greater than one; the domain must be nonempty.
     """
     ensure_kind(kind)
-    if not isinstance(i_max, int) or not isinstance(k_max, int):
-        raise ParameterError("i_max and k_max must be integers")
-    if i_max < 2:
-        raise ParameterError(f"i_max too small: {i_max} (must be greater than one)")
-    if k_max < 2:
-        raise ParameterError(f"k_max too small: {k_max} (must be greater than one)")
+    check_count("i_max", i_max)
+    check_count("k_max", k_max)
     x_min = convert(x_min, kind)
     x_max = convert(x_max, kind)
     t_max = convert(t_max, kind)

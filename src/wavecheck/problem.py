@@ -125,8 +125,17 @@ class AnalyticSolution:
     def value(self, x, t):
         return self.partial(0, 0, x, t)
 
-    def dt1(self, x, t):
-        return self.partial(0, 1, x, t)
+    def sample(self, g):
+        """Yield ``value`` on the grid ``g``, one column per time step.
+
+        Columns are built lazily, so a caller that consumes them one at a
+        time never holds the whole table.  This generic version evaluates
+        node by node; subclasses with a cheaper exact equivalent override it.
+        """
+        xs = [g.x(i) for i in range(g.i_max + 1)]
+        for k in range(g.k_max + 1):
+            tk = g.t(k)
+            yield [self.value(x, tk) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -166,6 +175,19 @@ class StandingWave(AnalyticSolution):
             * math.sin(self.w * x + nx * math.pi / 2)
             * math.cos(self.v * t + nt * math.pi / 2)
         )
+
+    def sample(self, g):
+        """Same bits as :meth:`value`, from one sin per space node and one cos per step.
+
+        ``partial(0, 0)`` evaluates ``(1.0 * sin(w x + 0.0)) * cos(v t + 0.0)``
+        left to right; the factor 1.0 is exact, and the zero phase is kept
+        because it turns a ``-0.0`` argument into ``+0.0``.  So the sine
+        column times one cosine per time step rounds as the per-node product.
+        """
+        sx = [math.sin(self.w * float(g.x(i)) + 0.0) for i in range(g.i_max + 1)]
+        for k in range(g.k_max + 1):
+            ck = math.cos(self.v * float(g.t(k)) + 0.0)
+            yield [s * ck for s in sx]
 
     def taylor_constants(self) -> TaylorConstants:
         """Lagrange-remainder constants for the degree-3 and degree-4 bounds.

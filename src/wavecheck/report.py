@@ -208,8 +208,7 @@ def total_error_rows(wave, consts: analysis.ErrorConstants, chain, cn, t_max=1.0
     """``dx``, ``dt``, measured max-over-time error of ``wave`` and its a-priori
     bound, per grid of the fixed-``cn`` refinement chain over ``chain``."""
     prob = analysis.problem_for(wave)
-    for imax in chain:
-        g = analysis.refinement_chain([imax], cn, wave.c, t_max=t_max)[0]
+    for g in analysis.refinement_chain(chain, cn, wave.c, t_max=t_max):
         run = solve(prob, g)
         err = analysis.max_norm_over_time(analysis.convergence_error(wave, run), g)
         bound = analysis.total_error_bound(consts, float(g.dx), float(g.dt))
@@ -436,9 +435,9 @@ def claim_global_bound(cfg: ClaimConfig):
 def claim_total_error(cfg: ClaimConfig):
     wave = standing_wave(1, 1)
     tc = wave.taylor_constants()
-    xi_for_constants = 0.5  # the runs hold CN = 0.5 <= 1 - 0.5
     consts = analysis.derive_constants(
-        xi_for_constants, tc.C3, tc.C4, tc.alpha3, tc.alpha4, 1.0, 1.0, 0.0, 1.0
+        analysis.constants_margin(ORDER_CN), tc.C3, tc.C4, tc.alpha3, tc.alpha4,
+        1.0, 1.0, 0.0, 1.0
     )
     rows = []
     for row in total_error_rows(wave, consts, TOTAL_ERROR_CHAIN, ORDER_CN):

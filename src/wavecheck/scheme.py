@@ -161,20 +161,26 @@ def solve(p: WaveProblem, g: Grid, kind: str | None = None,
 
 
 def _march_binary64(g: Grid, a: float, u0, u1, source) -> list:
+    """The C loop column by column, one comprehension per time step.
+
+    ``l, c, r`` are ``p[i-1], p[i], p[i+1]`` of the current column and ``o``
+    is ``p[i]`` of the one before, so each node is evaluated in the C
+    loop's order: ``dp = (r - 2c) + l``, then ``(2c - o) + a*dp``.
+    """
     imax = g.i_max
     dt = g.dt
     ha = 0.5 * a
     dt2 = dt * dt
-    cols = [list(u0)]
+    prev = list(u0)
+    cols = [prev]
 
-    prev = cols[0]
     col = [0.0] * (imax + 1)
-    for i in range(1, imax):
-        dp = (prev[i + 1] - 2.0 * prev[i]) + prev[i - 1]
-        if u1 is None:
-            col[i] = prev[i] + ha * dp
-        else:
-            col[i] = (prev[i] + dt * u1[i]) + ha * dp
+    if u1 is None:
+        col[1:imax] = [c + ha * ((r - 2.0 * c) + l)
+                       for l, c, r in zip(prev, prev[1:], prev[2:])]
+    else:
+        col[1:imax] = [(c + dt * v) + ha * ((r - 2.0 * c) + l)
+                       for l, c, r, v in zip(prev, prev[1:], prev[2:], u1[1:])]
     _abort_on_nonfinite(col, 1)
     cols.append(col)
 
@@ -183,14 +189,12 @@ def _march_binary64(g: Grid, a: float, u0, u1, source) -> list:
         pkm1 = cols[k - 1]
         nxt = [0.0] * (imax + 1)
         if source is None:
-            for i in range(1, imax):
-                dp = (pk[i + 1] - 2.0 * pk[i]) + pk[i - 1]
-                nxt[i] = (2.0 * pk[i] - pkm1[i]) + a * dp
+            nxt[1:imax] = [(2.0 * c - o) + a * ((r - 2.0 * c) + l)
+                           for l, c, r, o in zip(pk, pk[1:], pk[2:], pkm1[1:])]
         else:
-            sk = source[k]
-            for i in range(1, imax):
-                dp = (pk[i + 1] - 2.0 * pk[i]) + pk[i - 1]
-                nxt[i] = ((2.0 * pk[i] - pkm1[i]) + a * dp) + dt2 * sk[i]
+            nxt[1:imax] = [((2.0 * c - o) + a * ((r - 2.0 * c) + l)) + dt2 * s
+                           for l, c, r, o, s in zip(pk, pk[1:], pk[2:], pkm1[1:],
+                                                    source[k][1:])]
         _abort_on_nonfinite(nxt, k + 1)
         cols.append(nxt)
     return cols
@@ -239,6 +243,14 @@ def _march_exact(g: Grid, a: Fraction, u0, u1, source) -> list:
 
 
 def _abort_on_nonfinite(col: list, k: int) -> None:
+    """Raise at the first non-finite entry of column ``k``.
+
+    A NaN or infinite term makes the sum non-finite, so a finite sum clears
+    the column in one pass; only a non-finite sum, which finite terms can
+    also reach by overflow, is scanned node by node.
+    """
+    if math.isfinite(sum(col)):
+        return
     for i, v in enumerate(col):
         if not math.isfinite(v):
             raise NonFiniteError(i, k)

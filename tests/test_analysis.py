@@ -259,3 +259,21 @@ def test_total_error_bound_monotone_in_constants():
     base = total_error_bound(k, 0.01, 0.005)
     assert total_error_bound(replace(k, C_e=2 * k.C_e), 0.01, 0.005) > base
     assert total_error_bound(replace(k, C_Delta=2 * k.C_Delta), 0.01, 0.005) > base
+
+
+@pytest.mark.parametrize("cn,xi", [(0.5, 0.5), (0.75, 0.25), (0.25, 0.5)])
+def test_total_error_claim_margin_follows_its_courant_number(monkeypatch, cn, xi):
+    from wavecheck import analysis, report
+
+    margins = []
+    derive = analysis.derive_constants
+
+    def recording(margin, *args):
+        margins.append(margin)
+        return derive(margin, *args)
+
+    monkeypatch.setattr(analysis, "derive_constants", recording)
+    monkeypatch.setattr(report, "ORDER_CN", cn)
+    monkeypatch.setattr(report, "TOTAL_ERROR_CHAIN", (10, 20))
+    report.claim_total_error(report.ClaimConfig())
+    assert margins == [xi] == [analysis.constants_margin(cn)]

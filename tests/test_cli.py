@@ -178,6 +178,28 @@ def test_bad_inputs_exit_2_naming_the_flag(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--imax", "0"],
+    ["order", "--chain", "0,10,20"],
+    ["bound", "--chain", "10,20,0"],
+])
+def test_grid_counts_below_two_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, argv):
+    from wavecheck import scheme
+
+    marches = []
+    march = scheme._march_binary64
+
+    def recording(*args):
+        marches.append(args)
+        return march(*args)
+
+    monkeypatch.setattr(scheme, "_march_binary64", recording)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "i_max too small: 0 (must be greater than one)" in capsys.readouterr().err
+    assert marches == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["order", "bound"])
 @pytest.mark.parametrize("flag", ["--imax", "--kmax"])
 def test_grid_flags_are_rejected_where_unread(tmp_path, capsys, command, flag):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavecheck import (
     ParameterError,
@@ -10,6 +12,7 @@ from wavecheck import (
     UnsupportedFeatureError,
     antisym_index,
     antisym_value,
+    build_grid,
     dalembert_zero_velocity,
     default_problem,
     standing_wave,
@@ -192,3 +195,43 @@ def test_dalembert_matches_higher_mode():
     for _ in range(300):
         x, t = rng.uniform(0, 1), rng.uniform(0, 2)
         assert abs(sol.value(x, t) - wave.value(x, t)) <= 1e-12
+
+
+def float_bits(values):
+    """Bit patterns, so that -0.0 and 0.0 (and NaN payloads) stay apart."""
+    return [v.hex() for v in values]
+
+
+@st.composite
+def grids(draw, kind="binary64"):
+    x_min = draw(st.sampled_from((0, -1, Fr(1, 3), 2)))
+    span = draw(st.sampled_from((1, Fr(1, 2), 3)))
+    t_max = draw(st.sampled_from((1, Fr(1, 4), Fr(5, 2))))
+    i_max = draw(st.integers(2, 30))
+    k_max = draw(st.integers(2, 40))
+    return build_grid(x_min, x_min + span, t_max, i_max, k_max, kind)
+
+
+@given(st.integers(1, 5), st.floats(0.05, 8.0), grids())
+@settings(max_examples=80, deadline=None)
+def test_standing_wave_sample_equals_per_node_value(m, c, g):
+    wave = standing_wave(m, c)
+    cols = list(wave.sample(g))
+    assert len(cols) == g.k_max + 1
+    for k, col in enumerate(cols):
+        expected = [wave.value(g.x(i), g.t(k)) for i in range(g.i_max + 1)]
+        assert float_bits(col) == float_bits(expected)
+
+
+@given(st.sampled_from(("binary64", "exact")).flatmap(grids),
+       st.sampled_from((Fr(1, 2), Fr(3, 4), 1)))
+@settings(max_examples=40, deadline=None)
+def test_generic_sample_equals_per_node_value(g, c):
+    sol = dalembert_zero_velocity(Polynomial((0, 1, -1)), c)
+    expected = [[sol.value(g.x(i), g.t(k)) for i in range(g.i_max + 1)]
+                for k in range(g.k_max + 1)]
+    cols = list(sol.sample(g))
+    if g.kind == "binary64":
+        assert [float_bits(col) for col in cols] == [float_bits(col) for col in expected]
+    else:
+        assert cols == expected

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavecheck import (
     CflViolationError,
@@ -13,7 +15,9 @@ from wavecheck import (
     check_cfl,
     courant_number,
     default_problem,
+    scheme,
     solve,
+    standing_wave,
 )
 
 
@@ -182,3 +186,94 @@ def test_source_term_enters_update():
     run = solve(WaveProblem(c=Fr(1, 2), u0=None, s=src), g)
     assert all(run.value(i, 1) == 0 for i in range(7))
     assert run.value(3, 2) == g.dt * g.dt * 5
+
+
+def march_oracle(g, a, u0, u1, source):
+    """The node-by-node binary64 loop the comprehension march replaced."""
+    imax = g.i_max
+    dt = g.dt
+    ha = 0.5 * a
+    dt2 = dt * dt
+    cols = [list(u0)]
+
+    prev = cols[0]
+    col = [0.0] * (imax + 1)
+    for i in range(1, imax):
+        dp = (prev[i + 1] - 2.0 * prev[i]) + prev[i - 1]
+        if u1 is None:
+            col[i] = prev[i] + ha * dp
+        else:
+            col[i] = (prev[i] + dt * u1[i]) + ha * dp
+    cols.append(col)
+
+    for k in range(1, g.k_max):
+        pk = cols[k]
+        pkm1 = cols[k - 1]
+        nxt = [0.0] * (imax + 1)
+        if source is None:
+            for i in range(1, imax):
+                dp = (pk[i + 1] - 2.0 * pk[i]) + pk[i - 1]
+                nxt[i] = (2.0 * pk[i] - pkm1[i]) + a * dp
+        else:
+            sk = source[k]
+            for i in range(1, imax):
+                dp = (pk[i + 1] - 2.0 * pk[i]) + pk[i - 1]
+                nxt[i] = ((2.0 * pk[i] - pkm1[i]) + a * dp) + dt2 * sk[i]
+        cols.append(nxt)
+    return cols
+
+
+@given(st.data(), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_binary64_march_equals_node_loop_oracle(data, with_u1, with_source):
+    i_max = data.draw(st.integers(2, 25))
+    k_max = data.draw(st.integers(2, 40))
+    g = build_grid(0, 1, data.draw(st.sampled_from((1, Fr(1, 3), 2))), i_max, k_max)
+    values = st.floats(-4.0, 4.0)
+
+    def column():
+        return [0.0] + data.draw(st.lists(values, min_size=i_max - 1,
+                                          max_size=i_max - 1)) + [0.0]
+
+    a = data.draw(st.floats(0.0, 1.0))
+    u0 = column()
+    u1 = column() if with_u1 else None
+    source = [column() for _ in range(k_max + 1)] if with_source else None
+    got = scheme._march_binary64(g, a, u0, u1, source)
+    want = march_oracle(g, a, u0, u1, source)
+    assert [[v.hex() for v in col] for col in got] == [[v.hex() for v in col] for col in want]
+
+
+@pytest.mark.parametrize("col", [
+    [0.0, 1e308, 1e308, 0.0],
+    [0.0, -1e308, -1e308, 1.0, 0.0],
+    [0.0, 1.0, -2.5, 0.0],
+])
+def test_nonfinite_check_passes_finite_columns_whose_sum_overflows(col):
+    scheme._abort_on_nonfinite(col, 7)
+
+
+@pytest.mark.parametrize("col,i", [
+    ([0.0, 1.0, math.inf, math.nan, 0.0], 2),
+    ([0.0, 1e308, 1e308, math.nan, 0.0], 3),
+    ([0.0, math.inf, -math.inf, 0.0], 1),
+    ([0.0, 2.0, -math.inf], 2),
+])
+def test_nonfinite_check_reports_the_first_bad_node(col, i):
+    with pytest.raises(NonFiniteError) as err:
+        scheme._abort_on_nonfinite(col, 7)
+    assert (err.value.i, err.value.k) == (i, 7)
+
+
+@pytest.mark.parametrize("problem,node", [
+    (WaveProblem(c=3, u0=default_problem().u0), (8, 379)),
+    (standing_wave(1, 3).as_problem(), (49, 390)),
+])
+def test_unstable_run_aborts_at_the_recorded_node(problem, node):
+    # c = 3 on 200 x 400 gives cn = 1.5; the nodes were recorded from the
+    # node-by-node march.
+    g = build_grid(0, 1, 1, 200, 400)
+    with pytest.warns(UserWarning):
+        with pytest.raises(NonFiniteError) as err:
+            solve(problem, g, enforce_cfl=False)
+    assert (err.value.i, err.value.k) == node
