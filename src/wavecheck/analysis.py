@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .energy import stability_constants
 from .errors import DomainError, ParameterError
 from .grid import Field, Grid, apply_Ah, build_grid, check_count, norm_dx
 from .problem import AnalyticSolution, CallableSpace, WaveProblem
@@ -38,7 +39,7 @@ def convergence_error(ref: AnalyticSolution, run: SchemeRun) -> Field:
     g = run.grid
     cols = [[r - p for r, p in zip(ref_col, run.column(k))]
             for k, ref_col in enumerate(ref.sample(g))]
-    return Field(cols, g.kind)
+    return Field(cols)
 
 
 def truncation_error(ref: AnalyticSolution, g: Grid, c) -> Field:
@@ -71,7 +72,7 @@ def truncation_error(ref: AnalyticSolution, g: Grid, c) -> Field:
         for i in range(1, imax):
             col[i] = (pk[i] - 2 * pkm1[i] + pkm2[i]) / dt2 + ah[i]
         cols.append(col)
-    return Field(cols, g.kind)
+    return Field(cols)
 
 
 def max_norm_over_time(table: Field, g: Grid) -> float:
@@ -79,19 +80,18 @@ def max_norm_over_time(table: Field, g: Grid) -> float:
     return max(norm_dx(table.column(k), g) for k in range(g.k_max + 1))
 
 
-def refinement_chain(i_maxes, cn, c, t_max=1.0, x_min=0.0, x_max=1.0,
-                     kind: str = BINARY64) -> list[Grid]:
-    """Grids with dx halving and k_max chosen to hold the Courant number."""
+def refinement_chain(i_maxes, cn, c, t_max=1.0, kind: str = BINARY64) -> list[Grid]:
+    """Grids on [0, 1] with dx halving and k_max chosen to hold the Courant number."""
     for name, v in (("c", c), ("cn", cn)):
         if not float(v) > 0:
             raise ParameterError(f"{name} must be positive, got {v}")
     grids = []
     for imax in i_maxes:
         check_count("i_max", imax)
-        dx = (float(x_max) - float(x_min)) / imax
+        dx = 1.0 / imax
         dt = float(cn) * dx / float(c)
         kmax = round(float(t_max) / dt)
-        grids.append(build_grid(x_min, x_max, t_max, imax, kmax, kind))
+        grids.append(build_grid(0.0, 1.0, t_max, imax, kmax, kind))
     return grids
 
 
@@ -167,13 +167,13 @@ def derive_constants(xi, C3, C4, alpha3, alpha4, c, t_max, x_min, x_max) -> Erro
 
     ``C_e`` collects the stability and regularity constants of the method
     error; ``C_Delta`` is the round-off contribution ``234 * 2^-53 * t_max^2 *
-    sqrt(x_max - x_min + 1)``.
+    sqrt(x_max - x_min + 1)``.  ``C2`` comes from
+    :func:`wavecheck.energy.stability_constants`, which also checks ``xi``.
     """
     xi, C3, C4 = float(xi), float(C3), float(C4)
     alpha3, alpha4, c = float(alpha3), float(alpha4), float(c)
     t_max, x_min, x_max = float(t_max), float(x_min), float(x_max)
-    if not 0 < xi < 1:
-        raise ParameterError(f"xi must lie in (0, 1), got {xi}")
+    _, c2 = stability_constants(xi, 0.0)
     for name, v in (("C3", C3), ("C4", C4), ("alpha3", alpha3), ("alpha4", alpha4),
                     ("c", c), ("t_max", t_max)):
         if not v > 0:
@@ -181,7 +181,6 @@ def derive_constants(xi, C3, C4, alpha3, alpha4, c, t_max, x_min, x_max) -> Erro
     if not x_min < x_max:
         raise ParameterError("empty space domain")
     span = x_max - x_min
-    c2 = 1.0 / math.sqrt(2.0 * xi * (2.0 - xi))
     c_prime = max(1.0, C3 + c * c * C4 + 1.0)
     c_second = max(c_prime, 2.0 * (1.0 + c * c) * C4)
     alpha_e = min(1.0, t_max, alpha3, alpha4)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .errors import (
     ShapeError,
     UnsupportedFeatureError,
 )
-from .grid import Field, build_grid
+from .grid import build_grid
 from .problem import default_problem, standing_wave
 from .report import ClaimConfig, run_claims
 from .scalars import BINARY64, EXACT, scalar_json
@@ -40,18 +41,47 @@ USAGE_ERRORS = (
 )
 
 
+# Flag types.  argparse turns an ArgumentTypeError or ValueError raised here
+# into exit status 2 with a message that names the flag.
+
+
+def _finite_number(text: str, parse):
+    """``parse(text)``, refused unless it is finite and within binary64 range."""
+    try:
+        value = parse(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # a rational beyond the binary64 range
+        finite = False
+    if not finite:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and within binary64 range, got {text!r}")
+    return value
+
+
+def finite_float(text: str) -> float:
+    return _finite_number(text, float)
+
+
 def rational_or_float(text: str):
-    if "/" in text:
-        return Fraction(text)
-    return float(text)
+    return _finite_number(text, Fraction if "/" in text else float)
+
+
+def _nonempty(values: list, text: str) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+    return values
 
 
 def rational_list(text: str):
-    return [Fraction(part) for part in text.split(",") if part]
+    return _nonempty([_finite_number(part, Fraction) for part in text.split(",") if part],
+                     text)
 
 
 def int_list(text: str):
-    return [int(part) for part in text.split(",") if part]
+    return _nonempty([int(part) for part in text.split(",") if part], text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="propagation velocity (accepts p/q)")
         p.add_argument("--tmax", type=rational_or_float, default=1,
                        help="end time (accepts p/q)")
-        p.add_argument("--cn", type=float, default=report.ORDER_CN,
+        p.add_argument("--cn", type=finite_float, default=report.ORDER_CN,
                        help="target Courant number when --kmax is absent")
-        p.add_argument("--xi", type=float, default=DEFAULT_XI,
+        p.add_argument("--xi", type=finite_float, default=DEFAULT_XI,
                        help="Courant margin: require cn <= 1 - xi")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory")
@@ -202,18 +232,19 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def field_csv_lines(field: Field):
-    if field.kind == BINARY64:
+def field_csv_lines(run):
+    g = run.grid
+    if g.kind == BINARY64:
         yield "i,k,value,value_hex"
-        for i in range(field.i_max + 1):
-            for k in range(field.k_max + 1):
-                v = field.value(i, k)
+        for i in range(g.i_max + 1):
+            for k in range(g.k_max + 1):
+                v = run.value(i, k)
                 yield f"{i},{k},{v!r},{v.hex()}"
     else:
         yield "i,k,value"
-        for i in range(field.i_max + 1):
-            for k in range(field.k_max + 1):
-                v = field.value(i, k)
+        for i in range(g.i_max + 1):
+            for k in range(g.k_max + 1):
+                v = run.value(i, k)
                 yield f"{i},{k},{v.numerator}/{v.denominator}"
 
 
@@ -235,7 +266,7 @@ def cmd_solve(args) -> int:
     run = solve(prob, g, xi=args.xi)
     series = energy.energy_series(run)
     args.out.mkdir(parents=True, exist_ok=True)
-    write_lines(args.out / "field.csv", field_csv_lines(run.field))
+    write_lines(args.out / "field.csv", field_csv_lines(run))
     summary = {
         "scalar": run.kind,
         "problem": args.problem,

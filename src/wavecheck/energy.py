@@ -37,8 +37,6 @@ def discrete_energy(run: SchemeRun, k: int) -> Scalar:
 @dataclass
 class EnergySeries:
     values: list
-    cn: Scalar
-    xi: float
 
     def drift(self) -> Scalar:
         """max over k of |E^{k+1/2} - E^{1/2}|; zero for exact zero-source runs."""
@@ -51,7 +49,7 @@ class EnergySeries:
 
 def energy_series(run: SchemeRun) -> EnergySeries:
     values = [discrete_energy(run, k) for k in range(run.grid.k_max)]
-    return EnergySeries(values=values, cn=run.cn, xi=run.cfl.xi)
+    return EnergySeries(values=values)
 
 
 def energy_lower_bound_gap(run: SchemeRun, k: int) -> Scalar:
@@ -113,9 +111,8 @@ def check_energy_estimate(run: SchemeRun, xi=None) -> EnergyEstimateReport:
     source_sq = [None] * (g.k_max + 1)
     if run.source is not None:
         for k in range(1, g.k_max + 1):
-            if k < len(run.source):
-                col = run.source[k]
-                source_sq[k] = dot_dx(col, col, g)
+            col = run.source[k]
+            source_sq[k] = dot_dx(col, col, g)
 
     violations = []
     min_slack: Optional[float] = None

@@ -72,12 +72,6 @@ class FundamentalTable:
             raise DomainError(f"time index {k} outside [0, {self.K}]")
         return list(self._rows[k])
 
-    def lam(self, i: int, k: int) -> Fraction:
-        """Fundamental-solution value: the table shifted one step in time."""
-        if k < 0:
-            raise DomainError(f"negative time index {k}")
-        return self.entry(i, k - 1)
-
     def row_total(self, k: int) -> Fraction:
         """Sum of row k of ``L`` (satisfies a second-difference-zero recurrence)."""
         if not 0 <= k <= self.K:

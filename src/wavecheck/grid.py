@@ -166,15 +166,12 @@ class Field:
     """Space-time table of scalars, ``(i_max+1) x (k_max+1)``.
 
     Stored as a list of per-time-step columns (lists of floats or of
-    Fractions, per ``kind``), indexed ``columns[k][i]``.  Solver-produced
-    fields keep rows 0 and i_max identically zero.
+    Fractions, per the grid's kind), indexed ``columns[k][i]``.
+    Solver-produced fields keep rows 0 and i_max identically zero.
     """
 
-    def __init__(self, columns: list, kind: str):
-        self.kind = ensure_kind(kind)
+    def __init__(self, columns: list):
         self._columns = columns
-        self.i_max = len(columns[0]) - 1
-        self.k_max = len(columns) - 1
 
     def value(self, i: int, k: int) -> Scalar:
         return self._columns[k][i]

@@ -92,13 +92,14 @@ class WaveProblem:
 
     ``u1 = None`` and ``s = None`` mean *identically zero by construction*;
     the solver then runs the reduced update of the reference program rather
-    than adding explicit zero terms.
+    than adding explicit zero terms.  A source is a table of ``k_max + 1``
+    per-time-step columns of ``i_max + 1`` values.
     """
 
     c: object
     u0: SpaceData = None
     u1: SpaceData = None
-    s: Optional[Callable] = None
+    s: Optional[Sequence] = None
     reference: Optional["AnalyticSolution"] = None
 
     def __post_init__(self):
@@ -294,28 +295,26 @@ def antisym_value(p0, x_min, x_max, x):
 
 
 class DalembertSolution(AnalyticSolution):
-    """Zero-velocity d'Alembert solution built from an extended initial shape.
+    """Zero-velocity d'Alembert solution on [0, 1] built from an extended initial shape.
 
     ``value(x, t) = (p~0(x + c t) + p~0(x - c t)) / 2`` where ``p~0`` is the
     antisymmetric extension of the first Cauchy datum.  Only the value is
     available; derivatives would need the datum's derivatives.
     """
 
-    def __init__(self, p0: SpaceFunction, c, x_min=0, x_max=1):
+    def __init__(self, p0: SpaceFunction, c):
         if isinstance(p0, SpaceFunction) and p0.exactly_evaluable:
-            lo = p0.exact_eval(to_fraction(x_min))
-            hi = p0.exact_eval(to_fraction(x_max))
+            lo = p0.exact_eval(to_fraction(self.x_min))
+            hi = p0.exact_eval(to_fraction(self.x_max))
             if lo != 0 or hi != 0:
                 raise ParameterError(
                     f"initial shape must vanish at the boundary, got {lo}, {hi}"
                 )
         else:
-            if abs(p0(float(x_min))) > 1e-9 or abs(p0(float(x_max))) > 1e-9:
+            if abs(p0(self.x_min)) > 1e-9 or abs(p0(self.x_max)) > 1e-9:
                 raise ParameterError("initial shape must vanish at the boundary")
         self.p0 = p0
         self.c = c
-        self.x_min = x_min
-        self.x_max = x_max
 
     def partial(self, nx: int, nt: int, x, t):
         if nx == 0 and nt == 0:
@@ -336,7 +335,7 @@ class DalembertSolution(AnalyticSolution):
         return (left + right) / 2
 
 
-def dalembert_zero_velocity(p0, c, x_min=0, x_max=1, p1=None) -> DalembertSolution:
+def dalembert_zero_velocity(p0, c, p1=None) -> DalembertSolution:
     """Analytic solution for Cauchy data ``(p0, 0)``.
 
     A nonzero second datum would require a quadrature term and is refused.
@@ -347,7 +346,7 @@ def dalembert_zero_velocity(p0, c, x_min=0, x_max=1, p1=None) -> DalembertSoluti
         )
     if callable(p0) and not isinstance(p0, SpaceFunction):
         p0 = CallableSpace(p0)
-    return DalembertSolution(p0, c, x_min=x_min, x_max=x_max)
+    return DalembertSolution(p0, c)
 
 
 def default_problem(with_reference: bool = False) -> WaveProblem:

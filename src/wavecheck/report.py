@@ -59,6 +59,8 @@ CERTIFICATE_KMAX = 20
 TOTAL_ERROR_CHAIN = (50, 100, 200)
 #: Random parameter sets of the constants derivation.
 CONSTANTS_SETS = 20
+#: Relative distance allowed between a derived constant and its oracle enclosure.
+CONSTANTS_REL_TOL = Fraction(1, 10 ** 14)
 
 
 @dataclass
@@ -454,10 +456,6 @@ def claim_total_error(cfg: ClaimConfig):
 # Interval arithmetic on positive rationals, for the constants oracle.
 
 
-def _interval_sqrt(x: Fraction, bits: int = 128):
-    return sqrt_bounds(x, bits)
-
-
 def _interval_mul(a, b):
     return a[0] * b[0], a[1] * b[1]
 
@@ -476,18 +474,18 @@ def _constants_oracle(xi, c3, c4, a3, a4, c, t_max, x_min, x_max) -> dict:
     a3, a4, c = map(to_fraction, (a3, a4, c))
     t_max, x_min, x_max = map(to_fraction, (t_max, x_min, x_max))
     span = x_max - x_min
-    c2 = _interval_inv(_interval_sqrt(2 * xi * (2 - xi)))
+    c2 = _interval_inv(sqrt_bounds(2 * xi * (2 - xi), 128))
     c_prime = max(Fraction(1), c3 + c * c * c4 + 1)
     c_second = max(c_prime, 2 * (1 + c * c) * c4)
-    inv_sqrt2 = _interval_inv(_interval_sqrt(Fraction(2)))
+    inv_sqrt2 = _interval_inv(sqrt_bounds(Fraction(2), 128))
     inner = _interval_add(
         _interval_mul((c_prime, c_prime), inv_sqrt2),
         _interval_mul((2 * (t_max + 1) * c_second,) * 2, c2),
     )
     c_e = _interval_mul(_interval_mul((4 * t_max, 4 * t_max), c2),
-                        _interval_mul(_interval_sqrt(span), inner))
+                        _interval_mul(sqrt_bounds(span, 128), inner))
     c_delta = _interval_mul(
-        (Fraction(234, 2 ** 53) * t_max ** 2,) * 2, _interval_sqrt(span + 1)
+        (Fraction(234, 2 ** 53) * t_max ** 2,) * 2, sqrt_bounds(span + 1, 128)
     )
     return {
         "C2": c2,
@@ -500,14 +498,14 @@ def _constants_oracle(xi, c3, c4, a3, a4, c, t_max, x_min, x_max) -> dict:
     }
 
 
-def constants_match_oracle(consts: analysis.ErrorConstants, rel_tol=Fraction(1, 10 ** 14)) -> bool:
+def constants_match_oracle(consts: analysis.ErrorConstants) -> bool:
     oracle = _constants_oracle(consts.xi, consts.C3, consts.C4, consts.alpha3,
                                consts.alpha4, consts.c, consts.t_max,
                                consts.x_min, consts.x_max)
     for name, (lo, hi) in oracle.items():
         mid = (lo + hi) / 2
         got = to_fraction(getattr(consts, name))
-        if abs(got - mid) > rel_tol * abs(mid):
+        if abs(got - mid) > CONSTANTS_REL_TOL * abs(mid):
             return False
     return True
 
@@ -531,7 +529,7 @@ def claim_constants(cfg: ClaimConfig):
         if not constants_match_oracle(consts):
             return VIOLATED, {"set": j, "xi": str(xi)}
     return VERIFIED_TOL, {"parameter_sets": CONSTANTS_SETS,
-                          "relative_tolerance": 1e-14}
+                          "relative_tolerance": float(CONSTANTS_REL_TOL)}
 
 
 CLAIMS = [

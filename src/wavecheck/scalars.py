@@ -88,11 +88,7 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def certified_sqrt_leq(
-    lhs: Fraction,
-    rhs_terms: Sequence[Fraction],
-    max_bits: int = 512,
-) -> bool:
+def certified_sqrt_leq(lhs: Fraction, rhs_terms: Sequence[Fraction]) -> bool:
     """Decide ``sqrt(lhs) <= sum_j sqrt(rhs_terms[j])`` exactly.
 
     All inputs are nonnegative rationals.  Terms whose ratio is a rational
@@ -101,7 +97,8 @@ def certified_sqrt_leq(
     One class left makes the comparison rational, true ties included.  With
     two or more, the square roots of distinct classes are linearly
     independent over the rationals (Besicovitch 1940), so the two sides
-    differ and escalating the enclosure precision settles the comparison.
+    differ and escalating the enclosure precision, up to 512 bits, settles
+    the comparison.
     """
     lhs = to_fraction(lhs)
     terms = [to_fraction(t) for t in rhs_terms if t != 0]
@@ -125,7 +122,7 @@ def certified_sqrt_leq(
         # sqrt is monotone: single-term case is a plain rational comparison.
         return lhs <= terms[0]
     bits = 32
-    while bits <= max_bits:
+    while bits <= 512:
         lhs_lo, lhs_hi = sqrt_bounds(lhs, bits)
         rhs_lo = rhs_hi = Fraction(0)
         for t in terms:
@@ -138,7 +135,7 @@ def certified_sqrt_leq(
             return False
         bits *= 2
     raise NumericDomainError(
-        f"sqrt comparison undecided at {max_bits} bits; the two sides differ "
+        "sqrt comparison undecided at 512 bits; the two sides differ "
         "by less than the enclosure width"
     )
 

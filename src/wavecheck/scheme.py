@@ -115,10 +115,8 @@ def _sample_source(s, g: Grid) -> Optional[list]:
     """Full source table as per-time-step columns, or None when absent."""
     if s is None:
         return None
-    if callable(s):
-        z = zero(g.kind)
-        return [[z] + [convert(s(g.x(i), g.t(k)), g.kind) for i in range(1, g.i_max)] + [z]
-                for k in range(g.k_max + 1)]
+    if len(s) != g.k_max + 1:
+        raise ShapeError(f"source has {len(s)} columns != k_max+1 = {g.k_max + 1}")
     cols = []
     for k in range(g.k_max + 1):
         row = s[k]
@@ -155,7 +153,7 @@ def solve(p: WaveProblem, g: Grid, kind: str | None = None,
     cn = report.cn
     a = cn * cn
     march = _march_binary64 if g.kind == BINARY64 else _march_exact
-    field = Field(march(g, a, u0, u1, source), g.kind)
+    field = Field(march(g, a, u0, u1, source))
     return SchemeRun(grid=g, problem=p, kind=g.kind, field=field, a=a, cn=cn,
                      cfl=report, u0=u0, u1=u1, source=source)
 

@@ -178,6 +178,51 @@ def test_bad_inputs_exit_2_naming_the_flag(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--c", "1/0"], "argument --c: zero denominator in '1/0'"),
+    (["roundoff", "--tmax", "1/0"], "argument --tmax: zero denominator"),
+    (["fundamental", "--a", "1/4,1/0"], "argument --a: zero denominator in '1/0'"),
+    (["solve", "--c", "inf"], "argument --c: must be finite"),
+    (["order", "--chain", "10,20,40", "--c", "inf"], "argument --c: must be finite"),
+    (["bound", "--chain", "10,20,40", "--c", "inf"], "argument --c: must be finite"),
+    (["solve", "--tmax", "inf"], "argument --tmax: must be finite"),
+    (["energy", "--scalar", "exact", "--imax", "8", "--kmax", "16", "--tmax", "1e400"],
+     "argument --tmax: must be finite and within binary64 range, got '1e400'"),
+    (["order", "--chain", "10,20,40", "--tmax", "nan"], "argument --tmax: must be finite"),
+    (["solve", "--c", "1" + "0" * 400 + "/3"], "argument --c: must be finite"),
+    (["solve", "--cn", "inf"], "argument --cn: must be finite"),
+    (["order", "--chain", "10,20,40", "--xi", "nan"], "argument --xi: must be finite"),
+    (["fundamental", "--a", ","], "argument --a: needs at least one value, got ','"),
+    (["bound", "--chain", ","], "argument --chain: needs at least one value, got ','"),
+])
+def test_bad_numbers_and_empty_lists_exit_2_in_the_parser(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_roundoff_without_reconstruction_never_convolves(tmp_path, monkeypatch):
+    from wavecheck import roundoff
+
+    calls = []
+    reconstruct = roundoff.reconstruct_global_error
+
+    def recording(*args):
+        calls.append(args)
+        return reconstruct(*args)
+
+    monkeypatch.setattr(roundoff, "reconstruct_global_error", recording)
+    argv = ["roundoff", "--imax", "10", "--kmax", "20"]
+    assert main(argv + ["--no-reconstruction", "--out", str(tmp_path / "skip")]) == 0
+    assert read_json(tmp_path / "skip" / "roundoff.json")["reconstruction"] == "skipped"
+    assert calls == []
+    assert main(argv + ["--out", str(tmp_path / "full")]) == 0
+    assert read_json(tmp_path / "full" / "roundoff.json")["reconstruction"] == "exact-equal"
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--imax", "0"],
     ["order", "--chain", "0,10,20"],

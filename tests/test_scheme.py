@@ -10,6 +10,7 @@ from wavecheck import (
     CflViolationError,
     NonFiniteError,
     ParameterError,
+    ShapeError,
     WaveProblem,
     build_grid,
     check_cfl,
@@ -186,6 +187,13 @@ def test_source_term_enters_update():
     run = solve(WaveProblem(c=Fr(1, 2), u0=None, s=src), g)
     assert all(run.value(i, 1) == 0 for i in range(7))
     assert run.value(3, 2) == g.dt * g.dt * 5
+
+
+@pytest.mark.parametrize("columns", [5, 12, 14])
+def test_source_table_needs_one_column_per_time_level(columns):
+    g = build_grid(0, 1, 1, 6, 12)
+    with pytest.raises(ShapeError, match="source has"):
+        solve(WaveProblem(c=1, s=[[0.0] * 7] * columns), g)
 
 
 def march_oracle(g, a, u0, u1, source):
