@@ -73,7 +73,6 @@ from .report import ClaimConfig, ClaimsReport, run_claims
 from .roundoff import (
     ShadowRun,
     check_global_bound,
-    check_range,
     local_errors,
     reconstruct_global_error,
     shadow_solve,

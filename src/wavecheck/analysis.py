@@ -30,7 +30,6 @@ def problem_for(ref: AnalyticSolution) -> WaveProblem:
         u0=CallableSpace(lambda x: ref.value(x, 0.0)),
         u1=CallableSpace(lambda x: ref.partial(0, 1, x, 0.0)),
         s=None,
-        reference=ref,
     )
 
 
@@ -91,6 +90,10 @@ def refinement_chain(i_maxes, cn, c, t_max=1.0, kind: str = BINARY64) -> list[Gr
         dx = 1.0 / imax
         dt = float(cn) * dx / float(c)
         kmax = round(float(t_max) / dt)
+        if kmax < 2:
+            raise ParameterError(
+                f"t_max = {t_max}, cn = {cn} and c = {c} give k_max = {kmax} "
+                f"at i_max = {imax} (k_max must be greater than one)")
         grids.append(build_grid(0.0, 1.0, t_max, imax, kmax, kind))
     return grids
 

@@ -266,18 +266,14 @@ _CERTIFICATE = {
         "b1": lambda i, n, k: -(n + 1 + i) * (n + 1 - i),
         "rat": _rat_n,
         "shift": lambda i, n, k, p: summand(i, n + 1, k, p),
-        "bad_dens": lambda i, n, k, p: tuple(
-            name for name, bad in (("n + 1 - p", p == n + 1), ("n - p", p == n)) if bad
-        ),
+        "bad_dens": lambda i, n, k, p: ("n - p",) if p == n else (),
     },
     "k": {
         "b0": lambda i, n, k: k + 1 + n,
         "b1": lambda i, n, k: -(k + 1 - n),
         "rat": _rat_k,
         "shift": lambda i, n, k, p: summand(i, n, k + 1, p),
-        "bad_dens": lambda i, n, k, p: tuple(
-            name for name, bad in (("k + 1 - p", p == k + 1), ("k - p", p == k)) if bad
-        ),
+        "bad_dens": lambda i, n, k, p: ("k - p",) if p == k else (),
     },
 }
 
@@ -296,6 +292,10 @@ class CertificateResult:
     @property
     def checked(self) -> int:
         return sum(1 for v in self.results.values() if v == "ok")
+
+    @property
+    def skipped(self) -> int:
+        return sum(1 for v in self.results.values() if v.startswith("skipped"))
 
 
 def check_certificate(i: int, n: int, k: int, p: int) -> CertificateResult:

@@ -1,9 +1,10 @@
 """Problem statement and analytic oracles.
 
-A :class:`WaveProblem` bundles the propagation velocity, the two Cauchy data,
-an optional source, and an optional analytic reference.  Cauchy data are
-given either as :class:`SpaceFunction` objects (evaluable in both scalar
-kinds when possible) or as pre-sampled vectors.
+A :class:`WaveProblem` bundles the propagation velocity, the two Cauchy data
+and an optional source.  Cauchy data are given either as
+:class:`SpaceFunction` objects (evaluable in both scalar kinds when
+possible) or as pre-sampled vectors.  Analytic solutions are standalone
+oracles that the analysis layers compare runs against.
 
 The antisymmetric extension implements image theory: folding any real
 coordinate (or any integer index) back into the base interval through
@@ -88,7 +89,7 @@ SpaceData = Union[SpaceFunction, Sequence, None]
 
 @dataclass
 class WaveProblem:
-    """Velocity, Cauchy data, source, optional analytic reference.
+    """Velocity, Cauchy data and source.
 
     ``u1 = None`` and ``s = None`` mean *identically zero by construction*;
     the solver then runs the reduced update of the reference program rather
@@ -100,7 +101,6 @@ class WaveProblem:
     u0: SpaceData = None
     u1: SpaceData = None
     s: Optional[Sequence] = None
-    reference: Optional["AnalyticSolution"] = None
 
     def __post_init__(self):
         if not float(self.c) > 0:
@@ -211,7 +211,6 @@ class StandingWave(AnalyticSolution):
             u0=CallableSpace(lambda x: math.sin(self.w * x)),
             u1=None,
             s=None,
-            reference=self,
         )
 
 
@@ -349,13 +348,11 @@ def dalembert_zero_velocity(p0, c, p1=None) -> DalembertSolution:
     return DalembertSolution(p0, c)
 
 
-def default_problem(with_reference: bool = False) -> WaveProblem:
+def default_problem() -> WaveProblem:
     """The package's stock test problem: ``u0 = x (1 - x)``, ``u1 = s = 0``, c = 1.
 
     The datum is a polynomial, so exact rational runs and shadow execution
     are available; its maximum 1/4 keeps the solution inside the unit bound
     the round-off range argument expects.
     """
-    u0 = Polynomial((0, 1, -1))
-    reference = dalembert_zero_velocity(u0, 1) if with_reference else None
-    return WaveProblem(c=1, u0=u0, u1=None, s=None, reference=reference)
+    return WaveProblem(c=1, u0=Polynomial((0, 1, -1)), u1=None, s=None)

@@ -267,8 +267,6 @@ def _random_exact_run(rng: random.Random, xi) -> object:
     g = build_grid(0, 1, 1, i_max, k_max, EXACT)
     cn = (1 - to_fraction(xi)) * Fraction(rng.randint(1, 16), 16)
     c = cn * g.dx / g.dt
-    if c <= 0:
-        c = Fraction(1, 2)
 
     def rand_vec():
         vec = [Fraction(0)] * (i_max + 1)
@@ -358,16 +356,17 @@ def claim_telescoping(cfg: ClaimConfig):
         i, n, k = failure
         return VIOLATED, {"i": i, "n": n, "k": k, "what": "recurrence"}
     rng = random.Random(cfg.random_seed + 2)
-    checked = 0
+    checked = skipped = 0
     for res in certificate_samples(rng, cfg.certificate_samples, CERTIFICATE_KMAX):
         if not res.ok:
             return VIOLATED, {"point": res.point, "results": res.results}
         checked += res.checked
+        skipped += res.skipped
     return VERIFIED_EXACT, {
         "recurrence_triples": triple_count(kmax),
         "certificate_samples": cfg.certificate_samples,
         "certificate_identities_checked": checked,
-        "certificate_skipped_zero_denominator": 3 * cfg.certificate_samples - checked,
+        "certificate_skipped_zero_denominator": skipped,
     }
 
 
@@ -397,7 +396,7 @@ def claim_local_bound(cfg: ClaimConfig):
     if not run.a_gap_ok:
         return VIOLATED, {"reason": "stiffness coefficient gap exceeds 2^-49",
                           "a_float": run.a_float, "a_exact": str(run.a_exact)}
-    if not run.range_ok:
+    if run.range_violation is not None:
         return VIOLATED, {"reason": "computed values escape [-2, 2]",
                           "at": run.range_violation}
     worst = roundoff.max_abs_delta(run)

@@ -59,7 +59,6 @@ class ShadowRun:
     delta: list       # columns of local errors, (i_max+1) x (k_max+1)
     global_err: list  # columns of computed-minus-exact
     a_gap_ok: bool
-    range_ok: bool
     range_violation: Optional[tuple]
 
     @property
@@ -158,7 +157,7 @@ def shadow_solve(p: WaveProblem, g: Grid, xi: float = DEFAULT_XI) -> ShadowRun:
         float_run=float_run, exact_run=exact_run,
         a_float=a_float, a_exact=a_exact,
         delta=delta, global_err=global_err, a_gap_ok=a_gap_ok,
-        range_ok=range_violation is None, range_violation=range_violation,
+        range_violation=range_violation,
     )
 
 
@@ -231,6 +230,16 @@ def check_global_bound(run: ShadowRun) -> GlobalBoundReport:
 
     Violations are findings (collected, not raised); the max ratio of error
     to bound is reported for regression tracking.
+
+    The node-wise bound implies the norm-level one, so ``ok`` implies
+    ``norm_level_ok is not False``.  With ``I = i_max``, ``K = k_max >= 2``
+    and ``B = 78 * 2^-53``, every column has ``|D_i^k| <= B (K+1)(K+2)``, so
+
+        sum_{i=1}^{I-1} (D_i^k)^2 dx <= span (B (K+1)(K+2))^2
+                                     <= (span + 1) (234 * 2^-53 K^2)^2,
+
+    because ``(I-1) dx < span`` and ``(K+1)(K+2) <= 3 K^2`` for ``K >= 2``.
+    The right-hand side is ``limit_sq`` below.
     """
     g = run.grid
     scale_n, scale_d = GLOBAL_BOUND_SCALE.numerator, GLOBAL_BOUND_SCALE.denominator
@@ -267,37 +276,4 @@ def check_global_bound(run: ShadowRun) -> GlobalBoundReport:
         worst_node=worst,
         norm_level_ok=norm_level_ok,
         violations=violations,
-    )
-
-
-@dataclass
-class RangeReport:
-    in_range: bool
-    violation: Optional[tuple]
-    max_abs: float
-    decomposition_ok: Optional[bool]
-
-
-def check_range(run: ShadowRun) -> RangeReport:
-    """Computed values stay in [-2, 2]; optional exact decomposition check.
-
-    When an exactly evaluable reference is attached, verifies at every node
-    that computed = reference + signed method error + round-off error, an
-    identity that ties the three error tables together.
-    """
-    decomposition_ok: Optional[bool] = None
-    ref = run.float_run.problem.reference
-    if ref is not None:
-        g = run.grid
-        decomposition_ok = all(
-            to_fraction(run.float_run.value(i, k)) - ref_v
-            == run.exact_run.value(i, k) - ref_v + run.global_err[k][i]
-            for k in range(g.k_max + 1) for i in range(g.i_max + 1)
-            for ref_v in (ref.value(g.x(i), g.t(k)),)
-        )
-    return RangeReport(
-        in_range=run.range_ok,
-        violation=run.range_violation,
-        max_abs=float(run.float_run.field.max_abs()),
-        decomposition_ok=decomposition_ok,
     )

@@ -245,6 +245,44 @@ def test_grid_counts_below_two_exit_2_before_any_solve(tmp_path, capsys, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--c", "1e-300", "--imax", "8"],
+     "t_max = 1, cn = 0.5 and c = 1e-300 give k_max = 0 at i_max = 8"),
+    (["solve", "--tmax", "1e-9", "--imax", "8"],
+     "t_max = 1e-09, cn = 0.5 and c = 1 give k_max = 0 at i_max = 8"),
+    (["solve", "--tmax", "1/16", "--imax", "8"],
+     "t_max = 1/16, cn = 0.5 and c = 1 give k_max = 1 at i_max = 8"),
+    (["order", "--chain", "10,20,40", "--tmax", "1e-9"],
+     "t_max = 1e-09, cn = 0.5 and c = 1.0 give k_max = 0 at i_max = 10"),
+    (["solve", "--kmax", "1", "--imax", "8"], "k_max too small: 1 (must be greater than one)"),
+])
+def test_too_few_time_steps_name_the_flags_that_produced_them(tmp_path, capsys, argv,
+                                                              message):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fundamental_counts_violated_certificates_apart_from_skipped(tmp_path, monkeypatch):
+    import random
+
+    from wavecheck import fundamental, report
+
+    def corrupted(i, n, k, p):
+        return fundamental._rat_k(i, n, k, p) + 1
+
+    monkeypatch.setitem(fundamental._CERTIFICATE["k"], "rat", corrupted)
+    assert main(["fundamental", "--depth", "4", "--range", "6", "--certificates", "30",
+                 "--out", str(tmp_path)]) == 1
+    data = read_json(tmp_path / "fundamental.json")
+    outcomes = [v for res in report.certificate_samples(random.Random(20130), 30, 6)
+                for v in res.results.values()]
+    skipped = sum(v.startswith("skipped") for v in outcomes)
+    assert (skipped, outcomes.count("violated")) == (46, 18)
+    assert data["certificates_skipped"] == skipped
+    assert data["certificates_checked"] == outcomes.count("ok") == 90 - 46 - 18
+
+
 @pytest.mark.parametrize("command", ["order", "bound"])
 @pytest.mark.parametrize("flag", ["--imax", "--kmax"])
 def test_grid_flags_are_rejected_where_unread(tmp_path, capsys, command, flag):
@@ -391,9 +429,9 @@ def test_report_crashing_claim_is_errored_not_violated(tmp_path, monkeypatch):
 #: implementation of the exact layers; the fraction-free one must match it.
 ROUNDOFF_SHA256 = {
     (10, 20): {"roundoff.json":
-               "a02b9e160f3ba071d47473b25ae24398312a56d7d623ffcd0578ab0703cf8888"},
+               "1555e24fe3dd64ad324c466655b952c598296b0907efad3ec644ff78e7487297"},
     (12, 24): {"roundoff.json":
-               "c0940216bef10fbf8cb02e335dd9ebece2e68c6108b645a64c3c1a31c59d2d3c"},
+               "6010c7622677bd390bc512494a3f9051c9c14c30de2f548936382aed111f06ef"},
 }
 
 

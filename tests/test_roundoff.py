@@ -1,6 +1,9 @@
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_fraction_free import DATUM_SCALES
 
 from wavecheck import (
     ParameterError,
@@ -9,7 +12,6 @@ from wavecheck import (
     build_grid,
     build_table,
     check_global_bound,
-    check_range,
     default_problem,
     local_errors,
     reconstruct_global_error,
@@ -22,7 +24,7 @@ from wavecheck.roundoff import A_GAP, LOCAL_BOUND, max_abs_delta
 @pytest.fixture(scope="module")
 def shadow_10x20():
     g = build_grid(0, 1, 1, 10, 20)
-    return shadow_solve(default_problem(with_reference=True), g)
+    return shadow_solve(default_problem(), g)
 
 
 def test_zero_problem_all_tables_zero():
@@ -111,14 +113,24 @@ def test_global_bound_report(shadow_10x20):
     assert rep.norm_level_ok is True
 
 
-def test_range_report_and_decomposition(shadow_10x20):
-    rep = check_range(shadow_10x20)
-    assert rep.in_range
-    assert rep.violation is None
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_node_wise_global_bound_implies_the_norm_level_one(data):
+    i_max = data.draw(st.integers(2, 24), label="i_max")
+    k_max = data.draw(st.integers(2 * i_max, 3 * i_max), label="k_max")  # CN <= 1/2
+    s = data.draw(st.sampled_from(DATUM_SCALES), label="s")
+    run = shadow_solve(WaveProblem(c=1, u0=Polynomial((0, s, -s))),
+                       build_grid(0, 1, 1, i_max, k_max))
+    rep = check_global_bound(run)
+    if rep.ok:
+        assert rep.norm_level_ok is True
+
+
+def test_computed_values_stay_in_range(shadow_10x20):
+    assert shadow_10x20.range_violation is None
     # Discrete dispersion overshoots the datum's 1/4 peak slightly; the
     # claim under test is only the [-2, 2] range.
-    assert rep.max_abs < 0.26
-    assert rep.decomposition_ok is True
+    assert shadow_10x20.float_run.field.max_abs() < 0.26
 
 
 def test_shadow_rejects_second_datum_and_source():
