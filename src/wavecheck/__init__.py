@@ -22,9 +22,9 @@ from .analysis import (
 from .energy import (
     EnergySeries,
     check_energy_estimate,
-    discrete_energy,
     energy_lower_bound_gap,
     energy_series,
+    half_step,
     stability_constants,
 )
 from .errors import (
@@ -50,13 +50,11 @@ from .fundamental import (
 from .grid import (
     Field,
     Grid,
+    apply_Ah,
     build_grid,
     dot_Ah,
     dot_dx,
     norm_dx,
-    seminorm_Ah,
-    space_index,
-    time_index,
 )
 from .problem import (
     AnalyticSolution,
@@ -78,6 +76,6 @@ from .roundoff import (
     shadow_solve,
 )
 from .scalars import BINARY64, EXACT
-from .scheme import CflReport, SchemeRun, apply_Ah, check_cfl, courant_number, solve
+from .scheme import CflReport, SchemeRun, check_cfl, courant_number, solve
 
 __version__ = "0.1.0"

@@ -89,7 +89,12 @@ def refinement_chain(i_maxes, cn, c, t_max=1.0, kind: str = BINARY64) -> list[Gr
         check_count("i_max", imax)
         dx = 1.0 / imax
         dt = float(cn) * dx / float(c)
-        kmax = round(float(t_max) / dt)
+        try:
+            kmax = round(float(t_max) / dt)
+        except (OverflowError, ZeroDivisionError):
+            raise ParameterError(
+                f"t_max = {t_max}, cn = {cn} and c = {c} give dt = {dt!r} "
+                f"at i_max = {imax} (t_max / dt must be finite)") from None
         if kmax < 2:
             raise ParameterError(
                 f"t_max = {t_max}, cn = {cn} and c = {c} give k_max = {kmax} "
@@ -216,6 +221,7 @@ def total_error_bound(k: ErrorConstants, dx: float, dt: float) -> float:
 DT_FLOOR = 2.0 ** -1000
 
 
+# optimal_dt evaluates the bound at its minimizer through this function.
 def bound_along_cn(k: ErrorConstants, fixed_cn: float, dt: float) -> float:
     """Total-error bound as a function of dt alone, with dx tied via the CN."""
     factor = 1.0 + (k.c / float(fixed_cn)) ** 2

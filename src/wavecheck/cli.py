@@ -265,6 +265,7 @@ def cmd_solve(args) -> int:
     prob = pick_problem(args)
     run = solve(prob, g, xi=args.xi)
     series = energy.energy_series(run)
+    max_abs = run.field.max_abs()
     args.out.mkdir(parents=True, exist_ok=True)
     write_lines(args.out / "field.csv", field_csv_lines(run))
     summary = {
@@ -274,13 +275,13 @@ def cmd_solve(args) -> int:
         "cn": scalar_json(run.cn),
         "a": scalar_json(run.a),
         "cfl_satisfied": run.cfl.satisfied,
-        "max_abs": scalar_json(run.field.max_abs()),
+        "max_abs": scalar_json(max_abs),
         "energy_first": scalar_json(series.values[0]),
         "energy_min": scalar_json(min(series.values)),
         "energy_max": scalar_json(max(series.values)),
     }
     write_json(args.out / "summary.json", summary)
-    print(f"solve: cn={float(run.cn)} max|p|={float(run.field.max_abs())} "
+    print(f"solve: cn={float(run.cn)} max|p|={float(max_abs)} "
           f"-> {args.out / 'field.csv'}")
     return 0
 
@@ -308,8 +309,10 @@ def cmd_energy(args) -> int:
     prob = pick_problem(args)
     run = solve(prob, g, xi=args.xi)
     series = energy.energy_series(run)
-    gaps = [energy.energy_lower_bound_gap(run, k) for k in range(g.k_max)]
-    estimate = energy.check_energy_estimate(run, args.xi)
+    gaps = [energy.energy_lower_bound_gap(series, run.cn, k) for k in range(g.k_max)]
+    estimate = energy.check_energy_estimate(run, series, args.xi)
+    drift = series.drift()
+    nonnegative = series.all_nonnegative()
     args.out.mkdir(parents=True, exist_ok=True)
     lines = ["k,energy"]
     if run.kind == EXACT:
@@ -321,15 +324,15 @@ def cmd_energy(args) -> int:
         "scalar": run.kind,
         "grid": grid_summary(g),
         "cn": scalar_json(run.cn),
-        "drift": scalar_json(series.drift()),
-        "drift_is_zero": series.drift() == 0,
-        "nonnegative": series.all_nonnegative(),
+        "drift": scalar_json(drift),
+        "drift_is_zero": drift == 0,
+        "nonnegative": nonnegative,
         "lower_bound_min_gap": scalar_json(min(gaps)) if gaps else None,
         "lower_bound_holds": all(v >= 0 for v in gaps),
         "estimate_holds": estimate.ok,
         "estimate_violations": estimate.violations,
     })
-    print(f"energy: drift={float(series.drift())} nonneg={series.all_nonnegative()} "
+    print(f"energy: drift={float(drift)} nonneg={nonnegative} "
           f"estimate={'ok' if estimate.ok else 'VIOLATED'}")
     return 0
 

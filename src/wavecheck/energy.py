@@ -22,20 +22,24 @@ from .scalars import EXACT, Scalar, certified_sqrt_leq, to_fraction
 from .scheme import SchemeRun
 
 
-def discrete_energy(run: SchemeRun, k: int) -> Scalar:
-    """Energy at half step ``k + 1/2``; needs both columns ``k`` and ``k+1``."""
+def half_step(run: SchemeRun, k: int) -> tuple[Scalar, Scalar]:
+    """``(||(p^{k+1}-p^k)/dt||^2, E^{k+1/2})``; needs both columns ``k`` and ``k+1``."""
     if not 0 <= k <= run.grid.k_max - 1:
         raise DomainError(f"half-step index {k} outside [0, {run.grid.k_max - 1}]")
     g = run.grid
     pk = run.column(k)
     pk1 = run.column(k + 1)
     v = [(pk1[i] - pk[i]) / g.dt for i in range(g.i_max + 1)]
+    kinetic = dot_dx(v, v, g)
     # x / 2 == 0.5 * x bit for bit in binary64: halving adds no rounding.
-    return dot_dx(v, v, g) / 2 + dot_Ah(pk, pk1, g, run.problem.c) / 2
+    return kinetic, kinetic / 2 + dot_Ah(pk, pk1, g, run.problem.c) / 2
 
 
 @dataclass
 class EnergySeries:
+    """Per half step ``k + 1/2``: the kinetic sum and the energy, each evaluated once."""
+
+    kinetic: list
     values: list
 
     def drift(self) -> Scalar:
@@ -48,19 +52,14 @@ class EnergySeries:
 
 
 def energy_series(run: SchemeRun) -> EnergySeries:
-    values = [discrete_energy(run, k) for k in range(run.grid.k_max)]
-    return EnergySeries(values=values)
+    """The one pass over a run's half steps that every energy check reads."""
+    steps = [half_step(run, k) for k in range(run.grid.k_max)]
+    return EnergySeries(kinetic=[s[0] for s in steps], values=[s[1] for s in steps])
 
 
-def energy_lower_bound_gap(run: SchemeRun, k: int) -> Scalar:
+def energy_lower_bound_gap(series: EnergySeries, cn, k: int) -> Scalar:
     """``E^{k+1/2} - (1 - CN^2)/2 * ||(p^{k+1}-p^k)/dt||^2``; >= 0 under the margin."""
-    g = run.grid
-    pk = run.column(k)
-    pk1 = run.column(k + 1)
-    e = discrete_energy(run, k)
-    v = [(pk1[i] - pk[i]) / g.dt for i in range(g.i_max + 1)]
-    kinetic = dot_dx(v, v, g)
-    return e - (1 - run.cn ** 2) / 2 * kinetic
+    return series.values[k] - (1 - cn ** 2) / 2 * series.kinetic[k]
 
 
 def stability_constants(xi: float, e_half) -> tuple[float, float]:
@@ -95,17 +94,18 @@ class EnergyEstimateReport:
     checked: int
 
 
-def check_energy_estimate(run: SchemeRun, xi=None) -> EnergyEstimateReport:
+def check_energy_estimate(run: SchemeRun, series: EnergySeries,
+                          xi=None) -> EnergyEstimateReport:
     """Validate ``sqrt(E^{k+1/2}) <= C1 + C2 dt sum_{k'=1}^{k} ||s^{k'}||`` for all k.
 
-    Violations are findings, not exceptions: the report names the offending
-    half steps.  Exact runs are decided with certified rational square-root
-    enclosures; binary64 runs report the float slack.
+    ``series`` is ``energy_series(run)``.  Violations are findings, not
+    exceptions: the report names the offending half steps.  Exact runs are
+    decided with certified rational square-root enclosures; binary64 runs
+    report the float slack.
     """
     if xi is None:
         xi = run.cfl.xi
     g = run.grid
-    series = energy_series(run)
     e0 = series.values[0]
 
     source_sq = [None] * (g.k_max + 1)

@@ -88,9 +88,6 @@ class FundamentalTable:
     def all_nonnegative(self) -> bool:
         return next(self.negative_entries(), None) is None
 
-    def is_symmetric(self) -> bool:
-        return all(row == row[::-1] for row in self._rows)
-
 
 def three_term(cur: list, old: list, p, t, w) -> list:
     """``p*(cur[i-1] + cur[i+1]) + t*cur[i] - w*old[i]`` over the interior of ``cur``.

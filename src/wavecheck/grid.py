@@ -1,4 +1,4 @@
-"""Discretization geometry: uniform grid, index maps, discrete dot products.
+"""Discretization geometry: uniform grid and discrete dot products.
 
 The interior dot product ``<q, r> = sum_{i=1}^{i_max-1} q_i r_i dx`` is the
 measure every error norm in the package is expressed in.  For vectors that
@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, NumericDomainError, ParameterError, ShapeError
-from .scalars import BINARY64, EXACT, Scalar, convert, ensure_kind, zero
+from .errors import ParameterError, ShapeError
+from .scalars import BINARY64, Scalar, convert, ensure_kind, zero
 
 
 @dataclass(frozen=True)
@@ -77,28 +77,6 @@ def build_grid(x_min, x_max, t_max, i_max: int, k_max: int, kind: str = BINARY64
     return Grid(x_min, x_max, t_max, i_max, k_max, dx, dt, kind)
 
 
-def space_index(g: Grid, x) -> int:
-    """Floor index of ``x`` on the space axis, clamped into ``[0, i_max]``.
-
-    The clamp makes the right endpoint map to the last index even when the
-    binary64 quotient rounds just above it.
-    """
-    x = convert(x, g.kind)
-    if x < g.x_min or x > g.x_max:
-        raise DomainError(f"x={x} outside [{g.x_min}, {g.x_max}]")
-    idx = math.floor((x - g.x_min) / g.dx)
-    return min(max(idx, 0), g.i_max)
-
-
-def time_index(g: Grid, t) -> int:
-    """Floor index of ``t`` on the time axis, clamped into ``[0, k_max]``."""
-    t = convert(t, g.kind)
-    if t < 0 or t > g.t_max:
-        raise DomainError(f"t={t} outside [0, {g.t_max}]")
-    idx = math.floor(t / g.dt)
-    return min(max(idx, 0), g.k_max)
-
-
 def check_vector(q: Sequence, g: Grid) -> None:
     if len(q) != g.i_max + 1:
         raise ShapeError(f"vector length {len(q)} != i_max+1 = {g.i_max + 1}")
@@ -150,16 +128,6 @@ def apply_Ah(c, g: Grid, q: Sequence):
 def dot_Ah(q: Sequence, r: Sequence, g: Grid, c) -> Scalar:
     """``<A_h q, r>`` in the interior dot product."""
     return dot_dx(apply_Ah(c, g, q), r, g)
-
-
-def seminorm_Ah(q: Sequence, g: Grid, c) -> float:
-    """``sqrt(<A_h q, q>)``; defined only when the quadratic form is >= 0."""
-    v = dot_Ah(q, q, g, c)
-    if v < 0:
-        if g.kind == EXACT or float(v) < -1e-9:
-            raise NumericDomainError(f"A_h quadratic form negative: {v}")
-        v = 0.0
-    return math.sqrt(float(v))
 
 
 class Field:

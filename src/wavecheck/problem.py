@@ -218,20 +218,6 @@ def standing_wave(m: int, c) -> StandingWave:
     return StandingWave(m, float(c))
 
 
-def taylor_polynomial(sol: AnalyticSolution, n: int, x: float, t: float,
-                      dx: float, dt: float) -> float:
-    """Degree-n Taylor polynomial of ``sol`` at (x, t) evaluated at (dx, dt)."""
-    total = 0.0
-    for p in range(n + 1):
-        inner = 0.0
-        for m in range(p + 1):
-            inner += (
-                math.comb(p, m) * sol.partial(m, p - m, x, t) * dx ** m * dt ** (p - m)
-            )
-        total += inner / math.factorial(p)
-    return total
-
-
 def fold_index(j: int, i_max: int) -> tuple[int, int]:
     """Fold an arbitrary integer index into ``[0, i_max]`` by odd reflections.
 
@@ -258,7 +244,8 @@ def antisym_index(values: Sequence, j: int):
     """Value of the antisymmetric extension of a sampled vector at index j.
 
     The vector must vanish at both ends, otherwise the extension is not
-    well defined at the reflection points.
+    well defined at the reflection points.  Kept as the per-index oracle
+    ``tests/fraction_reference.py`` builds on; the package folds slices.
     """
     _require_zero_boundary(values)
     base, sign = fold_index(j, len(values) - 1)
@@ -338,6 +325,7 @@ def dalembert_zero_velocity(p0, c, p1=None) -> DalembertSolution:
     """Analytic solution for Cauchy data ``(p0, 0)``.
 
     A nonzero second datum would require a quadrature term and is refused.
+    Kept, though no layer calls it, as the paper's analytic solution.
     """
     if p1 is not None:
         raise UnsupportedFeatureError(

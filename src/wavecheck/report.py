@@ -289,9 +289,9 @@ def claim_energy_lower_bound(cfg: ClaimConfig):
     for j in range(cfg.random_runs):
         xi = xis[j % len(xis)]
         run = _random_exact_run(rng, xi)
-        for k in range(run.grid.k_max):
-            gap = energy.energy_lower_bound_gap(run, k)
-            e = energy.discrete_energy(run, k)
+        series = energy.energy_series(run)
+        for k, e in enumerate(series.values):
+            gap = energy.energy_lower_bound_gap(series, run.cn, k)
             if gap < 0 or e < 0:
                 return VIOLATED, {"run": j, "k": k, "gap": str(gap), "energy": str(e)}
             if min_gap is None or gap < min_gap:

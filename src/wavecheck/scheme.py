@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
 )
 from .fundamental import three_term
-from .grid import Field, Grid, apply_Ah, build_grid, check_vector
+from .grid import Field, Grid, build_grid, check_vector
 from .problem import SpaceFunction, WaveProblem
 from .scalars import BINARY64, Scalar, convert, to_fraction, zero
 
@@ -46,7 +46,6 @@ __all__ = [
     "DEFAULT_XI",
     "CflReport",
     "SchemeRun",
-    "apply_Ah",
     "check_cfl",
     "courant_number",
     "solve",

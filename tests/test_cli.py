@@ -263,6 +263,23 @@ def test_too_few_time_steps_name_the_flags_that_produced_them(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--c", "1e308", "--imax", "8"],
+     "t_max = 1, cn = 0.5 and c = 1e+308 give dt = 6.25e-310 at i_max = 8"),
+    (["solve", "--cn", "1e-320", "--imax", "8"],
+     "t_max = 1, cn = 1e-320 and c = 1 give dt = 1.25e-321 at i_max = 8"),
+    (["order", "--chain", "10,20,40", "--cn", "1e-320"],
+     "t_max = 1.0, cn = 1e-320 and c = 1.0 give dt = 1e-321 at i_max = 10"),
+    (["solve", "--cn", "5e-324", "--imax", "8"],
+     "t_max = 1, cn = 5e-324 and c = 1 give dt = 0.0 at i_max = 8"),
+])
+def test_time_steps_too_small_to_count_name_the_flags_that_produced_them(
+        tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert f"{message} (t_max / dt must be finite)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fundamental_counts_violated_certificates_apart_from_skipped(tmp_path, monkeypatch):
     import random
 

@@ -9,20 +9,23 @@ from wavecheck import (
     build_grid,
     check_energy_estimate,
     default_problem,
-    discrete_energy,
     energy_lower_bound_gap,
     energy_series,
+    half_step,
     solve,
     stability_constants,
 )
+from wavecheck import energy
+from wavecheck.cli import main
 from wavecheck.errors import DomainError
+from wavecheck.report import WITNESSED, ClaimConfig, claim_energy_lower_bound
 from wavecheck.scalars import sqrt_bounds
 
 
 def test_zero_field_zero_energy():
     g = build_grid(0, 1, 1, 8, 16, "exact")
     run = solve(WaveProblem(c=1, u0=None), g)
-    assert all(discrete_energy(run, k) == 0 for k in range(16))
+    assert all(half_step(run, k) == (0, 0) for k in range(16))
 
 
 def test_energy_exactly_constant_without_source():
@@ -48,22 +51,23 @@ def test_energy_half_step_against_hand_evaluation():
     ] + [Fr(0)]
     potential = sum(ah_p0[i] * p1[i] for i in range(1, 4)) * dx
     expected = Fr(1, 2) * kinetic + Fr(1, 2) * potential
-    assert discrete_energy(run, 0) == expected
+    assert half_step(run, 0) == (kinetic, expected)
 
 
 def test_energy_index_range():
     g = build_grid(0, 1, Fr(1, 2), 6, 6, "exact")
     run = solve(default_problem(), g)
     with pytest.raises(DomainError):
-        discrete_energy(run, 6)
+        half_step(run, 6)
     with pytest.raises(DomainError):
-        discrete_energy(run, -1)
+        half_step(run, -1)
 
 
 def test_lower_bound_gap_zero_field():
     g = build_grid(0, 1, 1, 8, 16, "exact")
     run = solve(WaveProblem(c=1, u0=None), g)
-    assert all(energy_lower_bound_gap(run, k) == 0 for k in range(16))
+    series = energy_series(run)
+    assert all(energy_lower_bound_gap(series, run.cn, k) == 0 for k in range(16))
 
 
 def test_lower_bound_gap_nonnegative_on_random_runs():
@@ -77,9 +81,10 @@ def test_lower_bound_gap_nonnegative_on_random_runs():
         u0 = [Fr(0)] + [Fr(rng.randint(-7, 7), 5) for _ in range(i_max - 1)] + [Fr(0)]
         u1 = [Fr(0)] + [Fr(rng.randint(-7, 7), 5) for _ in range(i_max - 1)] + [Fr(0)]
         run = solve(WaveProblem(c=c, u0=u0, u1=u1), g, xi=Fr(1, 20))
+        series = energy_series(run)
         for k in range(k_max):
-            assert energy_lower_bound_gap(run, k) >= 0
-            assert discrete_energy(run, k) >= 0
+            assert energy_lower_bound_gap(series, run.cn, k) >= 0
+            assert series.values[k] >= 0
 
 
 def test_stability_constants_values():
@@ -104,7 +109,7 @@ def test_stability_constants_domain():
 def test_estimate_zero_source_is_equality():
     g = build_grid(0, 1, Fr(1, 2), 12, 12, "exact")
     run = solve(default_problem(), g)
-    report = check_energy_estimate(run, Fr(1, 4))
+    report = check_energy_estimate(run, energy_series(run), Fr(1, 4))
     assert report.ok
     assert report.violations == []
 
@@ -112,7 +117,7 @@ def test_estimate_zero_source_is_equality():
 def test_estimate_zero_problem():
     g = build_grid(0, 1, 1, 8, 16, "exact")
     run = solve(WaveProblem(c=1, u0=None), g)
-    assert check_energy_estimate(run, Fr(1, 2)).ok
+    assert check_energy_estimate(run, energy_series(run), Fr(1, 2)).ok
 
 
 def test_estimate_holds_with_random_sources():
@@ -130,14 +135,14 @@ def test_estimate_holds_with_random_sources():
 
         src = [vec() for _ in range(k_max + 1)]
         run = solve(WaveProblem(c=c, u0=vec(), u1=vec(), s=src), g, xi=xi)
-        report = check_energy_estimate(run, xi)
+        report = check_energy_estimate(run, energy_series(run), xi)
         assert report.ok, report.violations
 
 
 def test_estimate_binary64_reports_slack():
     g = build_grid(0, 1, Fr(1, 2), 16, 16)
     run = solve(default_problem(), g)
-    report = check_energy_estimate(run, 0.25)
+    report = check_energy_estimate(run, energy_series(run), 0.25)
     assert report.ok
     assert report.min_slack is not None
     assert report.min_slack >= -1e-12
@@ -150,3 +155,32 @@ def test_binary64_energy_drift_stays_tiny_on_default_problem():
     run = solve(default_problem(), g)
     series = energy_series(run)
     assert series.drift() <= 1e-10
+
+
+@pytest.fixture
+def energy_sums(monkeypatch):
+    """Calls into the kinetic (``dot_dx``) and potential (``dot_Ah``) sums of ``energy``."""
+    calls = {"dot_dx": 0, "dot_Ah": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(energy, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(energy, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--imax", "8", "--kmax", "16"],
+    ["energy", "--imax", "8", "--kmax", "16", "--scalar", "binary64"],
+    ["solve", "--imax", "8", "--kmax", "16", "--scalar", "exact"],
+])
+def test_subcommands_evaluate_each_half_step_once(tmp_path, energy_sums, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert energy_sums == {"dot_dx": 16, "dot_Ah": 16}
+
+
+def test_lower_bound_claim_evaluates_each_half_step_once(energy_sums):
+    status, evidence = claim_energy_lower_bound(ClaimConfig(random_runs=6))
+    assert status == WITNESSED
+    assert energy_sums == {"dot_dx": evidence["half_steps"],
+                           "dot_Ah": evidence["half_steps"]}

@@ -48,7 +48,7 @@ def test_entries_nonnegative_small():
 
 def test_spatial_symmetry_and_light_cone():
     t = build_table(Fr(3, 8), 15)
-    assert t.is_symmetric()
+    assert all(row == row[::-1] for row in map(t.scaled_row, range(16)))
     for k in range(16):
         assert t.entry(k + 1, k) == 0
         for i in range(k + 1):

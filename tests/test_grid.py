@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction as Fr
 
@@ -13,11 +12,8 @@ from wavecheck import (
     dot_dx,
     norm_dx,
     scalars,
-    seminorm_Ah,
-    space_index,
-    time_index,
 )
-from wavecheck.errors import DomainError, NumericDomainError, ShapeError
+from wavecheck.errors import ShapeError
 from wavecheck.scalars import certified_sqrt_leq, sqrt_bounds
 
 
@@ -47,35 +43,6 @@ def test_build_grid_exact_rational_steps():
     assert g.dt == Fr(1, 4)
     assert g.i_max * g.dx == g.x_max - g.x_min
     assert g.k_max * g.dt == g.t_max
-
-
-def test_space_index_basics():
-    g = build_grid(0, 1, 1, 100, 200)
-    assert space_index(g, 0.0) == 0
-    assert space_index(g, 0.015) == 1
-    assert space_index(g, 1.0) == 100  # clamped right endpoint
-    with pytest.raises(DomainError):
-        space_index(g, 1.5)
-
-
-def test_time_index_right_endpoint_matches_exact_floor():
-    # Exact-rational oracle: floor(t_max / dt) == k_max on the exact grid,
-    # and the clamp makes the binary64 grid agree.
-    ge = build_grid(0, 1, Fr(7, 10), 25, 60, "exact")
-    assert math.floor(ge.t_max / ge.dt) == 60
-    assert time_index(ge, ge.t_max) == 60
-    gb = build_grid(0, 1, 0.7, 25, 60)
-    assert time_index(gb, 0.7) == 60
-
-
-def test_index_maps_monotone():
-    g = build_grid(0, 1, 1, 37, 53)
-    xs = sorted(random.Random(7).uniform(0, 1) for _ in range(200))
-    idx = [space_index(g, x) for x in xs]
-    assert idx == sorted(idx)
-    ts = sorted(random.Random(8).uniform(0, 1) for _ in range(200))
-    kdx = [time_index(g, t) for t in ts]
-    assert kdx == sorted(kdx)
 
 
 def test_dot_dx_zero_vector():
@@ -183,20 +150,6 @@ def test_apply_Ah_quadratic_exact():
     assert all(v == -2 * c * c for v in out[1:8])
 
 
-def test_seminorm_Ah_negative_form_raises():
-    # Nonzero boundary values break positive semidefiniteness.
-    g = build_grid(0, 1, 1, 6, 6, "exact")
-    q = [Fr(10), Fr(1), Fr(1), Fr(1), Fr(1), Fr(1), Fr(10)]
-    with pytest.raises(NumericDomainError):
-        seminorm_Ah(q, g, Fr(1))
-
-
-def test_seminorm_Ah_zero_boundary_ok():
-    g = build_grid(0, 1, 1, 6, 6, "exact")
-    q = [Fr(0), Fr(1), Fr(2), Fr(3), Fr(2), Fr(1), Fr(0)]
-    assert seminorm_Ah(q, g, Fr(1)) > 0
-
-
 def test_binary64_dot_is_left_to_right():
     g = build_grid(0, 1, 1, 6, 6)
     q = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.0]
@@ -225,9 +178,3 @@ def test_dot_Ah_symmetric_on_dirichlet_vectors():
         r = [Fr(0)] + [Fr(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(8)] + [Fr(0)]
         c = Fr(rng.randint(1, 5), rng.randint(1, 5))
         assert dot_Ah(q, r, g, c) == dot_Ah(r, q, g, c)
-
-
-def test_space_index_exact_integer_quotients_floor_without_nudging():
-    g = build_grid(0, 1, 1, 8, 8, "exact")
-    for i in range(9):
-        assert space_index(g, g.x(i)) == min(i, 8)

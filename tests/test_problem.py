@@ -17,7 +17,19 @@ from wavecheck import (
     default_problem,
     standing_wave,
 )
-from wavecheck.problem import taylor_polynomial
+
+
+def taylor_polynomial(sol, n: int, x: float, t: float, dx: float, dt: float) -> float:
+    """Degree-n Taylor polynomial of ``sol`` at (x, t) evaluated at (dx, dt)."""
+    total = 0.0
+    for p in range(n + 1):
+        inner = 0.0
+        for m in range(p + 1):
+            inner += (
+                math.comb(p, m) * sol.partial(m, p - m, x, t) * dx ** m * dt ** (p - m)
+            )
+        total += inner / math.factorial(p)
+    return total
 
 
 def test_standing_wave_dirichlet_boundaries():

@@ -1,6 +1,6 @@
 """The scalar-generic core against per-kind oracles.
 
-``dot_dx``, ``apply_Ah``, ``discrete_energy`` and ``energy_lower_bound_gap``
+``dot_dx``, ``apply_Ah``, ``energy_series`` and ``energy_lower_bound_gap``
 run one code path for floats and Fractions.  On binary64 grids they must
 reproduce, bit for bit, the dedicated float code they replaced, copied below
 with an explicit ``float()`` per operand.  On exact grids they must equal
@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wavecheck import WaveProblem, build_grid, solve
-from wavecheck.energy import discrete_energy, energy_lower_bound_gap
+from wavecheck.energy import energy_lower_bound_gap, energy_series
 from wavecheck.grid import apply_Ah, dot_dx
 from wavecheck.scheme import DEFAULT_XI, check_cfl
 
@@ -161,9 +161,11 @@ def test_binary64_energy_and_gap_match_float_oracle(data):
     u0 = data.draw(dirichlet_vectors(g, floats, 0.0))
     u1 = data.draw(dirichlet_vectors(g, floats, 0.0))
     run = solve(WaveProblem(c=c, u0=u0, u1=u1), g)
+    series = energy_series(run)
     for k in range(g.k_max):
-        assert same_bits(discrete_energy(run, k), oracle_discrete_energy(run, k))
-        assert same_bits(energy_lower_bound_gap(run, k), oracle_gap(run, k))
+        assert same_bits(series.kinetic[k], oracle_kinetic(run, k))
+        assert same_bits(series.values[k], oracle_discrete_energy(run, k))
+        assert same_bits(energy_lower_bound_gap(series, run.cn, k), oracle_gap(run, k))
 
 
 # --- exact: the rational formulas ------------------------------------------------
@@ -189,12 +191,15 @@ def test_exact_energy_and_gap_equal_rational_formulas(data):
     u1 = data.draw(dirichlet_vectors(g, fractions, Fr(0)))
     run = solve(WaveProblem(c=c, u0=u0, u1=u1), g)
     cn = Fr(c) * g.dt / g.dx
+    series = energy_series(run)
     for k in range(g.k_max):
         e = rational_energy(run, k)
         pk, pk1 = run.column(k), run.column(k + 1)
         v = [(b - a) / g.dt for a, b in zip(pk, pk1)]
-        assert discrete_energy(run, k) == e
-        assert energy_lower_bound_gap(run, k) == e - (1 - cn * cn) / 2 * rational_dot(v, v, g)
+        kinetic = rational_dot(v, v, g)
+        assert series.kinetic[k] == kinetic
+        assert series.values[k] == e
+        assert energy_lower_bound_gap(series, run.cn, k) == e - (1 - cn * cn) / 2 * kinetic
 
 
 # --- dependencies -----------------------------------------------------------------
