@@ -223,6 +223,9 @@ def pick_problem(args):
     if args.problem == "default":
         return dataclasses.replace(default_problem(), c=args.c)
     if args.problem == "standing":
+        if args.scalar == EXACT:
+            raise ParameterError("--problem standing has no exact rational samples "
+                                 "(its datum is a sine); use it with --scalar binary64")
         return standing_wave(args.m, float(args.c)).as_problem()
     from .problem import WaveProblem
     return WaveProblem(c=args.c, u0=None, u1=None, s=None)

@@ -16,6 +16,15 @@ table, and the convolution sums each node over ``D * q**k`` with ``D`` the
 common denominator of all local errors.  Every table returned is the same
 list of Fractions a plain rational loop gives.
 
+The round-off checks read the tables one column at a time as integers over
+the column's common denominator (:func:`_common_column`).  Column k of the
+global error is the integer difference ``fl * den - ex * 2**e`` of the
+binary64 column over ``2**e`` and the exact column over its lcm ``den``.
+:func:`check_global_bound` compares each ``|n|`` against one integer
+threshold per column, takes the worst ratio from the column's largest
+``|n|`` and sums the norm-level form as ``sum n**2`` over ``den**2``;
+:func:`max_abs_delta` takes each column's largest ``|n|`` over its lcm.
+
 Sign bookkeeping, fixed once here: the local errors measure *exact update of
 computed values minus computed value* (the amount the float fell short), so
 their convolution with the fundamental solution reproduces ``exact - computed``.
@@ -33,7 +42,7 @@ from typing import Optional
 
 from .errors import ParameterError, UnsupportedFeatureError
 from .fundamental import FundamentalTable, three_term
-from .grid import Grid, dot_dx
+from .grid import Grid
 from .problem import SpaceFunction, WaveProblem, antisym_extension
 from .scalars import BINARY64, EXACT, to_fraction
 from .scheme import DEFAULT_XI, SchemeRun, solve
@@ -83,6 +92,27 @@ def _dyadic_column(col) -> tuple[list[int], int]:
     ratios = [v.as_integer_ratio() for v in col]
     e = max(d.bit_length() for _, d in ratios) - 1
     return [n << (e + 1 - d.bit_length()) for n, d in ratios], e
+
+
+def _common_column(col) -> tuple[list[int], int]:
+    """A Fraction column as integers over the lcm of its denominators: ``(ints, den)``."""
+    dens = {v.denominator for v in col}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return [v.numerator * scale[v.denominator] for v in col], den
+
+
+def _difference_column(fl_col, ex_col) -> list:
+    """``fl - ex`` per node as one integer difference over ``den * 2**e``.
+
+    The binary64 column is integers over ``2**e`` and the exact column
+    integers over their lcm ``den``, so each node is ``fl * den - ex * 2**e``
+    and becomes one Fraction.
+    """
+    fl, e = _dyadic_column(fl_col)
+    ex, den = _common_column(ex_col)
+    d = den << e
+    return [Fraction(f * den - (x << e), d) for f, x in zip(fl, ex)]
 
 
 def _local_error_table(fl_cols: list, exact_col0: list, a: Fraction) -> list:
@@ -147,7 +177,7 @@ def shadow_solve(p: WaveProblem, g: Grid, xi: float = DEFAULT_XI) -> ShadowRun:
 
     fl_cols = list(float_run.field.columns())
     ex_cols = list(exact_run.field.columns())
-    global_err = [[to_fraction(fl) - ex for fl, ex in zip(fl_col, ex_col)]
+    global_err = [_difference_column(fl_col, ex_col)
                   for fl_col, ex_col in zip(fl_cols, ex_cols)]
     delta = _local_error_table(fl_cols, ex_cols[0], a_exact)
     range_violation = next(((i, k, v) for k, col in enumerate(fl_cols)
@@ -168,7 +198,12 @@ def local_errors(run: ShadowRun) -> list:
 
 
 def max_abs_delta(run: ShadowRun) -> Fraction:
-    return max((abs(v) for col in run.delta for v in col), default=Fraction(0))
+    """``max |d|`` over the local-error table, one Fraction per column."""
+    best = Fraction(0)
+    for col in run.delta:
+        ints, den = _common_column(col)
+        best = max(best, Fraction(max(map(abs, ints)), den))
+    return best
 
 
 def reconstruct_global_error(delta: list, table: FundamentalTable, i_max: int) -> list:
@@ -243,31 +278,36 @@ def check_global_bound(run: ShadowRun) -> GlobalBoundReport:
     """
     g = run.grid
     scale_n, scale_d = GLOBAL_BOUND_SCALE.numerator, GLOBAL_BOUND_SCALE.denominator
-    # |err| / bound = (n * scale_d) / (d * bound_n); ratios compare crosswise.
-    best_n, best_d = 0, 1
-    worst = None
-    violations = []
-    for k in range(g.k_max + 1):
-        bound_n = scale_n * (k + 1) * (k + 2)
-        for i, v in enumerate(run.global_err[k]):
-            num = abs(v.numerator) * scale_d
-            den = v.denominator * bound_n
-            if num > den:
-                violations.append((i, k))
-            if num * best_d > best_n * den:
-                best_n, best_d = num, den
-                worst = (i, k)
-    best = Fraction(best_n, best_d)
-
     norm_level_ok: Optional[bool] = None
     if g.dx <= 1 and g.dt <= g.t_max / 2:
         span = g.x_max - g.x_min
         scale = NORM_SCALE * g.k_max ** 2
         limit_sq = (span + 1) * scale * scale
-        norm_level_ok = all(
-            dot_dx(run.global_err[k], run.global_err[k], g) <= limit_sq
-            for k in range(g.k_max + 1)
-        )
+        # sum (n/den)^2 dx <= limit_sq  <=>  sum n^2 * sq_lhs <= sq_rhs * den^2.
+        sq_lhs = g.dx.numerator * limit_sq.denominator
+        sq_rhs = limit_sq.numerator * g.dx.denominator
+        norm_level_ok = True
+    # Column k is integers n over den, so |D| / bound = (|n| scale_d) / (den
+    # bound_n); ratios compare crosswise, and |n| violates the bound exactly
+    # when it exceeds floor(den bound_n / scale_d).
+    best_n, best_d = 0, 1
+    worst = None
+    violations = []
+    for k in range(g.k_max + 1):
+        ints, den = _common_column(run.global_err[k])
+        mags = list(map(abs, ints))
+        bound_n = scale_n * (k + 1) * (k + 2)
+        threshold = den * bound_n // scale_d
+        violations.extend((i, k) for i, n in enumerate(mags) if n > threshold)
+        top = max(mags)
+        num, rden = top * scale_d, den * bound_n
+        if num * best_d > best_n * rden:
+            best_n, best_d = num, rden
+            worst = (mags.index(top), k)
+        if norm_level_ok:  # stops at the first failing column
+            interior = mags[1:-1]
+            norm_level_ok = sum(map(mul, interior, interior)) * sq_lhs <= sq_rhs * den * den
+    best = Fraction(best_n, best_d)
 
     return GlobalBoundReport(
         ok=not violations,

@@ -1,10 +1,10 @@
 """Rational-arithmetic references for the fraction-free exact layers.
 
 These are the plain ``fractions.Fraction`` loops that the package's exact
-march, local-error table, convolution reconstruction, closed form and Jacobi
-polynomials used before they were rewritten in scaled integers.  They are
-kept verbatim as test oracles: every Fraction the package returns must equal
-the one computed here.
+march, local-error table, convolution reconstruction, round-off bound checks,
+closed form and Jacobi polynomials used before they were rewritten in scaled
+integers.  They are kept verbatim as test oracles: every Fraction the package
+returns must equal the one computed here.
 """
 
 import math
@@ -12,8 +12,9 @@ from fractions import Fraction
 
 from wavecheck.errors import ParameterError
 from wavecheck.fundamental import FundamentalTable
-from wavecheck.grid import Grid
+from wavecheck.grid import Grid, dot_dx
 from wavecheck.problem import antisym_index
+from wavecheck.roundoff import GLOBAL_BOUND_SCALE, NORM_SCALE, GlobalBoundReport
 
 
 def _march_exact(g: Grid, a: Fraction, u0, u1, source) -> list:
@@ -137,3 +138,47 @@ def jacobi_poly(n: int, alpha: int, beta: int, x: Fraction) -> Fraction:
             * plus ** p * minus ** (n - p)
         )
     return total
+
+
+def max_abs_delta(run) -> Fraction:
+    return max((abs(v) for col in run.delta for v in col), default=Fraction(0))
+
+
+def check_global_bound(run) -> GlobalBoundReport:
+    """Node-wise ``|D_i^k| <= 78 * 2^-53 (k+1)(k+2)``, plus the norm-level form."""
+    g = run.grid
+    scale_n, scale_d = GLOBAL_BOUND_SCALE.numerator, GLOBAL_BOUND_SCALE.denominator
+    # |err| / bound = (n * scale_d) / (d * bound_n); ratios compare crosswise.
+    best_n, best_d = 0, 1
+    worst = None
+    violations = []
+    for k in range(g.k_max + 1):
+        bound_n = scale_n * (k + 1) * (k + 2)
+        for i, v in enumerate(run.global_err[k]):
+            num = abs(v.numerator) * scale_d
+            den = v.denominator * bound_n
+            if num > den:
+                violations.append((i, k))
+            if num * best_d > best_n * den:
+                best_n, best_d = num, den
+                worst = (i, k)
+    best = Fraction(best_n, best_d)
+
+    norm_level_ok = None
+    if g.dx <= 1 and g.dt <= g.t_max / 2:
+        span = g.x_max - g.x_min
+        scale = NORM_SCALE * g.k_max ** 2
+        limit_sq = (span + 1) * scale * scale
+        norm_level_ok = all(
+            dot_dx(run.global_err[k], run.global_err[k], g) <= limit_sq
+            for k in range(g.k_max + 1)
+        )
+
+    return GlobalBoundReport(
+        ok=not violations,
+        max_ratio=float(best),
+        max_ratio_exact=best,
+        worst_node=worst,
+        norm_level_ok=norm_level_ok,
+        violations=violations,
+    )

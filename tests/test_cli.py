@@ -280,6 +280,29 @@ def test_time_steps_too_small_to_count_name_the_flags_that_produced_them(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["energy", "--problem", "standing", "--imax", "20"],
+    ["solve", "--problem", "standing", "--scalar", "exact", "--imax", "20"],
+])
+def test_standing_wave_with_exact_scalars_exits_2_before_sampling(tmp_path, capsys,
+                                                                  monkeypatch, argv):
+    from wavecheck import scheme
+
+    samples = []
+    sample = scheme._sample_space
+
+    def recording(*args):
+        samples.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(scheme, "_sample_space", recording)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "--problem standing" in err and "--scalar binary64" in err
+    assert samples == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fundamental_counts_violated_certificates_apart_from_skipped(tmp_path, monkeypatch):
     import random
 

@@ -1,9 +1,10 @@
 """The fraction-free exact layers against their rational-arithmetic references.
 
-The exact march, the local-error table, the convolution reconstruction, the
-closed form and the Jacobi polynomials run in scaled integers;
-``fraction_reference`` holds the plain Fraction loops they replaced.  Every
-output must be the same list of Fractions.
+The exact march, the local-error table, the global-error table, the
+round-off bound checks, the convolution reconstruction, the closed form and
+the Jacobi polynomials run in scaled integers; ``fraction_reference`` holds
+the plain Fraction loops they replaced.  Every output must be the same list
+of Fractions.
 """
 
 from fractions import Fraction as Fr
@@ -14,14 +15,17 @@ from hypothesis import strategies as st
 
 from fraction_reference import _local_error_table as ref_local_error_table
 from fraction_reference import _march_exact as ref_march_exact
+from fraction_reference import check_global_bound as ref_check_global_bound
 from fraction_reference import jacobi_poly as ref_jacobi_poly
 from fraction_reference import lambda_closed_form as ref_lambda_closed_form
+from fraction_reference import max_abs_delta as ref_max_abs_delta
 from fraction_reference import reconstruct_global_error as ref_reconstruct
 from wavecheck import (
     ParameterError,
     WaveProblem,
     build_grid,
     build_table,
+    check_global_bound,
     jacobi_poly,
     lambda_closed_form,
     local_errors,
@@ -31,7 +35,7 @@ from wavecheck import (
 )
 from wavecheck.errors import DomainError
 from wavecheck.problem import Polynomial, antisym_extension, antisym_index
-from wavecheck.roundoff import _local_error_table
+from wavecheck.roundoff import _difference_column, _local_error_table, max_abs_delta
 
 #: First-datum scales s of u0 = s x (1 - x), as in the benchmark's seeds.
 DATUM_SCALES = tuple(Fr(n, 8) for n in (8, -8, 7, -7, 6, -6, 5, -5))
@@ -60,6 +64,27 @@ def test_shadow_layers_equal_references(s, i_max, k_max):
     rec = reconstruct_global_error(run.delta, table, i_max)
     assert rec == ref_reconstruct(run.delta, table, i_max)
     assert rec == run.global_err
+
+
+#: Courant numbers of the random shadow grids; t_max = cn * k_max / i_max.
+COURANT_NUMBERS = (Fr(1, 2), Fr(1, 3), Fr(2, 3), Fr(3, 4), Fr(9, 10))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_round_off_checks_equal_references_on_random_grids(data):
+    i_max = data.draw(st.integers(2, 24), label="i_max")
+    k_max = data.draw(st.integers(2, 3 * i_max), label="k_max")
+    cn = data.draw(st.sampled_from(COURANT_NUMBERS), label="cn")
+    s = data.draw(st.sampled_from(DATUM_SCALES), label="s")
+    g = build_grid(0, 1, cn * k_max / i_max, i_max, k_max)
+    run = shadow_solve(WaveProblem(c=1, u0=Polynomial((0, s, -s))), g)
+    measured = [[Fr(fl) - ex for fl, ex in zip(fl_col, ex_col)]
+                for fl_col, ex_col in zip(run.float_run.field.columns(),
+                                          run.exact_run.field.columns())]
+    assert run.global_err == measured
+    assert check_global_bound(run) == ref_check_global_bound(run)
+    assert max_abs_delta(run) == ref_max_abs_delta(run)
 
 
 def rationals(max_den=12):
@@ -178,3 +203,13 @@ def test_closed_form_equals_reference(a, k, data):
 @settings(max_examples=120, deadline=None)
 def test_jacobi_poly_equals_reference(n, alpha, beta, x):
     assert jacobi_poly(n, alpha, beta, x) == ref_jacobi_poly(n, alpha, beta, x)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_difference_column_equals_fraction_subtraction(data):
+    # Subnormals and rationals with unrelated denominators in one column.
+    n = data.draw(st.integers(1, 8))
+    fl = data.draw(st.lists(finite_floats, min_size=n, max_size=n))
+    ex = data.draw(st.lists(rationals(max_den=1000), min_size=n, max_size=n))
+    assert _difference_column(fl, ex) == [Fr(f) - x for f, x in zip(fl, ex)]

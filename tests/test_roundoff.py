@@ -1,6 +1,9 @@
+import dataclasses
 from fractions import Fraction as Fr
 
 import pytest
+from fraction_reference import check_global_bound as ref_check_global_bound
+from fraction_reference import max_abs_delta as ref_max_abs_delta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fraction_free import DATUM_SCALES
@@ -18,7 +21,7 @@ from wavecheck import (
     shadow_solve,
 )
 from wavecheck.problem import CallableSpace, Polynomial
-from wavecheck.roundoff import A_GAP, LOCAL_BOUND, max_abs_delta
+from wavecheck.roundoff import A_GAP, GLOBAL_BOUND_SCALE, LOCAL_BOUND, max_abs_delta
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +35,11 @@ def test_zero_problem_all_tables_zero():
     run = shadow_solve(WaveProblem(c=1, u0=Polynomial((0,))), g)
     assert all(v == 0 for col in run.delta for v in col)
     assert all(v == 0 for col in run.global_err for v in col)
+    assert max_abs_delta(run) == 0 == ref_max_abs_delta(run)
+    rep = check_global_bound(run)
+    assert rep == ref_check_global_bound(run)
+    assert rep.ok and rep.norm_level_ok is True
+    assert rep.worst_node is None and rep.max_ratio_exact == 0
 
 
 def test_representable_samples_make_delta0_vanish():
@@ -111,6 +119,82 @@ def test_global_bound_report(shadow_10x20):
     assert 0 < rep.max_ratio < 1
     assert rep.max_ratio == pytest.approx(0.0020512820512820513, rel=1e-12)
     assert rep.norm_level_ok is True
+
+
+def with_global_err(run, edit):
+    """A copy of ``run`` whose global-error columns ``edit`` has changed in place."""
+    cols = [list(col) for col in run.global_err]
+    edit(cols)
+    return dataclasses.replace(run, global_err=cols)
+
+
+def node_bound(k):
+    return GLOBAL_BOUND_SCALE * (k + 1) * (k + 2)
+
+
+def test_global_bound_lists_every_violation_of_a_scaled_up_table(shadow_10x20):
+    run = dataclasses.replace(shadow_10x20, global_err=[
+        [v * 2 ** 10 for v in col] for col in shadow_10x20.global_err])
+    rep = check_global_bound(run)
+    assert rep == ref_check_global_bound(run)
+    nonzero = sum(1 for col in run.global_err for v in col if v)
+    assert not rep.ok and 0 < len(rep.violations) < nonzero
+    assert rep.max_ratio_exact == 2 ** 10 * check_global_bound(shadow_10x20).max_ratio_exact
+
+
+def test_global_bound_worst_node_is_the_first_of_tied_nodes(shadow_10x20):
+    def tie_in_last_column(cols):
+        cols[20] = [Fr(0)] * 11
+        cols[20][3], cols[20][6] = node_bound(20) / 2, -node_bound(20) / 2
+
+    run = with_global_err(shadow_10x20, tie_in_last_column)
+    rep = check_global_bound(run)
+    assert rep == ref_check_global_bound(run)
+    assert rep.worst_node == (3, 20) and rep.max_ratio_exact == Fr(1, 2)
+
+    # The same ratio in an earlier column wins over both.
+    run.global_err[5][7] = node_bound(5) / 2
+    rep = check_global_bound(run)
+    assert rep == ref_check_global_bound(run)
+    assert rep.worst_node == (7, 5) and rep.ok
+
+
+def test_global_bound_node_at_the_bound_is_no_violation(shadow_10x20):
+    # Node 2 sits exactly on the bound; node 5 exceeds it by one unit of the
+    # column's common denominator 2**70.
+    def edit(cols):
+        cols[4][2] = -node_bound(4)
+        cols[4][5] = node_bound(4) + Fr(1, 2 ** 70)
+
+    run = with_global_err(shadow_10x20, edit)
+    rep = check_global_bound(run)
+    assert rep == ref_check_global_bound(run)
+    assert rep.violations == [(5, 4)] and rep.worst_node == (5, 4)
+
+
+def test_norm_level_check_fails_on_one_column_and_skips_the_boundary(shadow_10x20):
+    # The node-wise bound implies the norm-level one, so a column fails the
+    # norm-level check only where it also fails node-wise; every other column
+    # of this table passes both.
+    def blow_up_interior(cols):
+        cols[12] = [Fr(0)] + [Fr(1, 2 ** 20)] * 9 + [Fr(0)]
+
+    run = with_global_err(shadow_10x20, blow_up_interior)
+    rep = check_global_bound(run)
+    assert rep == ref_check_global_bound(run)
+    assert rep.norm_level_ok is False
+    assert rep.violations == [(i, 12) for i in range(1, 10)]
+
+    # The norm-level form sums the interior only: huge boundary values break
+    # the node-wise bound and leave the norm-level one holding.
+    def blow_up_boundary(cols):
+        cols[12][0] = cols[12][10] = Fr(1, 2 ** 20)
+
+    run = with_global_err(shadow_10x20, blow_up_boundary)
+    rep = check_global_bound(run)
+    assert rep == ref_check_global_bound(run)
+    assert rep.norm_level_ok is True
+    assert rep.violations == [(0, 12), (10, 12)]
 
 
 @settings(max_examples=30, deadline=None)
