@@ -48,7 +48,6 @@ from .fundamental import (
     row_sum,
 )
 from .grid import (
-    Field,
     Grid,
     apply_Ah,
     build_grid,

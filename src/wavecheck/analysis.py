@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 from .energy import stability_constants
 from .errors import DomainError, ParameterError
-from .grid import Field, Grid, apply_Ah, build_grid, check_count, norm_dx
+from .grid import Grid, apply_Ah, build_grid, check_count, norm_dx
 from .problem import AnalyticSolution, CallableSpace, WaveProblem
 from .roundoff import NORM_SCALE
-from .scalars import BINARY64, zero
-from .scheme import DEFAULT_XI, SchemeRun, solve
+from .scalars import BINARY64, to_fraction, zero
+from .scheme import DEFAULT_XI, SchemeRun, courant_number, solve
 
 
 def problem_for(ref: AnalyticSolution) -> WaveProblem:
@@ -33,54 +33,50 @@ def problem_for(ref: AnalyticSolution) -> WaveProblem:
     )
 
 
-def convergence_error(ref: AnalyticSolution, run: SchemeRun) -> Field:
-    """Node-wise ``ref(x_i, t_k) - p_i^k`` over the whole grid."""
-    g = run.grid
-    cols = [[r - p for r, p in zip(ref_col, run.column(k))]
-            for k, ref_col in enumerate(ref.sample(g))]
-    return Field(cols)
+def convergence_error(ref: AnalyticSolution, run: SchemeRun) -> list:
+    """Node-wise ``ref(x_i, t_k) - p_i^k`` over the whole grid, column by column."""
+    return [[r - p for r, p in zip(ref_col, col)]
+            for ref_col, col in zip(ref.sample(run.grid), run.columns)]
 
 
-def truncation_error(ref: AnalyticSolution, g: Grid, c) -> Field:
+def truncation_error(ref: AnalyticSolution, g: Grid, c) -> list:
     """Residual of the sampled reference pushed through the discrete operator.
 
     Row 0 is zero by construction (the sampled datum is the sampled
     solution); row 1 uses the second-order initialization operator minus the
     sampled time derivative; later rows apply the full two-step operator.
-    Boundary rows are zero by definition.
+    Boundary rows are zero by definition.  The samples are read as a stream,
+    keeping only the two columns before the current one.
     """
-    imax, kmax = g.i_max, g.k_max
     dt = g.dt
-    samples = list(ref.sample(g))
-    z = zero(g.kind)
-    cols = [[z] * (imax + 1)]
-
-    p0, p1 = samples[0], samples[1]
-    ah0 = apply_Ah(c, g, p0)
-    col1 = [z] * (imax + 1)
-    for i in range(1, imax):
-        u1_i = ref.partial(0, 1, g.x(i), 0)
-        col1[i] = (p1[i] - p0[i]) / dt + (dt / 2) * ah0[i] - u1_i
-    cols.append(col1)
-
     dt2 = dt * dt
-    for k in range(2, kmax + 1):
-        pk, pkm1, pkm2 = samples[k], samples[k - 1], samples[k - 2]
-        ah = apply_Ah(c, g, pkm1)
-        col = [z] * (imax + 1)
-        for i in range(1, imax):
-            col[i] = (pk[i] - 2 * pkm1[i] + pkm2[i]) / dt2 + ah[i]
-        cols.append(col)
-    return Field(cols)
+    z = zero(g.kind)
+    samples = iter(ref.sample(g))
+    pkm2, pkm1 = next(samples), next(samples)
+    row1 = [(b - a) / dt + (dt / 2) * h - ref.partial(0, 1, g.x(i), 0)
+            for i, a, b, h in zip(range(1, g.i_max), pkm2[1:], pkm1[1:],
+                                  apply_Ah(c, g, pkm2)[1:])]
+    cols = [[z] * (g.i_max + 1), [z, *row1, z]]
+    for pk in samples:
+        row = [(r - 2 * m + l) / dt2 + h
+               for r, m, l, h in zip(pk[1:], pkm1[1:], pkm2[1:],
+                                     apply_Ah(c, g, pkm1)[1:-1])]
+        cols.append([z, *row, z])
+        pkm2, pkm1 = pkm1, pk
+    return cols
 
 
-def max_norm_over_time(table: Field, g: Grid) -> float:
+def max_norm_over_time(table: list, g: Grid) -> float:
     """``max_k`` of the interior norm of each time column."""
-    return max(norm_dx(table.column(k), g) for k in range(g.k_max + 1))
+    return max(norm_dx(col, g) for col in table)
 
 
 def refinement_chain(i_maxes, cn, c, t_max=1.0, kind: str = BINARY64) -> list[Grid]:
-    """Grids on [0, 1] with dx halving and k_max chosen to hold the Courant number."""
+    """Grids on [0, 1] with dx halving and k_max chosen to hold the Courant number.
+
+    ``k_max`` is ``t_max / dt`` rounded to nearest, or one more when that
+    grid's Courant number would exceed ``cn``.
+    """
     for name, v in (("c", c), ("cn", cn)):
         if not float(v) > 0:
             raise ParameterError(f"{name} must be positive, got {v}")
@@ -99,7 +95,10 @@ def refinement_chain(i_maxes, cn, c, t_max=1.0, kind: str = BINARY64) -> list[Gr
             raise ParameterError(
                 f"t_max = {t_max}, cn = {cn} and c = {c} give k_max = {kmax} "
                 f"at i_max = {imax} (k_max must be greater than one)")
-        grids.append(build_grid(0.0, 1.0, t_max, imax, kmax, kind))
+        g = build_grid(0.0, 1.0, t_max, imax, kmax, kind)
+        if to_fraction(courant_number(c, g)) > to_fraction(cn):
+            g = build_grid(0.0, 1.0, t_max, imax, kmax + 1, kind)
+        grids.append(g)
     return grids
 
 

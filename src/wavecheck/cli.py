@@ -184,11 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
 def apply_config_file(argv: list[str]) -> list[str]:
     """Expand ``--config FILE`` into flag tokens right after the subcommand.
 
-    ``--config FILE`` may stand before or after the subcommand; it is taken
-    out, and the subcommand is then the first token.  Explicit command-line
-    flags still win because argparse keeps the last occurrence of a scalar
-    option.
+    ``--config FILE`` (or ``--config=FILE``) may stand before or after the
+    subcommand; it is taken out, and the subcommand is then the first token.
+    Explicit command-line flags still win because argparse keeps the last
+    occurrence of a scalar option.
     """
+    argv = [part for tok in argv
+            for part in (tok.split("=", 1) if tok.startswith("--config=") else [tok])]
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -268,11 +270,11 @@ def cmd_solve(args) -> int:
     prob = pick_problem(args)
     run = solve(prob, g, xi=args.xi)
     series = energy.energy_series(run)
-    max_abs = run.field.max_abs()
+    max_abs = run.max_abs()
     args.out.mkdir(parents=True, exist_ok=True)
     write_lines(args.out / "field.csv", field_csv_lines(run))
     summary = {
-        "scalar": run.kind,
+        "scalar": g.kind,
         "problem": args.problem,
         "grid": grid_summary(g),
         "cn": scalar_json(run.cn),
@@ -318,13 +320,13 @@ def cmd_energy(args) -> int:
     nonnegative = series.all_nonnegative()
     args.out.mkdir(parents=True, exist_ok=True)
     lines = ["k,energy"]
-    if run.kind == EXACT:
+    if g.kind == EXACT:
         lines += [f"{k},{v.numerator}/{v.denominator}" for k, v in enumerate(series.values)]
     else:
         lines += [f"{k},{v!r}" for k, v in enumerate(series.values)]
     write_lines(args.out / "energy.csv", lines)
     write_json(args.out / "energy.json", {
-        "scalar": run.kind,
+        "scalar": g.kind,
         "grid": grid_summary(g),
         "cn": scalar_json(run.cn),
         "drift": scalar_json(drift),
@@ -359,7 +361,7 @@ def cmd_roundoff(args) -> int:
         "a": {"binary64": scalar_json(run.a_float), "exact": scalar_json(run.a_exact)},
         "a_gap_ok": run.a_gap_ok,
         "range_ok": run.range_violation is None,
-        "max_abs_value": float(run.float_run.field.max_abs()),
+        "max_abs_value": float(run.float_run.max_abs()),
         "max_abs_local_error": scalar_json(float(worst_delta)),
         "local_bound": scalar_json(float(roundoff.LOCAL_BOUND)),
         "local_bound_ok": worst_delta <= roundoff.LOCAL_BOUND,

@@ -116,7 +116,7 @@ def check_energy_estimate(run: SchemeRun, series: EnergySeries,
 
     violations = []
     min_slack: Optional[float] = None
-    if run.kind == EXACT:
+    if g.kind == EXACT:
         c2sq = c2_squared(xi)
         dt2 = g.dt * g.dt
         terms = [to_fraction(e0)]

@@ -9,8 +9,8 @@ that equivalence.
 Every function here has one code path for both scalar kinds: Python's
 ``+ - * /`` act on floats and Fractions alike, and the binary64 evaluation
 order (left-to-right accumulation, one final ``dx`` scaling) is also a valid
-order for exact arithmetic.  A :class:`Field` is a plain list of per-step
-columns in either kind.
+order for exact arithmetic.  Space-time tables are plain lists of per-step
+columns in either kind, indexed ``columns[k][i]``.
 """
 
 from __future__ import annotations
@@ -109,46 +109,19 @@ def apply_Ah(c, g: Grid, q: Sequence):
 
     Interior entries are ``-c^2 (q_{i+1} - 2 q_i + q_{i-1}) / dx^2``; the
     boundary entries are set to zero (they are only ever read at interior
-    indices).
+    indices).  The entries of ``q`` must already be in the grid's kind.
     """
     check_vector(q, g)
     c = convert(c, g.kind)
     if not c > 0:
         raise ParameterError(f"propagation velocity must be positive, got {c}")
-    q = [convert(v, g.kind) for v in q]
     c2 = c * c
     dx2 = g.dx * g.dx
-    out = [zero(g.kind)] * (g.i_max + 1)
-    for i in range(1, g.i_max):
-        d2 = (q[i + 1] - 2 * q[i]) + q[i - 1]
-        out[i] = -(c2 * d2) / dx2
-    return out
+    interior = [-(c2 * ((r - 2 * m) + l)) / dx2 for l, m, r in zip(q, q[1:], q[2:])]
+    return [zero(g.kind), *interior, zero(g.kind)]
 
 
 def dot_Ah(q: Sequence, r: Sequence, g: Grid, c) -> Scalar:
     """``<A_h q, r>`` in the interior dot product."""
     return dot_dx(apply_Ah(c, g, q), r, g)
 
-
-class Field:
-    """Space-time table of scalars, ``(i_max+1) x (k_max+1)``.
-
-    Stored as a list of per-time-step columns (lists of floats or of
-    Fractions, per the grid's kind), indexed ``columns[k][i]``.
-    Solver-produced fields keep rows 0 and i_max identically zero.
-    """
-
-    def __init__(self, columns: list):
-        self._columns = columns
-
-    def value(self, i: int, k: int) -> Scalar:
-        return self._columns[k][i]
-
-    def column(self, k: int) -> Sequence:
-        return self._columns[k]
-
-    def columns(self):
-        return iter(self._columns)
-
-    def max_abs(self) -> Scalar:
-        return max(abs(v) for col in self._columns for v in col)

@@ -175,8 +175,7 @@ def shadow_solve(p: WaveProblem, g: Grid, xi: float = DEFAULT_XI) -> ShadowRun:
     a_float = float_run.a
     a_gap_ok = abs(to_fraction(a_float) - a_exact) <= A_GAP
 
-    fl_cols = list(float_run.field.columns())
-    ex_cols = list(exact_run.field.columns())
+    fl_cols, ex_cols = float_run.columns, exact_run.columns
     global_err = [_difference_column(fl_col, ex_col)
                   for fl_col, ex_col in zip(fl_cols, ex_cols)]
     delta = _local_error_table(fl_cols, ex_cols[0], a_exact)
@@ -193,8 +192,7 @@ def shadow_solve(p: WaveProblem, g: Grid, xi: float = DEFAULT_XI) -> ShadowRun:
 
 def local_errors(run: ShadowRun) -> list:
     """Recompute the local-error table from the stored runs (pure function)."""
-    fl_cols = [run.float_run.column(k) for k in range(run.k_max + 1)]
-    return _local_error_table(fl_cols, run.exact_run.column(0), run.a_exact)
+    return _local_error_table(run.float_run.columns, run.exact_run.column(0), run.a_exact)
 
 
 def max_abs_delta(run: ShadowRun) -> Fraction:

@@ -11,7 +11,7 @@ Each Python expression below mirrors that evaluation order (left to right,
 ``dp`` materialized, no fused multiply-add), so round-off measurements made
 against this solver are measurements of that operation schedule.
 
-Sampling the data, the Courant number and the field storage are one code
+Sampling the data, the Courant number and the column storage are one code
 path for both scalar kinds.  Only the march itself is chosen by kind: the
 exact recurrences run without rounding, where the order is immaterial, so
 they run fraction-free, as integers over a common denominator per time step
@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
 )
 from .fundamental import three_term
-from .grid import Field, Grid, build_grid, check_vector
+from .grid import Grid, build_grid, check_vector
 from .problem import SpaceFunction, WaveProblem
 from .scalars import BINARY64, Scalar, convert, to_fraction, zero
 
@@ -77,12 +77,15 @@ def check_cfl(c, g: Grid, xi) -> CflReport:
 
 @dataclass
 class SchemeRun:
-    """A completed run: the field plus everything needed to audit it."""
+    """A completed run: its columns plus everything needed to audit it.
+
+    ``columns[k][i]`` is ``p_i^k``, in the grid's kind; rows 0 and
+    ``i_max`` are identically zero.
+    """
 
     grid: Grid
     problem: WaveProblem
-    kind: str
-    field: Field
+    columns: list
     a: Scalar
     cn: Scalar
     cfl: CflReport
@@ -91,10 +94,13 @@ class SchemeRun:
     source: Optional[list]
 
     def value(self, i: int, k: int) -> Scalar:
-        return self.field.value(i, k)
+        return self.columns[k][i]
 
     def column(self, k: int) -> Sequence:
-        return self.field.column(k)
+        return self.columns[k]
+
+    def max_abs(self) -> Scalar:
+        return max(abs(v) for col in self.columns for v in col)
 
 
 def _sample_space(data, g: Grid, what: str) -> list:
@@ -152,9 +158,8 @@ def solve(p: WaveProblem, g: Grid, kind: str | None = None,
     cn = report.cn
     a = cn * cn
     march = _march_binary64 if g.kind == BINARY64 else _march_exact
-    field = Field(march(g, a, u0, u1, source))
-    return SchemeRun(grid=g, problem=p, kind=g.kind, field=field, a=a, cn=cn,
-                     cfl=report, u0=u0, u1=u1, source=source)
+    return SchemeRun(grid=g, problem=p, columns=march(g, a, u0, u1, source), a=a,
+                     cn=cn, cfl=report, u0=u0, u1=u1, source=source)
 
 
 def _march_binary64(g: Grid, a: float, u0, u1, source) -> list:

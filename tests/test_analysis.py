@@ -71,7 +71,7 @@ def test_convergence_error_zero_problem_is_zero():
     g = build_grid(0, 1, 1, 8, 16)
     run = solve(WaveProblem(c=1, u0=None), g)
     table = convergence_error(ZeroSolution(), run)
-    assert all(table.value(i, k) == 0.0 for i in range(9) for k in range(17))
+    assert all(table[k][i] == 0.0 for i in range(9) for k in range(17))
 
 
 def test_convergence_error_boundary_nodes_vanish():
@@ -80,8 +80,8 @@ def test_convergence_error_boundary_nodes_vanish():
     run = solve(problem_for(wave), g)
     table = convergence_error(wave, run)
     for k in range(41):
-        assert abs(table.value(0, k)) == 0.0
-        assert abs(table.value(20, k)) < 1e-15  # sin(pi * 1.0) in binary64
+        assert abs(table[k][0]) == 0.0
+        assert abs(table[k][20]) < 1e-15  # sin(pi * 1.0) in binary64
 
 
 def test_convergence_error_regression_value():
@@ -99,7 +99,7 @@ def test_truncation_error_vanishes_for_affine_solutions():
     table = truncation_error(ref, g, ref.c)
     for k in range(13):
         for i in range(9):
-            assert table.value(i, k) == 0
+            assert table[k][i] == 0
 
 
 def test_truncation_error_boundary_rows_zero():
@@ -107,8 +107,8 @@ def test_truncation_error_boundary_rows_zero():
     g = build_grid(0, 1, 1, 16, 32)
     table = truncation_error(wave, g, 1.0)
     for k in range(33):
-        assert table.value(0, k) == 0.0
-        assert table.value(16, k) == 0.0
+        assert table[k][0] == 0.0
+        assert table[k][16] == 0.0
 
 
 def test_truncation_error_quarters_when_grid_halves():
@@ -145,8 +145,8 @@ def test_convergence_error_solves_scheme_with_truncation_inputs():
     run = solve(WaveProblem(c=c, u0=samples[0], u1=u1), g)
     e_measured = [[samples[k][i] - run.value(i, k) for i in range(7)] for k in range(9)]
 
-    eps1 = [eps.value(i, 1) for i in range(7)]
-    src = [[eps.value(i, k + 1) for i in range(7)] for k in range(8)] + [[Fr(0)] * 7]
+    eps1 = [eps[1][i] for i in range(7)]
+    src = [[eps[k + 1][i] for i in range(7)] for k in range(8)] + [[Fr(0)] * 7]
     e_run = solve(WaveProblem(c=c, u0=None, u1=eps1, s=src), g)
     for k in range(9):
         for i in range(7):

@@ -161,6 +161,19 @@ def test_default_problem_runs_at_the_given_velocity(tmp_path, argv, artifact):
     assert (a["exact"] if artifact == "roundoff.json" else a) == "1/16"
 
 
+def test_chain_never_exceeds_the_requested_courant_number(tmp_path):
+    # Rounding t_max / dt to nearest would give CN 1.0 > 1 - xi on these grids.
+    from wavecheck.analysis import refinement_chain
+    from wavecheck.scheme import courant_number
+
+    assert main(["order", "--chain", "50,100,200", "--cn", "0.999",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["solve", "--cn", "0.999", "--imax", "50", "--out", str(tmp_path)]) == 0
+    for c in (0.5, 1.0, 2.0):
+        for g in refinement_chain([10, 50, 100, 200, 400], 0.999, c):
+            assert Fraction(courant_number(c, g)) <= Fraction(0.999)
+
+
 @pytest.mark.parametrize("argv,message", [
     (["solve", "--imax", "8", "--c", "0"], "c must be positive, got 0.0"),
     (["solve", "--imax", "8", "--c", "-1"], "c must be positive, got -1.0"),
@@ -433,6 +446,18 @@ def test_config_file_before_the_subcommand(tmp_path):
 
 
 @pytest.mark.parametrize("before", [True, False])
+def test_config_equals_spelling_before_and_after_the_subcommand(tmp_path, before):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("imax=12\nkmax=24\n")
+    out = tmp_path / "a"
+    config = [f"--config={cfg}"]
+    argv = config + ["solve"] if before else ["solve"] + config
+    assert main(argv + ["--out", str(out)]) == 0
+    grid = read_json(out / "summary.json")["grid"]
+    assert (grid["i_max"], grid["k_max"]) == (12, 24)
+
+
+@pytest.mark.parametrize("before", [True, False])
 def test_malformed_config_exits_2(tmp_path, capsys, before):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("imax 10\n")
@@ -511,6 +536,10 @@ ARTIFACT_SHA256 = {
         ["order", "--chain", "10,20,40"],
         {"order.csv": "2c8d45c5b7cc2ac112288e0c4c5282c995feaed8c8b000c285b827f6aa50aaa7",
          "order.json": "bdb1807cb6d07f6051d516c9dfce7981f9df707924f891b684deedd5234eeaac"}),
+    "order-truncation": (
+        ["order", "--mode", "truncation", "--chain", "10,20,40"],
+        {"order.csv": "18855564eb6bc84d9c3dcedaa97534b0319611d7239ca8df89c3b228f61588c7",
+         "order.json": "557d042d6d7b8f1255873a93c3b37e320f7258344886896cb70e82770a1d4528"}),
     "fundamental": (
         ["fundamental", "--depth", "10", "--range", "10", "--certificates", "80"],
         {"fundamental.json":

@@ -53,9 +53,9 @@ def test_shadow_layers_equal_references(s, i_max, k_max):
     g = build_grid(0, 1, 1, i_max, k_max)
     run = shadow_solve(WaveProblem(c=1, u0=Polynomial((0, s, -s))), g)
     ex = run.exact_run
-    assert list(ex.field.columns()) == ref_march_exact(ex.grid, ex.a, ex.u0, None, None)
+    assert ex.columns == ref_march_exact(ex.grid, ex.a, ex.u0, None, None)
 
-    fl = as_fractions(run.float_run.field.columns())
+    fl = as_fractions(run.float_run.columns)
     delta = ref_local_error_table(fl, ex.column(0), run.a_exact)
     assert run.delta == delta
     assert local_errors(run) == delta
@@ -80,8 +80,7 @@ def test_round_off_checks_equal_references_on_random_grids(data):
     g = build_grid(0, 1, cn * k_max / i_max, i_max, k_max)
     run = shadow_solve(WaveProblem(c=1, u0=Polynomial((0, s, -s))), g)
     measured = [[Fr(fl) - ex for fl, ex in zip(fl_col, ex_col)]
-                for fl_col, ex_col in zip(run.float_run.field.columns(),
-                                          run.exact_run.field.columns())]
+                for fl_col, ex_col in zip(run.float_run.columns, run.exact_run.columns)]
     assert run.global_err == measured
     assert check_global_bound(run) == ref_check_global_bound(run)
     assert max_abs_delta(run) == ref_max_abs_delta(run)
@@ -116,7 +115,7 @@ def test_exact_march_equals_reference_with_velocity_and_source(case):
     g, prob = case
     run = solve(prob, g)
     expected = ref_march_exact(g, run.a, run.u0, run.u1, run.source)
-    assert list(run.field.columns()) == expected
+    assert run.columns == expected
 
 
 @st.composite

@@ -214,7 +214,7 @@ def test_computed_values_stay_in_range(shadow_10x20):
     assert shadow_10x20.range_violation is None
     # Discrete dispersion overshoots the datum's 1/4 peak slightly; the
     # claim under test is only the [-2, 2] range.
-    assert shadow_10x20.float_run.field.max_abs() < 0.26
+    assert shadow_10x20.float_run.max_abs() < 0.26
 
 
 def test_shadow_rejects_second_datum_and_source():

@@ -1,7 +1,7 @@
 """The scalar-generic core against per-kind oracles.
 
-``dot_dx``, ``apply_Ah``, ``energy_series`` and ``energy_lower_bound_gap``
-run one code path for floats and Fractions.  On binary64 grids they must
+``dot_dx``, ``apply_Ah``, ``truncation_error``, ``energy_series`` and
+``energy_lower_bound_gap`` run one code path for floats and Fractions.  On binary64 grids they must
 reproduce, bit for bit, the dedicated float code they replaced, copied below
 with an explicit ``float()`` per operand.  On exact grids they must equal
 the rational formulas.
@@ -17,7 +17,8 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wavecheck import WaveProblem, build_grid, solve
+from test_analysis import AffineSolution, SeparableRational
+from wavecheck import WaveProblem, build_grid, solve, standing_wave, truncation_error
 from wavecheck.energy import energy_lower_bound_gap, energy_series
 from wavecheck.grid import apply_Ah, dot_dx
 from wavecheck.scheme import DEFAULT_XI, check_cfl
@@ -60,6 +61,38 @@ def oracle_discrete_energy(run, k):
 def oracle_gap(run, k):
     e = oracle_discrete_energy(run, k)
     return e - 0.5 * (1.0 - float(run.cn) ** 2) * oracle_kinetic(run, k)
+
+
+def oracle_truncation_error(ref, g, c):
+    """The node-loop ``truncation_error`` the per-column comprehensions replaced.
+
+    Its ``apply_Ah`` is the float oracle above on binary64 grids and the
+    rational formula below on exact ones.
+    """
+    ah_of = oracle_apply_Ah if g.kind == "binary64" else rational_Ah
+    imax, kmax = g.i_max, g.k_max
+    dt = g.dt
+    samples = list(ref.sample(g))
+    z = 0.0 if g.kind == "binary64" else Fr(0)
+    cols = [[z] * (imax + 1)]
+
+    p0, p1 = samples[0], samples[1]
+    ah0 = ah_of(c, g, p0)
+    col1 = [z] * (imax + 1)
+    for i in range(1, imax):
+        u1_i = ref.partial(0, 1, g.x(i), 0)
+        col1[i] = (p1[i] - p0[i]) / dt + (dt / 2) * ah0[i] - u1_i
+    cols.append(col1)
+
+    dt2 = dt * dt
+    for k in range(2, kmax + 1):
+        pk, pkm1, pkm2 = samples[k], samples[k - 1], samples[k - 2]
+        ah = ah_of(c, g, pkm1)
+        col = [z] * (imax + 1)
+        for i in range(1, imax):
+            col[i] = (pk[i] - 2 * pkm1[i] + pkm2[i]) / dt2 + ah[i]
+        cols.append(col)
+    return cols
 
 
 def same_bits(x, y):
@@ -168,6 +201,18 @@ def test_binary64_energy_and_gap_match_float_oracle(data):
         assert same_bits(energy_lower_bound_gap(series, run.cn, k), oracle_gap(run, k))
 
 
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_binary64_truncation_error_matches_node_loop_oracle(data):
+    g = data.draw(float_grids())
+    c = data.draw(st.floats(min_value=0.05, max_value=4))
+    wave = standing_wave(data.draw(st.integers(1, 3)), c)
+    got, want = truncation_error(wave, g, c), oracle_truncation_error(wave, g, c)
+    assert len(got) == len(want) == g.k_max + 1
+    assert all(same_bits(a, b) for got_col, want_col in zip(got, want)
+               for a, b in zip(got_col, want_col, strict=True))
+
+
 # --- exact: the rational formulas ------------------------------------------------
 
 
@@ -180,6 +225,20 @@ def test_exact_dot_dx_and_apply_Ah_equal_rational_formulas(data):
     r = data.draw(vectors(g, fractions))
     assert dot_dx(q, r, g) == rational_dot(q, r, g)
     assert apply_Ah(c, g, q) == rational_Ah(c, g, q)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_exact_truncation_error_equals_node_loop_oracle(data):
+    g = data.draw(exact_grids())
+    c = data.draw(st.fractions(min_value=Fr(1, 16), max_value=8, max_denominator=16))
+    if data.draw(st.booleans()):
+        ref = AffineSolution(*(data.draw(fractions) for _ in range(3)))
+    else:
+        ref = SeparableRational()
+    got = truncation_error(ref, g, c)
+    assert got == oracle_truncation_error(ref, g, c)
+    assert all(type(v) is Fr for col in got for v in col)
 
 
 @given(st.data())
@@ -232,7 +291,6 @@ def test_importing_the_package_leaves_numpy_unloaded():
 def test_field_storage_is_plain_lists():
     g = build_grid(0, 1, 1, 6, 12)
     run = solve(WaveProblem(c=1, u0=[0.0, 0.1, 0.2, 0.3, 0.2, 0.1, 0.0]), g)
-    cols = list(run.field.columns())
-    assert all(type(col) is list for col in cols)
-    assert all(type(v) is float for col in cols for v in col)
-    assert run.field.max_abs() == 0.3
+    assert all(type(col) is list for col in run.columns)
+    assert all(type(v) is float for col in run.columns for v in col)
+    assert run.max_abs() == 0.3

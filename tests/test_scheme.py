@@ -175,7 +175,7 @@ def test_nonfinite_abort_reports_first_node():
 def test_kind_override_rebuilds_grid():
     g = build_grid(0, 1, 1, 8, 16)
     run = solve(default_problem(), g, kind="exact")
-    assert run.kind == "exact"
+    assert run.grid.kind == "exact"
     assert isinstance(run.a, Fr)
     assert run.a == Fr(1, 4)
 
