@@ -42,7 +42,6 @@ from .fundamental import (
     check_binomial_identity,
     check_certificate,
     check_zeilberger_recurrences,
-    jacobi_poly,
     lambda_closed_form,
     lambda_via_jacobi,
     row_sum,

@@ -69,19 +69,24 @@ def rational_or_float(text: str):
     return _finite_number(text, Fraction if "/" in text else float)
 
 
-def _nonempty(values: list, text: str) -> list:
+def _comma_list(text: str, parse) -> list:
+    """The nonempty comma-separated parts of ``text``, each through ``parse``."""
+    values = [parse(part) for part in text.split(",") if part]
     if not values:
         raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
     return values
 
 
 def rational_list(text: str):
-    return _nonempty([_finite_number(part, Fraction) for part in text.split(",") if part],
-                     text)
+    return _comma_list(text, lambda part: _finite_number(part, Fraction))
 
 
 def int_list(text: str):
-    return _nonempty([int(part) for part in text.split(",") if part], text)
+    return _comma_list(text, int)
+
+
+def id_list(text: str):
+    return _comma_list(text, str)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(func=cmd_bound, xi=None)
 
     p_report = sub.add_parser("report", help="run the full claims catalog")
-    p_report.add_argument("--only", type=str, default=None,
+    p_report.add_argument("--only", type=id_list, default=None,
                           help="comma-separated claim ids to run; others skip")
     p_report.add_argument("--seed", type=int, default=catalog.random_seed)
     p_report.add_argument("--out", type=Path, default=Path("."))
@@ -185,12 +190,14 @@ def apply_config_file(argv: list[str]) -> list[str]:
     """Expand ``--config FILE`` into flag tokens right after the subcommand.
 
     ``--config FILE`` (or ``--config=FILE``) may stand before or after the
-    subcommand; it is taken out, and the subcommand is then the first token.
-    Explicit command-line flags still win because argparse keeps the last
-    occurrence of a scalar option.
+    subcommand, at most once; it is taken out, and the subcommand is then the
+    first token.  Explicit command-line flags still win because argparse
+    keeps the last occurrence of a scalar option.
     """
     argv = [part for tok in argv
             for part in (tok.split("=", 1) if tok.startswith("--config=") else [tok])]
+    if argv.count("--config") > 1:
+        raise ParameterError("--config given more than once")
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -456,8 +463,7 @@ def cmd_bound(args) -> int:
 def cmd_report(args) -> int:
     cfg = ClaimConfig(random_seed=args.seed,
                       inject_wrong_a=args.selftest_inject_fault)
-    only = args.only.split(",") if args.only else None
-    rep = run_claims(cfg, only=only)
+    rep = run_claims(cfg, only=args.only)
     args.out.mkdir(parents=True, exist_ok=True)
     write_json(args.out / "claims.json", rep.to_dict())
     (args.out / "claims.txt").write_text(rep.to_text() + "\n")

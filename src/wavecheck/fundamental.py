@@ -72,12 +72,6 @@ class FundamentalTable:
             raise DomainError(f"time index {k} outside [0, {self.K}]")
         return list(self._rows[k])
 
-    def row_total(self, k: int) -> Fraction:
-        """Sum of row k of ``L`` (satisfies a second-difference-zero recurrence)."""
-        if not 0 <= k <= self.K:
-            raise DomainError(f"time index {k} outside [0, {self.K}]")
-        return Fraction(sum(self._rows[k]), self._q ** k)
-
     def negative_entries(self):
         """``(i, k)`` of every negative entry, row by row; read off the scaled rows."""
         for k, row in enumerate(self._rows):
@@ -130,7 +124,7 @@ def row_sum(table: FundamentalTable, k: int) -> Fraction:
         raise DomainError(f"row-sum index {k} outside [0, {table.K + 1}]")
     if k == 0:
         return Fraction(0)
-    return table.row_total(k - 1)
+    return Fraction(sum(table.scaled_row(k - 1)), table.a.denominator ** (k - 1))
 
 
 def lambda_closed_form(a, i: int, k: int) -> Fraction:
@@ -146,44 +140,24 @@ def lambda_closed_form(a, i: int, k: int) -> Fraction:
     return Fraction(total, q ** k)
 
 
-def jacobi_poly(n: int, alpha: int, beta: int, x) -> Fraction:
-    """Jacobi polynomial ``P_n^(alpha,beta)(x)`` from its binomial definition.
-
-    Exact for rational x; integer parameters must exceed -1.
-    """
-    if not (isinstance(alpha, int) and isinstance(beta, int)):
-        raise ParameterError("alpha and beta must be integers here")
-    if alpha <= -1 or beta <= -1:
-        raise ParameterError(f"need alpha, beta > -1, got ({alpha}, {beta})")
-    if n < 0:
-        raise ParameterError(f"degree must be nonnegative, got {n}")
-    x = to_fraction(x)
-    r, s = x.numerator, x.denominator
-    # (x + 1)/2 = (r + s)/(2s) and (x - 1)/2 = (r - s)/(2s): integers over (2s)**n.
-    total = 0
-    for p in range(n + 1):
-        total += (
-            math.comb(n + alpha, p) * math.comb(n + beta, n - p)
-            * (r + s) ** p * (r - s) ** (n - p)
-        )
-    return Fraction(total, (2 * s) ** n)
-
-
 def lambda_via_jacobi(a, i: int, k: int) -> Fraction:
-    """Table entry as ``a^|i|`` times a partial sum of Jacobi polynomials.
+    """Table entry as ``a^|i|`` times the partial sum of ``P_n^(2|i|,0)(1 - 2a)``.
 
     At ``i = 0`` the summands are Legendre polynomials; nonnegativity of such
     partial sums on (0, 1) is what makes the fundamental solution positive.
+    With ``a = p/q`` each ``P_n`` is an integer over ``q**n``, and Horner's
+    rule in ``q`` sums them over one power of ``q``.
     """
     a = to_fraction(a)
     if abs(i) > k:
         raise DomainError(f"(i={i}, k={k}) outside the triangle |i| <= k")
-    arg = 1 - 2 * a
+    p, q = a.numerator, a.denominator
     ai = abs(i)
-    total = Fraction(0)
-    for n in range(k - ai + 1):
-        total += jacobi_poly(n, 2 * ai, 0, arg)
-    return a ** ai * total
+    total = 0
+    for n in range(k - ai + 1):  # (x + 1)/2 = (q - p)/q and (x - 1)/2 = -p/q
+        total = total * q + sum(math.comb(n + 2 * ai, j) * math.comb(n, j)
+                                * (q - p) ** j * (-p) ** (n - j) for j in range(n + 1))
+    return Fraction(p ** ai * total, q ** k)
 
 
 # --- hypergeometric summand and the telescoping certificate -----------------

@@ -2,7 +2,7 @@
 
 These are the plain ``fractions.Fraction`` loops that the package's exact
 march, local-error table, convolution reconstruction, round-off bound checks,
-closed form and Jacobi polynomials used before they were rewritten in scaled
+closed form and Jacobi form used before they were rewritten in scaled
 integers.  They are kept verbatim as test oracles: every Fraction the package
 returns must equal the one computed here.
 """
@@ -138,6 +138,16 @@ def jacobi_poly(n: int, alpha: int, beta: int, x: Fraction) -> Fraction:
             * plus ** p * minus ** (n - p)
         )
     return total
+
+
+def lambda_via_jacobi(a: Fraction, i: int, k: int) -> Fraction:
+    """Table entry as ``a^|i|`` times a partial sum of Jacobi polynomials."""
+    arg = 1 - 2 * a
+    ai = abs(i)
+    total = Fraction(0)
+    for n in range(k - ai + 1):
+        total += jacobi_poly(n, 2 * ai, 0, arg)
+    return a ** ai * total
 
 
 def max_abs_delta(run) -> Fraction:

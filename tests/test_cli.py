@@ -207,6 +207,8 @@ def test_bad_inputs_exit_2_naming_the_flag(tmp_path, capsys, argv, message):
     (["order", "--chain", "10,20,40", "--xi", "nan"], "argument --xi: must be finite"),
     (["fundamental", "--a", ","], "argument --a: needs at least one value, got ','"),
     (["bound", "--chain", ","], "argument --chain: needs at least one value, got ','"),
+    (["report", "--only", ""], "argument --only: needs at least one value, got ''"),
+    (["report", "--only", ","], "argument --only: needs at least one value, got ','"),
 ])
 def test_bad_numbers_and_empty_lists_exit_2_in_the_parser(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -457,6 +459,23 @@ def test_config_equals_spelling_before_and_after_the_subcommand(tmp_path, before
     assert (grid["i_max"], grid["k_max"]) == (12, 24)
 
 
+@pytest.mark.parametrize("position", ["before", "after", "both"])
+def test_repeated_config_exits_2_naming_the_repetition(tmp_path, capsys, position):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("imax=8\nkmax=16\n")
+    first, second = ["--config", str(cfg)], [f"--config={cfg}"]
+    argv = {"before": first + second + ["solve"],
+            "after": ["solve"] + first + second,
+            "both": first + ["solve"] + second}[position]
+    try:
+        code = main(argv + ["--out", str(tmp_path / "out")])
+    except SystemExit as exc:  # an argparse refusal would name something else
+        code = exc.code
+    assert code == 2
+    assert "--config given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("before", [True, False])
 def test_malformed_config_exits_2(tmp_path, capsys, before):
     cfg = tmp_path / "bad.cfg"
@@ -488,6 +507,65 @@ def test_report_crashing_claim_is_errored_not_violated(tmp_path, monkeypatch):
     assert claim["evidence"]["raised_in"].endswith(".boom")
     assert (data["violated"], data["errored"]) == (0, 1)
     assert "errored: 1 / 15" in (tmp_path / "claims.txt").read_text()
+
+
+def corrupt_one_entry(monkeypatch, i, k):
+    """Make ``fundamental.build_table`` add one to the scaled entry ``L_i^k``."""
+    from wavecheck import fundamental
+
+    build = fundamental.build_table
+
+    def corrupted(a, K):
+        table = build(a, K)
+        rows = [table.scaled_row(r) for r in range(K + 1)]
+        rows[k][i + k] += 1
+        return fundamental.FundamentalTable(table.a, K, rows)
+
+    monkeypatch.setattr(fundamental, "build_table", corrupted)
+
+
+def test_closed_form_sweep_reports_a_corrupted_entry_in_both_forms(monkeypatch):
+    from wavecheck import fundamental, report
+
+    corrupt_one_entry(monkeypatch, -1, 3)
+    table = fundamental.build_table(Fraction(1, 2), 6)
+    assert list(report.closed_form_failures(table)) == [("closed", -1, 3), ("jacobi", -1, 3)]
+    status, evidence = report.claim_closed_form(report.ClaimConfig(closed_form_kmax=6))
+    assert status == report.VIOLATED
+    assert evidence == {"a": "1/4", "i": -1, "k": 3, "form": "closed"}
+
+
+#: SHA-256 of ``fundamental.json`` with the entry ``L_{-1}^3`` off by one,
+#: recorded while the Jacobi form still summed one Fraction per polynomial.
+FAILING_FUNDAMENTAL_SHA256 = "7f7cfe8a3b0c732aad668044c692e49b3884306e70935b5f43a01314be8eb7ec"
+
+
+def test_fundamental_lists_a_corrupted_entry_in_both_forms(tmp_path, monkeypatch):
+    corrupt_one_entry(monkeypatch, -1, 3)
+    assert main(["fundamental", "--a", "1/2", "--depth", "6", "--range", "4",
+                 "--certificates", "10", "--out", str(tmp_path)]) == 1
+    path = tmp_path / "fundamental.json"
+    assert read_json(path)["failures"] == [["closed-form", "1/2", "-1", "3"],
+                                           ["jacobi-form", "1/2", "-1", "3"],
+                                           ["row-sum", "1/2", "4"]]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FAILING_FUNDAMENTAL_SHA256
+
+
+#: SHA-256 of the verdict files of the fundamental-solution claims at the
+#: catalog's default sizes (the benchmark's goldens cover smaller ones),
+#: recorded while the Jacobi form still summed one Fraction per polynomial.
+FUNDAMENTAL_CLAIMS_SHA256 = {
+    "claims.json": "5f8cbde0d8f09efd0f61ec8a5a0b7979b043911259eda00b097b8e440a0356db",
+    "claims.txt": "783b8e9da4803980503bf938f20d6e3cb531f8a941e96fc64c3b7cd617ad1f97",
+}
+
+
+def test_default_size_fundamental_claims_match_recorded_digests(tmp_path):
+    only = ("row-sums-linear,closed-form-equivalence,fundamental-nonnegative,"
+            "binomial-identities,telescoping-recurrences")
+    assert main(["report", "--only", only, "--out", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in FUNDAMENTAL_CLAIMS_SHA256} == FUNDAMENTAL_CLAIMS_SHA256
 
 
 #: SHA-256 of every ``roundoff`` artifact, recorded from the plain Fraction

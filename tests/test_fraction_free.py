@@ -2,7 +2,7 @@
 
 The exact march, the local-error table, the global-error table, the
 round-off bound checks, the convolution reconstruction, the closed form and
-the Jacobi polynomials run in scaled integers; ``fraction_reference`` holds
+the Jacobi form run in scaled integers; ``fraction_reference`` holds
 the plain Fraction loops they replaced.  Every output must be the same list
 of Fractions.
 """
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from fraction_reference import _local_error_table as ref_local_error_table
 from fraction_reference import _march_exact as ref_march_exact
 from fraction_reference import check_global_bound as ref_check_global_bound
-from fraction_reference import jacobi_poly as ref_jacobi_poly
 from fraction_reference import lambda_closed_form as ref_lambda_closed_form
+from fraction_reference import lambda_via_jacobi as ref_lambda_via_jacobi
 from fraction_reference import max_abs_delta as ref_max_abs_delta
 from fraction_reference import reconstruct_global_error as ref_reconstruct
 from wavecheck import (
@@ -26,8 +26,8 @@ from wavecheck import (
     build_grid,
     build_table,
     check_global_bound,
-    jacobi_poly,
     lambda_closed_form,
+    lambda_via_jacobi,
     local_errors,
     reconstruct_global_error,
     shadow_solve,
@@ -198,10 +198,12 @@ def test_closed_form_equals_reference(a, k, data):
     assert lambda_closed_form(a, i, k) == ref_lambda_closed_form(a, i, k)
 
 
-@given(st.integers(0, 25), st.integers(0, 8), st.integers(0, 8), rationals(max_den=50))
-@settings(max_examples=120, deadline=None)
-def test_jacobi_poly_equals_reference(n, alpha, beta, x):
-    assert jacobi_poly(n, alpha, beta, x) == ref_jacobi_poly(n, alpha, beta, x)
+@given(st.fractions(min_value=Fr(1, 30), max_value=Fr(29, 30), max_denominator=30),
+       st.integers(0, 14))
+@settings(max_examples=60, deadline=None)
+def test_lambda_via_jacobi_equals_reference(a, k):
+    for i in range(-k, k + 1):
+        assert lambda_via_jacobi(a, i, k) == ref_lambda_via_jacobi(a, i, k)
 
 
 @given(st.data())
