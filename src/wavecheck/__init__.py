@@ -24,7 +24,6 @@ from .energy import (
     check_energy_estimate,
     energy_lower_bound_gap,
     energy_series,
-    half_step,
     stability_constants,
 )
 from .errors import (
@@ -50,7 +49,6 @@ from .grid import (
     Grid,
     apply_Ah,
     build_grid,
-    dot_Ah,
     dot_dx,
     norm_dx,
 )

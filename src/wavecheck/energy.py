@@ -14,25 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
+from operator import mul
 from typing import Optional
 
-from .errors import DomainError, ParameterError
-from .grid import dot_Ah, dot_dx
-from .scalars import EXACT, Scalar, certified_sqrt_leq, to_fraction
+from .errors import ParameterError
+from .grid import apply_Ah, dot_dx
+from .scalars import EXACT, Scalar, certified_sqrt_leq, common_column, convert, to_fraction
 from .scheme import SchemeRun
-
-
-def half_step(run: SchemeRun, k: int) -> tuple[Scalar, Scalar]:
-    """``(||(p^{k+1}-p^k)/dt||^2, E^{k+1/2})``; needs both columns ``k`` and ``k+1``."""
-    if not 0 <= k <= run.grid.k_max - 1:
-        raise DomainError(f"half-step index {k} outside [0, {run.grid.k_max - 1}]")
-    g = run.grid
-    pk = run.column(k)
-    pk1 = run.column(k + 1)
-    v = [(pk1[i] - pk[i]) / g.dt for i in range(g.i_max + 1)]
-    kinetic = dot_dx(v, v, g)
-    # x / 2 == 0.5 * x bit for bit in binary64: halving adds no rounding.
-    return kinetic, kinetic / 2 + dot_Ah(pk, pk1, g, run.problem.c) / 2
 
 
 @dataclass
@@ -52,9 +41,29 @@ class EnergySeries:
 
 
 def energy_series(run: SchemeRun) -> EnergySeries:
-    """The one pass over a run's half steps that every energy check reads."""
-    steps = [half_step(run, k) for k in range(run.grid.k_max)]
-    return EnergySeries(kinetic=[s[0] for s in steps], values=[s[1] for s in steps])
+    """The one pass over a run's half steps that every energy check reads.
+
+    Exact runs read each column once as integers over its lcm, so each half
+    step's kinetic and potential sums are one integer each.
+    """
+    g = run.grid
+    kinetic, values = [], []
+    if g.kind == EXACT:
+        c = convert(run.problem.c, EXACT)
+        kinetic_scale, potential_scale = g.dx / (g.dt * g.dt), -c * c / g.dx
+        for (n0, d0), (n1, d1) in pairwise(map(common_column, run.columns)):
+            s0, s1 = d0 // (e := math.gcd(d0, d1)), d1 // e  # lcm(d0, d1) = d1 s0
+            diff = [b * s0 - a * s1 for a, b in zip(n0[1:-1], n1[1:-1])]
+            stencil = sum(((r - 2 * m) + l) * n for l, m, r, n in zip(n0, n0[1:], n0[2:], n1[1:]))
+            kinetic.append(Fraction(sum(map(mul, diff, diff)), (d1 * s0) ** 2) * kinetic_scale)
+            values.append((kinetic[-1] + Fraction(stencil, d0 * d1) * potential_scale) / 2)
+    else:
+        for pk, pk1 in pairwise(run.columns):
+            v = [(b - a) / g.dt for a, b in zip(pk, pk1)]
+            kinetic.append(dot_dx(v, v, g))
+            # x / 2 == 0.5 * x bit for bit in binary64: halving adds no rounding.
+            values.append(kinetic[-1] / 2 + dot_dx(apply_Ah(run.problem.c, g, pk), pk1, g) / 2)
+    return EnergySeries(kinetic, values)
 
 
 def energy_lower_bound_gap(series: EnergySeries, cn, k: int) -> Scalar:
@@ -110,9 +119,7 @@ def check_energy_estimate(run: SchemeRun, series: EnergySeries,
 
     source_sq = [None] * (g.k_max + 1)
     if run.source is not None:
-        for k in range(1, g.k_max + 1):
-            col = run.source[k]
-            source_sq[k] = dot_dx(col, col, g)
+        source_sq[1:] = [dot_dx(col, col, g) for col in run.source[1:]]
 
     violations = []
     min_slack: Optional[float] = None

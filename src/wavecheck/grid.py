@@ -119,9 +119,3 @@ def apply_Ah(c, g: Grid, q: Sequence):
     dx2 = g.dx * g.dx
     interior = [-(c2 * ((r - 2 * m) + l)) / dx2 for l, m, r in zip(q, q[1:], q[2:])]
     return [zero(g.kind), *interior, zero(g.kind)]
-
-
-def dot_Ah(q: Sequence, r: Sequence, g: Grid, c) -> Scalar:
-    """``<A_h q, r>`` in the interior dot product."""
-    return dot_dx(apply_Ah(c, g, q), r, g)
-

@@ -17,7 +17,7 @@ common denominator of all local errors.  Every table returned is the same
 list of Fractions a plain rational loop gives.
 
 The round-off checks read the tables one column at a time as integers over
-the column's common denominator (:func:`_common_column`).  Column k of the
+the column's common denominator (:func:`common_column`).  Column k of the
 global error is the integer difference ``fl * den - ex * 2**e`` of the
 binary64 column over ``2**e`` and the exact column over its lcm ``den``.
 :func:`check_global_bound` compares each ``|n|`` against one integer
@@ -44,7 +44,7 @@ from .errors import ParameterError, UnsupportedFeatureError
 from .fundamental import FundamentalTable, three_term
 from .grid import Grid
 from .problem import SpaceFunction, WaveProblem, antisym_extension
-from .scalars import BINARY64, EXACT, to_fraction
+from .scalars import BINARY64, EXACT, common_column, to_fraction
 from .scheme import DEFAULT_XI, SchemeRun, solve
 
 #: Local round-off bound for one update of the scheme, 78 * 2**-52.
@@ -94,14 +94,6 @@ def _dyadic_column(col) -> tuple[list[int], int]:
     return [n << (e + 1 - d.bit_length()) for n, d in ratios], e
 
 
-def _common_column(col) -> tuple[list[int], int]:
-    """A Fraction column as integers over the lcm of its denominators: ``(ints, den)``."""
-    dens = {v.denominator for v in col}
-    den = math.lcm(*dens)
-    scale = {d: den // d for d in dens}
-    return [v.numerator * scale[v.denominator] for v in col], den
-
-
 def _difference_column(fl_col, ex_col) -> list:
     """``fl - ex`` per node as one integer difference over ``den * 2**e``.
 
@@ -110,7 +102,7 @@ def _difference_column(fl_col, ex_col) -> list:
     and becomes one Fraction.
     """
     fl, e = _dyadic_column(fl_col)
-    ex, den = _common_column(ex_col)
+    ex, den = common_column(ex_col)
     d = den << e
     return [Fraction(f * den - (x << e), d) for f, x in zip(fl, ex)]
 
@@ -199,7 +191,7 @@ def max_abs_delta(run: ShadowRun) -> Fraction:
     """``max |d|`` over the local-error table, one Fraction per column."""
     best = Fraction(0)
     for col in run.delta:
-        ints, den = _common_column(col)
+        ints, den = common_column(col)
         best = max(best, Fraction(max(map(abs, ints)), den))
     return best
 
@@ -292,7 +284,7 @@ def check_global_bound(run: ShadowRun) -> GlobalBoundReport:
     worst = None
     violations = []
     for k in range(g.k_max + 1):
-        ints, den = _common_column(run.global_err[k])
+        ints, den = common_column(run.global_err[k])
         mags = list(map(abs, ints))
         bound_n = scale_n * (k + 1) * (k + 2)
         threshold = den * bound_n // scale_d

@@ -61,6 +61,14 @@ def zero(kind: str) -> Scalar:
     return 0.0 if kind == BINARY64 else Fraction(0)
 
 
+def common_column(col) -> tuple[list[int], int]:
+    """A Fraction column as integers over the lcm of its denominators: ``(ints, den)``."""
+    dens = {v.denominator for v in col}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return [v.numerator * scale[v.denominator] for v in col], den
+
+
 def sqrt_bounds(x: Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:
     """Rational enclosure ``lo <= sqrt(x) <= hi`` with ``hi - lo <= 2**-bits / q``.
 

@@ -2,9 +2,9 @@
 
 These are the plain ``fractions.Fraction`` loops that the package's exact
 march, local-error table, convolution reconstruction, round-off bound checks,
-closed form and Jacobi form used before they were rewritten in scaled
-integers.  They are kept verbatim as test oracles: every Fraction the package
-returns must equal the one computed here.
+closed form, Jacobi form and energy half steps used before they were
+rewritten in scaled integers.  They are kept verbatim as test oracles: every
+Fraction the package returns must equal the one computed here.
 """
 
 import math
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from wavecheck.errors import ParameterError
 from wavecheck.fundamental import FundamentalTable
-from wavecheck.grid import Grid, dot_dx
+from wavecheck.grid import Grid, apply_Ah, dot_dx
 from wavecheck.problem import antisym_index
 from wavecheck.roundoff import GLOBAL_BOUND_SCALE, NORM_SCALE, GlobalBoundReport
 
@@ -192,3 +192,14 @@ def check_global_bound(run) -> GlobalBoundReport:
         norm_level_ok=norm_level_ok,
         violations=violations,
     )
+
+
+def half_step(run, k: int) -> tuple:
+    """``(||(p^{k+1}-p^k)/dt||^2, E^{k+1/2})`` from columns ``k`` and ``k+1``."""
+    g = run.grid
+    pk = run.column(k)
+    pk1 = run.column(k + 1)
+    v = [(pk1[i] - pk[i]) / g.dt for i in range(g.i_max + 1)]
+    kinetic = dot_dx(v, v, g)
+    potential = dot_dx(apply_Ah(run.problem.c, g, pk), pk1, g)
+    return kinetic, kinetic / 2 + potential / 2

@@ -7,11 +7,6 @@ import pytest
 from wavecheck.cli import build_parser, main
 
 
-def run_cli(args, capsys=None):
-    code = main(args)
-    return code
-
-
 def read_json(path):
     return json.loads(path.read_text())
 
@@ -602,10 +597,25 @@ ARTIFACT_SHA256 = {
         ["solve", "--scalar", "exact", "--imax", "8", "--kmax", "16", "--tmax", "1/2"],
         {"field.csv": "48793a02559668a620e157b6aeb4766c2df124b28902b6285175aab04536692a",
          "summary.json": "4e621783642ccc35c0ef9267370a92e2aaf0ce4c74c4f8b2a9c4c40f1b54bbb8"}),
+    # The next three were recorded before the exact energy series summed in
+    # integers: an exact solve larger than the 8 x 16 one, a float --c on an
+    # exact run, and the README's 50 x 50 energy command.
+    "solve-exact-20x40": (
+        ["solve", "--scalar", "exact", "--imax", "20", "--kmax", "40"],
+        {"field.csv": "1a6e4eaba256d6ee423c26a27784c86eec6a016fb602739c919c85f67abe90ff",
+         "summary.json": "5810fa3ff8534fa70077ab328885660239ace625d46d7efc27b3d8872285d76d"}),
     "energy-exact": (
         ["energy", "--imax", "12", "--kmax", "12", "--tmax", "1/2"],
         {"energy.csv": "ece347ab406661da19d89f784f65f81e8366d0a4aa5d4e7fe555a2c1b7aa21e8",
          "energy.json": "ca744a169e1226b15e778bb2cf13127d1c06118256ef2074989eb7e0f9698e05"}),
+    "energy-exact-float-c": (
+        ["energy", "--c", "0.9", "--imax", "10", "--kmax", "20"],
+        {"energy.csv": "719604126edbc7f63b39385cf06c0687f7346b149316e9c9fabfbc92197d14b3",
+         "energy.json": "753a845c287fb4c6e7a000d69b07d038bd08c11505b4dfeded43180a6e25d8f7"}),
+    "energy-exact-readme": (
+        ["energy", "--imax", "50", "--kmax", "50", "--tmax", "1/2"],
+        {"energy.csv": "a55a1695ec9f6e1bcfbf157d5fff6fa1c6396a3cf5a43918a871ebbe1f256de3",
+         "energy.json": "1c59dc4334e5b61a903b793e48df67bdf44158d04cdc8632f8e95d8066a85447"}),
     "energy-binary64": (
         ["energy", "--scalar", "binary64", "--problem", "standing"],
         {"energy.csv": "6cf627e6c3692c7f5885904e3dccc3ef4f4d4cfb17bd02eda03c837fb457c017",

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
+from fraction_reference import half_step as ref_half_step
 from wavecheck import (
     ParameterError,
     WaveProblem,
@@ -11,13 +13,11 @@ from wavecheck import (
     default_problem,
     energy_lower_bound_gap,
     energy_series,
-    half_step,
     solve,
     stability_constants,
 )
 from wavecheck import energy
 from wavecheck.cli import main
-from wavecheck.errors import DomainError
 from wavecheck.report import WITNESSED, ClaimConfig, claim_energy_lower_bound
 from wavecheck.scalars import sqrt_bounds
 
@@ -25,7 +25,8 @@ from wavecheck.scalars import sqrt_bounds
 def test_zero_field_zero_energy():
     g = build_grid(0, 1, 1, 8, 16, "exact")
     run = solve(WaveProblem(c=1, u0=None), g)
-    assert all(half_step(run, k) == (0, 0) for k in range(16))
+    series = energy_series(run)
+    assert series.kinetic == series.values == [0] * 16
 
 
 def test_energy_exactly_constant_without_source():
@@ -37,30 +38,41 @@ def test_energy_exactly_constant_without_source():
 
 
 def test_energy_half_step_against_hand_evaluation():
-    # Independent evaluation of both quadratic terms from the first two
-    # columns, using nothing but the definition.
+    # Independent evaluation of both quadratic terms of every half step from
+    # its two columns, using nothing but the definition.
     g = build_grid(0, 1, Fr(1, 2), 4, 4, "exact")
     run = solve(default_problem(), g)
-    p0 = [run.value(i, 0) for i in range(5)]
-    p1 = [run.value(i, 1) for i in range(5)]
+    series = energy_series(run)
     dt, dx = g.dt, g.dx
     c2 = Fr(1)
-    kinetic = sum(((p1[i] - p0[i]) / dt) ** 2 for i in range(1, 4)) * dx
-    ah_p0 = [Fr(0)] + [
-        -c2 * (p0[i + 1] - 2 * p0[i] + p0[i - 1]) / (dx * dx) for i in (1, 2, 3)
-    ] + [Fr(0)]
-    potential = sum(ah_p0[i] * p1[i] for i in range(1, 4)) * dx
-    expected = Fr(1, 2) * kinetic + Fr(1, 2) * potential
-    assert half_step(run, 0) == (kinetic, expected)
+    for k in range(4):
+        p0 = [run.value(i, k) for i in range(5)]
+        p1 = [run.value(i, k + 1) for i in range(5)]
+        kinetic = sum(((p1[i] - p0[i]) / dt) ** 2 for i in range(1, 4)) * dx
+        ah_p0 = [Fr(0)] + [
+            -c2 * (p0[i + 1] - 2 * p0[i] + p0[i - 1]) / (dx * dx) for i in (1, 2, 3)
+        ] + [Fr(0)]
+        potential = sum(ah_p0[i] * p1[i] for i in range(1, 4)) * dx
+        expected = Fr(1, 2) * kinetic + Fr(1, 2) * potential
+        assert (series.kinetic[k], series.values[k]) == (kinetic, expected)
 
 
-def test_energy_index_range():
-    g = build_grid(0, 1, Fr(1, 2), 6, 6, "exact")
+def test_perturbed_node_moves_exactly_its_two_half_steps():
+    # One interior node of column 5 off by 10**-6: the half steps 4 and 5
+    # that read it change, as the Fraction oracle says, and the conserved
+    # energy drifts.
+    g = build_grid(0, 1, Fr(1, 2), 12, 12, "exact")
     run = solve(default_problem(), g)
-    with pytest.raises(DomainError):
-        half_step(run, 6)
-    with pytest.raises(DomainError):
-        half_step(run, -1)
+    before = energy_series(run)
+    assert before.drift() == 0
+    columns = [list(col) for col in run.columns]
+    columns[5][4] += Fr(1, 10 ** 6)
+    bad = dataclasses.replace(run, columns=columns)
+    after = energy_series(bad)
+    steps = list(zip(after.kinetic, after.values))
+    assert steps == [ref_half_step(bad, k) for k in range(12)]
+    assert [k for k in range(12) if steps[k] != (before.kinetic[k], before.values[k])] == [4, 5]
+    assert after.drift() != 0
 
 
 def test_lower_bound_gap_zero_field():
@@ -158,9 +170,13 @@ def test_binary64_energy_drift_stays_tiny_on_default_problem():
 
 
 @pytest.fixture
-def energy_sums(monkeypatch):
-    """Calls into the kinetic (``dot_dx``) and potential (``dot_Ah``) sums of ``energy``."""
-    calls = {"dot_dx": 0, "dot_Ah": 0}
+def energy_calls(monkeypatch):
+    """Calls of ``energy_series`` and of its per-column reads inside ``energy``.
+
+    An exact series reads each column once through ``common_column``; a
+    binary64 series applies ``A_h`` once per half step.
+    """
+    calls = {"energy_series": 0, "common_column": 0, "apply_Ah": 0}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(energy, name)):
             calls[_name] += 1
@@ -174,13 +190,19 @@ def energy_sums(monkeypatch):
     ["energy", "--imax", "8", "--kmax", "16", "--scalar", "binary64"],
     ["solve", "--imax", "8", "--kmax", "16", "--scalar", "exact"],
 ])
-def test_subcommands_evaluate_each_half_step_once(tmp_path, energy_sums, argv):
+def test_subcommands_evaluate_each_half_step_once(tmp_path, energy_calls, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    assert energy_sums == {"dot_dx": 16, "dot_Ah": 16}
+    # 16 half steps read 17 columns.
+    if "binary64" in argv:
+        assert energy_calls == {"energy_series": 1, "common_column": 0, "apply_Ah": 16}
+    else:
+        assert energy_calls == {"energy_series": 1, "common_column": 17, "apply_Ah": 0}
 
 
-def test_lower_bound_claim_evaluates_each_half_step_once(energy_sums):
+def test_lower_bound_claim_evaluates_each_half_step_once(energy_calls):
     status, evidence = claim_energy_lower_bound(ClaimConfig(random_runs=6))
     assert status == WITNESSED
-    assert energy_sums == {"dot_dx": evidence["half_steps"],
-                           "dot_Ah": evidence["half_steps"]}
+    # A run of k_max half steps has k_max + 1 columns.
+    assert energy_calls == {"energy_series": 6,
+                            "common_column": evidence["half_steps"] + 6,
+                            "apply_Ah": 0}

@@ -1,21 +1,22 @@
 """The fraction-free exact layers against their rational-arithmetic references.
 
 The exact march, the local-error table, the global-error table, the
-round-off bound checks, the convolution reconstruction, the closed form and
-the Jacobi form run in scaled integers; ``fraction_reference`` holds
-the plain Fraction loops they replaced.  Every output must be the same list
-of Fractions.
+round-off bound checks, the convolution reconstruction, the closed form, the
+Jacobi form and the energy series run in scaled integers;
+``fraction_reference`` holds the plain Fraction loops they replaced.  Every
+output must be the same list of Fractions.
 """
 
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fraction_reference import _local_error_table as ref_local_error_table
 from fraction_reference import _march_exact as ref_march_exact
 from fraction_reference import check_global_bound as ref_check_global_bound
+from fraction_reference import half_step as ref_half_step
 from fraction_reference import lambda_closed_form as ref_lambda_closed_form
 from fraction_reference import lambda_via_jacobi as ref_lambda_via_jacobi
 from fraction_reference import max_abs_delta as ref_max_abs_delta
@@ -25,7 +26,9 @@ from wavecheck import (
     WaveProblem,
     build_grid,
     build_table,
+    check_cfl,
     check_global_bound,
+    energy_series,
     lambda_closed_form,
     lambda_via_jacobi,
     local_errors,
@@ -116,6 +119,40 @@ def test_exact_march_equals_reference_with_velocity_and_source(case):
     run = solve(prob, g)
     expected = ref_march_exact(g, run.a, run.u0, run.u1, run.source)
     assert run.columns == expected
+
+
+@st.composite
+def random_exact_runs(draw):
+    """Exact runs shaped like the energy lower-bound claim's random runs.
+
+    Velocity and source are each present or absent, and ``c`` is a rational
+    or the float nearest to it.
+    """
+    i_max = draw(st.integers(2, 12))
+    k_max = draw(st.integers(2, 12))
+    g = build_grid(0, 1, 1, i_max, k_max, "exact")
+    xi = draw(st.sampled_from([Fr(1, 2 ** 50), Fr(1, 10), Fr(1, 2)]))
+    c = (1 - xi) * Fr(draw(st.integers(1, 16)), 16) * g.dx / g.dt
+    if draw(st.booleans()):
+        c = float(c)
+        assume(check_cfl(c, g, xi).satisfied)
+
+    def vector():
+        inner = st.lists(rationals(max_den=8), min_size=i_max - 1, max_size=i_max - 1)
+        return [Fr(0)] + draw(inner) + [Fr(0)]
+
+    u1 = vector() if draw(st.booleans()) else None
+    s = [vector() for _ in range(k_max + 1)] if draw(st.booleans()) else None
+    return solve(WaveProblem(c=c, u0=vector(), u1=u1, s=s), g, xi=xi)
+
+
+@given(random_exact_runs())
+@settings(max_examples=40, deadline=None)
+def test_energy_series_equals_reference_half_steps(run):
+    series = energy_series(run)
+    expected = [ref_half_step(run, k) for k in range(run.grid.k_max)]
+    assert list(zip(series.kinetic, series.values)) == expected
+    assert all(type(v) is Fr for v in series.kinetic + series.values)
 
 
 @st.composite
