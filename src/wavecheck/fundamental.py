@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, NumericDomainError, ParameterError
 from .scalars import to_fraction
 
 
@@ -132,12 +132,34 @@ def lambda_closed_form(a, i: int, k: int) -> Fraction:
     a = to_fraction(a)
     if abs(i) > k:
         raise DomainError(f"(i={i}, k={k}) outside the triangle |i| <= k")
-    p, q = a.numerator, a.denominator  # a**n = p**n q**(k - n) / q**k
+    p, q = a.numerator, a.denominator
+    ai = abs(i)
+    # (-1)**(n + i) a**n = p**|i| (-p)**(n - |i|) q**(k - n) / q**k, since n + i
+    # and n - |i| have the same parity; Horner's rule in q carries the power of q.
     total = 0
-    for n in range(abs(i), k + 1):
+    signed_power = 1
+    for n in range(ai, k + 1):
         term = math.comb(2 * n, n + i) * math.comb(n + k + 1, 2 * n + 1)
-        total += (-1) ** (n + i) * term * p ** n * q ** (k - n)
-    return Fraction(total, q ** k)
+        total = total * q + term * signed_power
+        signed_power *= -p
+    return Fraction(p ** ai * total, q ** k)
+
+
+def _jacobi_step(n: int, alpha: int, p: int, q: int, old: int, older: int) -> int:
+    """``Q_n`` from ``Q_{n-1}`` and ``Q_{n-2}``, where ``Q_n = q**n P_n^(alpha,0)(1 - 2p/q)``.
+
+    Szegő (4.5.1) with beta = 0, scaled by ``q**n``, for ``n >= 2``.  Every
+    ``Q_n`` is an integer, so the division is exact; a remainder means the
+    recurrence is wrong, and raises rather than rounds.
+    """
+    s = 2 * n + alpha
+    num = ((s - 1) * (s * (s - 2) * (q - 2 * p) + alpha * alpha * q) * old
+           - 2 * (n + alpha - 1) * (n - 1) * s * q * q * older)
+    value, rem = divmod(num, 2 * n * (n + alpha) * (s - 2))
+    if rem:
+        raise NumericDomainError(
+            f"Jacobi step n={n}, alpha={alpha} at a={p}/{q} is not an integer")
+    return value
 
 
 def lambda_via_jacobi(a, i: int, k: int) -> Fraction:
@@ -145,18 +167,21 @@ def lambda_via_jacobi(a, i: int, k: int) -> Fraction:
 
     At ``i = 0`` the summands are Legendre polynomials; nonnegativity of such
     partial sums on (0, 1) is what makes the fundamental solution positive.
-    With ``a = p/q`` each ``P_n`` is an integer over ``q**n``, and Horner's
-    rule in ``q`` sums them over one power of ``q``.
+    With ``a = p/q`` each ``P_n`` is an integer ``Q_n`` over ``q**n``, which
+    the three-term recurrence in n gives one from the two before it, and
+    Horner's rule in ``q`` sums them over one power of ``q``.
     """
     a = to_fraction(a)
     if abs(i) > k:
         raise DomainError(f"(i={i}, k={k}) outside the triangle |i| <= k")
     p, q = a.numerator, a.denominator
     ai = abs(i)
-    total = 0
-    for n in range(k - ai + 1):  # (x + 1)/2 = (q - p)/q and (x - 1)/2 = -p/q
-        total = total * q + sum(math.comb(n + 2 * ai, j) * math.comb(n, j)
-                                * (q - p) ** j * (-p) ** (n - j) for j in range(n + 1))
+    alpha = 2 * ai
+    older, old = 1, (alpha + 1) * q - (alpha + 2) * p  # Q_0, Q_1
+    total = 1 if k == ai else q + old
+    for n in range(2, k - ai + 1):
+        older, old = old, _jacobi_step(n, alpha, p, q, old, older)
+        total = total * q + old
     return Fraction(p ** ai * total, q ** k)
 
 
@@ -170,9 +195,13 @@ def summand(i: int, n: int, k: int, p: int) -> int:
 
 def brute_sum(i: int, n: int, k: int) -> int:
     """``f(i, n, k) = sum_p F(i, n, k; p)`` by direct enumeration."""
-    lo = min(i, 0)
-    hi = max(n, 0)
-    return sum(summand(i, n, k, p) for p in range(lo, hi + 1))
+    if i < 0:
+        return sum(summand(i, n, k, p) for p in range(i, max(n, 0) + 1))
+    if not i <= n <= k:
+        return 0  # every summand vanishes
+    # On i <= p <= n <= k every binomial argument is in range.
+    return sum(math.comb(k + i, p + i) * math.comb(k - i, p - i) * math.comb(k - p, n - p)
+               for p in range(i, n + 1))
 
 
 def _require_ordered(i: int, n: int, k: int) -> None:
@@ -189,10 +218,8 @@ def check_binomial_identity(i: int, n: int, k: int) -> bool:
     """
     _require_ordered(i, n, k)
     single = brute_sum(i, n, k) == math.comb(2 * n, n + i) * math.comb(k + n, 2 * n)
-    double_lhs = 0
-    for p in range(i, n + 1):
-        for q in range(n, k + 1):
-            double_lhs += comb0(q + i, p + i) * comb0(q - i, p - i) * comb0(q - p, n - p)
+    double_lhs = sum(math.comb(m + i, p + i) * math.comb(m - i, p - i) * math.comb(m - p, n - p)
+                     for p in range(i, n + 1) for m in range(n, k + 1))
     double = double_lhs == math.comb(2 * n, n + i) * math.comb(n + k + 1, 2 * n + 1)
     return single and double
 

@@ -4,14 +4,16 @@ These are the plain ``fractions.Fraction`` loops that the package's exact
 march, local-error table, convolution reconstruction, round-off bound checks,
 closed form, Jacobi form and energy half steps used before they were
 rewritten in scaled integers.  They are kept verbatim as test oracles: every
-Fraction the package returns must equal the one computed here.
+Fraction the package returns must equal the one computed here.  The integer
+sums at the end are the explicit forms that the Jacobi recurrence and the
+direct binomial sums replaced, kept the same way.
 """
 
 import math
 from fractions import Fraction
 
 from wavecheck.errors import ParameterError
-from wavecheck.fundamental import FundamentalTable
+from wavecheck.fundamental import FundamentalTable, summand
 from wavecheck.grid import Grid, apply_Ah, dot_dx
 from wavecheck.problem import antisym_index
 from wavecheck.roundoff import GLOBAL_BOUND_SCALE, NORM_SCALE, GlobalBoundReport
@@ -203,3 +205,19 @@ def half_step(run, k: int) -> tuple:
     kinetic = dot_dx(v, v, g)
     potential = dot_dx(apply_Ah(run.problem.c, g, pk), pk1, g)
     return kinetic, kinetic / 2 + potential / 2
+
+
+def lambda_via_jacobi_sum(a: Fraction, i: int, k: int) -> Fraction:
+    """``lambda_via_jacobi`` with each ``q**n P_n^(2|i|,0)(1 - 2a)`` as its binomial sum."""
+    p, q = a.numerator, a.denominator
+    ai = abs(i)
+    total = 0
+    for n in range(k - ai + 1):  # (x + 1)/2 = (q - p)/q and (x - 1)/2 = -p/q
+        total = total * q + sum(math.comb(n + 2 * ai, j) * math.comb(n, j)
+                                * (q - p) ** j * (-p) ** (n - j) for j in range(n + 1))
+    return Fraction(p ** ai * total, q ** k)
+
+
+def brute_sum(i: int, n: int, k: int) -> int:
+    """``sum_p F(i, n, k; p)`` over ``min(i, 0) <= p <= max(n, 0)``, any indices."""
+    return sum(summand(i, n, k, p) for p in range(min(i, 0), max(n, 0) + 1))

@@ -19,6 +19,7 @@ from fraction_reference import check_global_bound as ref_check_global_bound
 from fraction_reference import half_step as ref_half_step
 from fraction_reference import lambda_closed_form as ref_lambda_closed_form
 from fraction_reference import lambda_via_jacobi as ref_lambda_via_jacobi
+from fraction_reference import lambda_via_jacobi_sum as ref_lambda_via_jacobi_sum
 from fraction_reference import max_abs_delta as ref_max_abs_delta
 from fraction_reference import reconstruct_global_error as ref_reconstruct
 from wavecheck import (
@@ -38,6 +39,7 @@ from wavecheck import (
 )
 from wavecheck.errors import DomainError
 from wavecheck.problem import Polynomial, antisym_extension, antisym_index
+from wavecheck.report import A_VALUES, ClaimConfig
 from wavecheck.roundoff import _difference_column, _local_error_table, max_abs_delta
 
 #: First-datum scales s of u0 = s x (1 - x), as in the benchmark's seeds.
@@ -241,6 +243,15 @@ def test_closed_form_equals_reference(a, k, data):
 def test_lambda_via_jacobi_equals_reference(a, k):
     for i in range(-k, k + 1):
         assert lambda_via_jacobi(a, i, k) == ref_lambda_via_jacobi(a, i, k)
+
+
+@pytest.mark.parametrize("a", (*A_VALUES, Fr(1, 97), Fr(96, 97), Fr(7, 13)), ids=str)
+def test_lambda_via_jacobi_equals_explicit_sum_on_the_default_triangle(a):
+    # The claim's whole K = 40 triangle, far past the property's k <= 14.
+    K = ClaimConfig().closed_form_kmax
+    for k in range(K + 1):
+        for i in range(-k, k + 1):
+            assert lambda_via_jacobi(a, i, k) == ref_lambda_via_jacobi_sum(a, i, k), (i, k)
 
 
 @given(st.data())

@@ -4,18 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_reference import brute_sum as ref_brute_sum
 from wavecheck import (
     ParameterError,
     build_table,
     check_binomial_identity,
     check_certificate,
     check_zeilberger_recurrences,
+    fundamental,
     lambda_closed_form,
     lambda_via_jacobi,
     row_sum,
 )
-from wavecheck.errors import DomainError
-from wavecheck.fundamental import brute_sum
+from wavecheck.errors import DomainError, NumericDomainError
+from wavecheck.fundamental import _jacobi_step, brute_sum
+from wavecheck.report import ClaimConfig, run_claims
 
 
 def test_initial_rows():
@@ -108,6 +111,27 @@ def test_jacobi_form_light_cone_edge():
         lambda_via_jacobi(a, 9, 8)
 
 
+def test_jacobi_step_with_a_remainder_raises_and_the_claim_is_errored(monkeypatch):
+    # a = 1/3, alpha = 2: Q_0 = 1, Q_1 = 3q - 4p = 5 and Q_2 = 9; one more in
+    # Q_1 leaves 180 / 64 in the step's division.
+    assert _jacobi_step(2, 2, 1, 3, 5, 1) == 9
+    with pytest.raises(NumericDomainError, match="not an integer"):
+        _jacobi_step(2, 2, 1, 3, 6, 1)
+
+    step = fundamental._jacobi_step
+
+    def off_by_one(n, alpha, p, q, old, older):
+        # One more in the Legendre Q_2 leaves 240 / 72 at a = 1/4.
+        return step(n, alpha, p, q, old + (n == 3 and alpha == 0), older)
+
+    monkeypatch.setattr(fundamental, "_jacobi_step", off_by_one)
+    (result,) = [r for r in run_claims(ClaimConfig(closed_form_kmax=4),
+                                       only=["closed-form-equivalence"]).results
+                 if r.claim_id == "closed-form-equivalence"]
+    assert result.status == "errored"
+    assert result.evidence["raised_in"] == "wavecheck.fundamental._jacobi_step"
+
+
 def test_legendre_partial_sum_oracle():
     # Independent Legendre values from the three-term recurrence
     # (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}.
@@ -143,6 +167,14 @@ def test_zeilberger_diagonal_annihilation():
         for k in range(n, n + 4):
             assert brute_sum(n + 1, n, k) == 0
             assert check_zeilberger_recurrences(n, n, k)
+
+
+def test_brute_sum_equals_summand_oracle_off_the_ordered_region():
+    # The box holds negative i, i > n, n > k and k = -1.
+    for k in range(-1, 16):
+        for n in range(-2, k + 3):
+            for i in range(-4, n + 4):
+                assert brute_sum(i, n, k) == ref_brute_sum(i, n, k), (i, n, k)
 
 
 def test_zeilberger_k_shift_base_case():
