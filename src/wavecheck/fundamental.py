@@ -195,13 +195,12 @@ def summand(i: int, n: int, k: int, p: int) -> int:
 
 def brute_sum(i: int, n: int, k: int) -> int:
     """``f(i, n, k) = sum_p F(i, n, k; p)`` by direct enumeration."""
-    if i < 0:
-        return sum(summand(i, n, k, p) for p in range(i, max(n, 0) + 1))
-    if not i <= n <= k:
+    ai = abs(i)
+    if not ai <= n <= k:
         return 0  # every summand vanishes
-    # On i <= p <= n <= k every binomial argument is in range.
+    # F is nonzero only on |i| <= p <= n <= k, where every binomial argument is in range.
     return sum(math.comb(k + i, p + i) * math.comb(k - i, p - i) * math.comb(k - p, n - p)
-               for p in range(i, n + 1))
+               for p in range(ai, n + 1))
 
 
 def _require_ordered(i: int, n: int, k: int) -> None:
@@ -218,8 +217,7 @@ def check_binomial_identity(i: int, n: int, k: int) -> bool:
     """
     _require_ordered(i, n, k)
     single = brute_sum(i, n, k) == math.comb(2 * n, n + i) * math.comb(k + n, 2 * n)
-    double_lhs = sum(math.comb(m + i, p + i) * math.comb(m - i, p - i) * math.comb(m - p, n - p)
-                     for p in range(i, n + 1) for m in range(n, k + 1))
+    double_lhs = sum(brute_sum(i, n, m) for m in range(n, k + 1))
     double = double_lhs == math.comb(2 * n, n + i) * math.comb(n + k + 1, 2 * n + 1)
     return single and double
 
