@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .energy import stability_constants
 from .errors import DomainError, ParameterError
 from .grid import Grid, apply_Ah, build_grid, check_count, norm_dx
-from .problem import AnalyticSolution, CallableSpace, WaveProblem
+from .problem import AnalyticSolution, WaveProblem
 from .roundoff import NORM_SCALE
 from .scalars import BINARY64, to_fraction, zero
 from .scheme import DEFAULT_XI, SchemeRun, courant_number, solve
@@ -27,8 +27,8 @@ def problem_for(ref: AnalyticSolution) -> WaveProblem:
         return ref.as_problem()
     return WaveProblem(
         c=ref.c,
-        u0=CallableSpace(lambda x: ref.value(x, 0.0)),
-        u1=CallableSpace(lambda x: ref.partial(0, 1, x, 0.0)),
+        u0=lambda x: ref.value(x, 0.0),
+        u1=lambda x: ref.partial(0, 1, x, 0.0),
         s=None,
     )
 

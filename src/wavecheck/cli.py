@@ -2,10 +2,11 @@
 
 Subcommands mirror the library surface: ``solve``, ``order``, ``energy``,
 ``roundoff``, ``fundamental``, ``bound``, and ``report`` (the full claims
-catalog; exit status 1 if any claim is violated or errored).  Outputs are
-deterministic: identical configuration gives byte-identical CSV/JSON.
-Rationals serialize as ``p/q`` strings; binary64 values carry a lossless hex
-literal next to the decimal form.
+catalog).  ``energy``, ``roundoff``, ``fundamental``, ``bound`` and ``report``
+exit 1 when a check they write fails; every subcommand exits 2 on a usage
+error.  Outputs are deterministic: identical configuration gives
+byte-identical CSV/JSON.  Rationals serialize as ``p/q`` strings; binary64
+values carry a lossless hex literal next to the decimal form.
 """
 
 from __future__ import annotations
@@ -205,9 +206,12 @@ def apply_config_file(argv: list[str]) -> list[str]:
         raise ParameterError("--config needs a file path")
     path = Path(argv[idx + 1])
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParameterError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"cannot read config file {path}: not UTF-8 "
+                             f"(byte {exc.start})") from exc
     tokens = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -325,6 +329,7 @@ def cmd_energy(args) -> int:
     estimate = energy.check_energy_estimate(run, series, args.xi)
     drift = series.drift()
     nonnegative = series.all_nonnegative()
+    lower_bound_holds = all(v >= 0 for v in gaps)
     args.out.mkdir(parents=True, exist_ok=True)
     lines = ["k,energy"]
     if g.kind == EXACT:
@@ -340,13 +345,14 @@ def cmd_energy(args) -> int:
         "drift_is_zero": drift == 0,
         "nonnegative": nonnegative,
         "lower_bound_min_gap": scalar_json(min(gaps)) if gaps else None,
-        "lower_bound_holds": all(v >= 0 for v in gaps),
+        "lower_bound_holds": lower_bound_holds,
         "estimate_holds": estimate.ok,
         "estimate_violations": estimate.violations,
     })
     print(f"energy: drift={float(drift)} nonneg={nonnegative} "
           f"estimate={'ok' if estimate.ok else 'VIOLATED'}")
-    return 0
+    # Drift is not a check: it is nonzero for binary64 runs and runs with a source.
+    return 0 if nonnegative and lower_bound_holds and estimate.ok else 1
 
 
 def cmd_roundoff(args) -> int:
@@ -381,7 +387,10 @@ def cmd_roundoff(args) -> int:
     write_json(args.out / "roundoff.json", payload)
     print(f"roundoff: max|delta|={float(worst_delta):.3e} "
           f"ratio={bound_rep.max_ratio:.3e} reconstruction={verdict}")
-    return 0 if verdict != "mismatch" else 1
+    passed = (run.a_gap_ok and run.range_violation is None
+              and payload["local_bound_ok"] and bound_rep.ok
+              and bound_rep.norm_level_ok is not False and verdict != "mismatch")
+    return 0 if passed else 1
 
 
 def cmd_fundamental(args) -> int:

@@ -100,7 +100,6 @@ class EnergyEstimateReport:
     ok: bool
     violations: list
     min_slack: Optional[float]
-    checked: int
 
 
 def check_energy_estimate(run: SchemeRun, series: EnergySeries,
@@ -133,7 +132,7 @@ def check_energy_estimate(run: SchemeRun, series: EnergySeries,
             if not certified_sqrt_leq(series.values[k], terms):
                 violations.append(k)
         return EnergyEstimateReport(ok=not violations, violations=violations,
-                                    min_slack=None, checked=g.k_max)
+                                    min_slack=None)
 
     c1, c2 = stability_constants(xi, max(float(e0), 0.0))
     acc = 0.0
@@ -148,4 +147,4 @@ def check_energy_estimate(run: SchemeRun, series: EnergySeries,
         if slack < -1e-12 * max(1.0, rhs):
             violations.append(k)
     return EnergyEstimateReport(ok=not violations, violations=violations,
-                                min_slack=min_slack, checked=g.k_max)
+                                min_slack=min_slack)

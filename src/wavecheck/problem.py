@@ -1,10 +1,13 @@
 """Problem statement and analytic oracles.
 
 A :class:`WaveProblem` bundles the propagation velocity, the two Cauchy data
-and an optional source.  Cauchy data are given either as
-:class:`SpaceFunction` objects (evaluable in both scalar kinds when
-possible) or as pre-sampled vectors.  Analytic solutions are standalone
-oracles that the analysis layers compare runs against.
+and an optional source.  A Cauchy datum is a function of x, a pre-sampled
+vector or ``None``.  A function is called at the grid's nodes, Fractions on
+an exact grid, and an exact run takes only int or Fraction values: a
+:class:`Polynomial` or ``lambda x: x * (1 - x)`` runs in both scalar kinds,
+a sine in binary64 only.  A vector entry is taken at its exact value, so a
+float ``0.1`` is the binary64 number nearest 1/10.  Analytic solutions are
+standalone oracles that the analysis layers compare runs against.
 
 The antisymmetric extension implements image theory: folding any real
 coordinate (or any integer index) back into the base interval through
@@ -19,72 +22,35 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import ParameterError, UnsupportedFeatureError
-from .scalars import BINARY64, EXACT, convert, to_fraction
+from .scalars import BINARY64, EXACT, convert, is_rational, to_fraction
 
 
-class SpaceFunction:
-    """A function of one space variable evaluable per scalar kind."""
-
-    def float_eval(self, x: float) -> float:
-        raise NotImplementedError
-
-    def exact_eval(self, x: Fraction) -> Fraction:
-        raise UnsupportedFeatureError(
-            f"{type(self).__name__} has no exact rational evaluation"
-        )
-
-    @property
-    def exactly_evaluable(self) -> bool:
-        return False
-
-    def __call__(self, x):
-        if isinstance(x, Fraction):
-            return self.exact_eval(x)
-        return self.float_eval(float(x))
-
-
-class Polynomial(SpaceFunction):
+class Polynomial:
     """Polynomial with rational coefficients, lowest degree first.
 
-    Float evaluation is Horner's rule with one rounding per step, which for
-    ``x*(1-x)`` (coefficients ``(0, 1, -1)``) reproduces the reference
-    initialization ``x*(1.-x)`` bit for bit.
+    A :class:`~fractions.Fraction` argument is evaluated exactly on the
+    rational coefficients; any other argument goes through ``float`` and
+    Horner's rule on the coefficients rounded once to binary64, one rounding
+    per step, which for ``x*(1-x)`` (coefficients ``(0, 1, -1)``) reproduces
+    the reference initialization ``x*(1.-x)`` bit for bit.
     """
 
     def __init__(self, coeffs: Sequence):
-        self.coeffs = tuple(to_fraction(c) for c in coeffs)
-        if not self.coeffs:
-            self.coeffs = (Fraction(0),)
+        self.coeffs = tuple(to_fraction(c) for c in coeffs) or (Fraction(0),)
         self._float_coeffs = tuple(float(c) for c in self.coeffs)
 
-    def float_eval(self, x: float) -> float:
-        acc = self._float_coeffs[-1]
-        for c in reversed(self._float_coeffs[:-1]):
+    def __call__(self, x):
+        if isinstance(x, Fraction):
+            coeffs = self.coeffs
+        else:
+            coeffs, x = self._float_coeffs, float(x)
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
             acc = acc * x + c
         return acc
 
-    def exact_eval(self, x: Fraction) -> Fraction:
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
 
-    @property
-    def exactly_evaluable(self) -> bool:
-        return True
-
-
-class CallableSpace(SpaceFunction):
-    """Wrap an arbitrary float-valued function of x."""
-
-    def __init__(self, fn: Callable[[float], float]):
-        self.fn = fn
-
-    def float_eval(self, x: float) -> float:
-        return self.fn(x)
-
-
-SpaceData = Union[SpaceFunction, Sequence, None]
+SpaceData = Union[Callable, Sequence, None]
 
 
 @dataclass
@@ -208,7 +174,7 @@ class StandingWave(AnalyticSolution):
         """Wave problem wired for the scheme: sampled u0, u1 and source zero."""
         return WaveProblem(
             c=self.c,
-            u0=CallableSpace(lambda x: math.sin(self.w * x)),
+            u0=lambda x: math.sin(self.w * x),
             u1=None,
             s=None,
         )
@@ -270,8 +236,8 @@ def antisym_extension(values: Sequence, lo: int, hi: int) -> list:
 def antisym_value(p0, x_min, x_max, x):
     """Value of the antisymmetric extension of ``p0`` at any coordinate.
 
-    Works in either scalar kind: with rational inputs and an exactly
-    evaluable ``p0`` the folding stays in rational arithmetic.
+    Works in either scalar kind: with rational inputs and a ``p0`` that maps
+    rationals to rationals the folding stays in rational arithmetic.
     """
     span = x_max - x_min
     u = (x - x_min) % (2 * span)
@@ -286,19 +252,18 @@ class DalembertSolution(AnalyticSolution):
     ``value(x, t) = (p~0(x + c t) + p~0(x - c t)) / 2`` where ``p~0`` is the
     antisymmetric extension of the first Cauchy datum.  Only the value is
     available; derivatives would need the datum's derivatives.
+
+    A datum with rational values at rational points must vanish exactly at
+    both ends, any other to within 1e-9.
     """
 
-    def __init__(self, p0: SpaceFunction, c):
-        if isinstance(p0, SpaceFunction) and p0.exactly_evaluable:
-            lo = p0.exact_eval(to_fraction(self.x_min))
-            hi = p0.exact_eval(to_fraction(self.x_max))
-            if lo != 0 or hi != 0:
-                raise ParameterError(
-                    f"initial shape must vanish at the boundary, got {lo}, {hi}"
-                )
-        else:
-            if abs(p0(self.x_min)) > 1e-9 or abs(p0(self.x_max)) > 1e-9:
-                raise ParameterError("initial shape must vanish at the boundary")
+    def __init__(self, p0: Callable, c):
+        lo, hi = (p0(to_fraction(x)) for x in (self.x_min, self.x_max))
+        tol = 0 if is_rational(lo) and is_rational(hi) else 1e-9
+        if abs(lo) > tol or abs(hi) > tol:
+            raise ParameterError(
+                f"initial shape must vanish at the boundary, got {lo}, {hi}"
+            )
         self.p0 = p0
         self.c = c
 
@@ -309,16 +274,16 @@ class DalembertSolution(AnalyticSolution):
 
     def value(self, x, t):
         kind = EXACT if isinstance(x, Fraction) or isinstance(t, Fraction) else BINARY64
-        if kind == EXACT and not (isinstance(self.p0, SpaceFunction)
-                                  and self.p0.exactly_evaluable):
-            raise UnsupportedFeatureError(
-                "exact evaluation needs an exactly evaluable initial shape"
-            )
         x, t, c, x_min, x_max = (convert(v, kind)
                                  for v in (x, t, self.c, self.x_min, self.x_max))
         left = antisym_value(self.p0, x_min, x_max, x + c * t)
         right = antisym_value(self.p0, x_min, x_max, x - c * t)
-        return (left + right) / 2
+        if kind == EXACT and not (is_rational(left) and is_rational(right)):
+            raise UnsupportedFeatureError(
+                "exact evaluation needs an initial shape with rational values "
+                "at rational points"
+            )
+        return (left + right) / convert(2, kind)
 
 
 def dalembert_zero_velocity(p0, c, p1=None) -> DalembertSolution:
@@ -331,8 +296,6 @@ def dalembert_zero_velocity(p0, c, p1=None) -> DalembertSolution:
         raise UnsupportedFeatureError(
             "nonzero initial velocity requires quadrature; only p1 = 0 is supported"
         )
-    if callable(p0) and not isinstance(p0, SpaceFunction):
-        p0 = CallableSpace(p0)
     return DalembertSolution(p0, c)
 
 

@@ -43,7 +43,7 @@ from typing import Optional
 from .errors import ParameterError, UnsupportedFeatureError
 from .fundamental import FundamentalTable, three_term
 from .grid import Grid
-from .problem import SpaceFunction, WaveProblem, antisym_extension
+from .problem import WaveProblem, antisym_extension
 from .scalars import BINARY64, EXACT, common_column, to_fraction
 from .scheme import DEFAULT_XI, SchemeRun, solve
 
@@ -149,20 +149,16 @@ def shadow_solve(p: WaveProblem, g: Grid, xi: float = DEFAULT_XI) -> ShadowRun:
     """Run both scalar kinds and measure the error tables.
 
     Requires zero second datum and zero source (the program's assumptions)
-    and a first datum with an exact rational evaluation, so that the exact
-    run is the true real-arithmetic solution.
+    and a first datum with rational values at the rational nodes, so that the
+    exact run is the true real-arithmetic solution.  The exact run goes
+    first, so sampling refuses any other datum before either march starts.
     """
     if p.u1 is not None or p.s is not None:
         raise UnsupportedFeatureError(
             "shadow runs assume u1 = 0 and s = 0, as the reference program does"
         )
-    if isinstance(p.u0, SpaceFunction) and not p.u0.exactly_evaluable:
-        raise UnsupportedFeatureError(
-            "shadow runs need a first datum evaluable in exact rationals "
-            "(e.g. a polynomial)"
-        )
-    float_run = solve(p, g, kind=BINARY64, xi=xi)
     exact_run = solve(p, g, kind=EXACT, xi=xi)
+    float_run = solve(p, g, kind=BINARY64, xi=xi)
     a_exact = exact_run.a
     a_float = float_run.a
     a_gap_ok = abs(to_fraction(a_float) - a_exact) <= A_GAP

@@ -48,6 +48,11 @@ def to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def is_rational(x) -> bool:
+    """Whether ``x`` is a value an exact run takes as it is: an int or a Fraction."""
+    return isinstance(x, (int, Fraction))
+
+
 def convert(x, kind: str) -> Scalar:
     """Coerce ``x`` into the requested scalar kind."""
     if kind == BINARY64:

@@ -33,11 +33,12 @@ from .errors import (
     NonFiniteError,
     ParameterError,
     ShapeError,
+    UnsupportedFeatureError,
 )
 from .fundamental import three_term
 from .grid import Grid, build_grid, check_vector
-from .problem import SpaceFunction, WaveProblem
-from .scalars import BINARY64, Scalar, convert, to_fraction, zero
+from .problem import WaveProblem
+from .scalars import BINARY64, EXACT, Scalar, convert, is_rational, to_fraction, zero
 
 #: Default Courant margin; the reference program is specified down to this value.
 DEFAULT_XI = 2.0 ** -50
@@ -104,12 +105,19 @@ class SchemeRun:
 
 
 def _sample_space(data, g: Grid, what: str) -> list:
-    """Sample a Cauchy datum on the grid with zero boundary entries."""
+    """Sample a Cauchy datum on the grid with zero boundary entries.
+
+    An exact grid takes a function's values only if they are ints or Fractions.
+    """
     z = zero(g.kind)
     if data is None:
         return [z] * (g.i_max + 1)
-    if isinstance(data, SpaceFunction):
-        return [z] + [convert(data(g.x(i)), g.kind) for i in range(1, g.i_max)] + [z]
+    if callable(data):
+        values = [data(g.x(i)) for i in range(1, g.i_max)]
+        if g.kind == EXACT and not all(map(is_rational, values)):
+            raise UnsupportedFeatureError(
+                f"{what} has a value at a rational node that is not an int or a Fraction")
+        return [z, *(convert(v, g.kind) for v in values), z]
     check_vector(data, g)
     if data[0] != 0 or data[g.i_max] != 0:
         raise ParameterError(f"sampled {what} must vanish on the boundary")

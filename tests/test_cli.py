@@ -90,6 +90,34 @@ def test_roundoff_small_grid_exact_reconstruction(tmp_path):
     assert data["global_max_ratio"] < 1
 
 
+@pytest.mark.parametrize("name,value,key", [
+    ("LOCAL_BOUND", Fraction(-1), "local_bound_ok"),
+    ("GLOBAL_BOUND_SCALE", Fraction(1, 2 ** 200), "global_bound_ok"),
+], ids=["local-bound", "global-bound"])
+def test_roundoff_exits_1_when_a_bound_check_fails(tmp_path, monkeypatch, name, value, key):
+    from wavecheck import roundoff
+
+    monkeypatch.setattr(roundoff, name, value)
+    assert main(["roundoff", "--imax", "10", "--kmax", "20", "--no-reconstruction",
+                 "--out", str(tmp_path)]) == 1
+    assert read_json(tmp_path / "roundoff.json")[key] is False
+
+
+@pytest.mark.parametrize("name,fake,scalar,key", [
+    ("energy_lower_bound_gap", lambda series, cn, k: Fraction(-1), "exact",
+     "lower_bound_holds"),
+    ("stability_constants", lambda xi, e_half: (0.0, 0.0), "binary64",
+     "estimate_holds"),
+], ids=["lower-bound", "estimate"])
+def test_energy_exits_1_when_a_check_fails(tmp_path, monkeypatch, name, fake, scalar, key):
+    from wavecheck import energy
+
+    monkeypatch.setattr(energy, name, fake)
+    assert main(["energy", "--imax", "12", "--kmax", "12", "--tmax", "1/2",
+                 "--scalar", scalar, "--out", str(tmp_path)]) == 1
+    assert read_json(tmp_path / "energy.json")[key] is False
+
+
 def test_fundamental_quick_sweep(tmp_path):
     assert main(["fundamental", "--depth", "8", "--range", "8",
                  "--certificates", "50", "--out", str(tmp_path)]) == 0
@@ -483,6 +511,13 @@ def test_malformed_config_exits_2(tmp_path, capsys, before):
 
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "absent.cfg"), "solve"]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"imax=\xff\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "cannot read config file" in capsys.readouterr().err
 
 

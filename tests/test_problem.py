@@ -137,14 +137,14 @@ def test_antisym_value_left_reflection():
     p0 = Polynomial((0, 1, -1))
     for xp in (Fr(1, 5), Fr(2, 3), Fr(7, 8)):
         x = 2 * Fr(0) - xp
-        assert antisym_value(p0.exact_eval, Fr(0), Fr(1), x) == -p0.exact_eval(xp)
+        assert antisym_value(p0, Fr(0), Fr(1), x) == -p0(xp)
 
 
 def test_antisym_value_odd_about_left_endpoint():
     p0 = Polynomial((0, 1, -1))
     for h in (Fr(1, 7), Fr(3, 10)):
-        left = antisym_value(p0.exact_eval, Fr(0), Fr(1), Fr(0) - h)
-        right = antisym_value(p0.exact_eval, Fr(0), Fr(1), Fr(0) + h)
+        left = antisym_value(p0, Fr(0), Fr(1), Fr(0) - h)
+        right = antisym_value(p0, Fr(0), Fr(1), Fr(0) + h)
         assert left == -right
 
 
@@ -183,20 +183,20 @@ def test_dalembert_rejects_nonvanishing_datum():
         dalembert_zero_velocity(Polynomial((1, 1)), 1)
 
 
-def test_polynomial_float_eval_matches_reference_expression():
+def test_polynomial_float_call_matches_reference_expression():
     u0 = Polynomial((0, 1, -1))
     rng = random.Random(9)
     for _ in range(100):
         x = rng.uniform(0, 1)
-        assert u0.float_eval(x) == x * (1.0 - x)
+        assert u0(x) == x * (1.0 - x)
 
 
 def test_default_problem_shape():
     prob = default_problem()
     assert prob.u1 is None and prob.s is None
-    assert prob.u0.exact_eval(Fr(0)) == 0
-    assert prob.u0.exact_eval(Fr(1)) == 0
-    assert prob.u0.exact_eval(Fr(1, 2)) == Fr(1, 4)
+    assert prob.u0(Fr(0)) == 0
+    assert prob.u0(Fr(1)) == 0
+    assert prob.u0(Fr(1, 2)) == Fr(1, 4)
 
 
 def test_dalembert_matches_higher_mode():
@@ -247,3 +247,43 @@ def test_generic_sample_equals_per_node_value(g, c):
         assert [float_bits(col) for col in cols] == [float_bits(col) for col in expected]
     else:
         assert cols == expected
+
+
+RATIONALS = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
+
+
+def horner(coeffs, x):
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+@given(st.lists(RATIONALS, min_size=1, max_size=6),
+       st.floats(min_value=0, max_value=1), RATIONALS)
+def test_polynomial_call_is_horner_in_the_kind_of_its_argument(coeffs, x, q):
+    poly = Polynomial(coeffs)
+    value = poly(x)
+    assert type(value) is float
+    # hex() tells -0.0 from 0.0.
+    assert value.hex() == horner([float(c) for c in coeffs], x).hex()
+    exact = poly(q)
+    assert type(exact) is Fr and exact == horner(coeffs, q)
+
+
+def test_dalembert_exactness_is_read_off_the_datum_values():
+    sol = dalembert_zero_velocity(lambda x: x * (1 - x), 1)
+    poly = dalembert_zero_velocity(Polynomial((0, 1, -1)), 1)
+    for x, t in ((Fr(1, 3), Fr(1, 4)), (Fr(5, 8), Fr(7, 3))):
+        assert sol.value(x, t) == poly.value(x, t)
+        assert type(sol.value(x, t)) is Fr
+    # A rational datum must vanish exactly at the ends, not to within 1e-9.
+    with pytest.raises(ParameterError):
+        dalembert_zero_velocity(lambda x: x * (1 - x) + Fr(1, 10 ** 12), 1)
+
+
+def test_exact_dalembert_value_refuses_a_float_valued_datum():
+    sol = dalembert_zero_velocity(lambda x: math.sin(math.pi * x), 1)
+    assert type(sol.value(0.25, 0.5)) is float
+    with pytest.raises(UnsupportedFeatureError):
+        sol.value(Fr(1, 4), Fr(1, 2))

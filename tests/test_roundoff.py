@@ -18,9 +18,12 @@ from wavecheck import (
     default_problem,
     local_errors,
     reconstruct_global_error,
+    scheme,
     shadow_solve,
+    solve,
 )
-from wavecheck.problem import CallableSpace, Polynomial
+from wavecheck.problem import Polynomial
+from wavecheck.scalars import EXACT
 from wavecheck.roundoff import A_GAP, GLOBAL_BOUND_SCALE, LOCAL_BOUND, max_abs_delta
 
 
@@ -57,8 +60,8 @@ def test_delta0_row_matches_independent_rounding(shadow_10x20):
     u0 = Polynomial((0, 1, -1))
     dx_float = (1.0 - 0.0) / 10
     for i in range(1, 10):
-        computed = u0.float_eval(i * dx_float)
-        expected = u0.exact_eval(g.x(i)) - Fr(computed)
+        computed = u0(i * dx_float)
+        expected = u0(g.x(i)) - Fr(computed)
         assert run.delta[0][i] == expected
 
 
@@ -231,7 +234,7 @@ def test_shadow_rejects_inexact_datum():
     import math
 
     g = build_grid(0, 1, 1, 6, 12)
-    prob = WaveProblem(c=1, u0=CallableSpace(lambda x: math.sin(math.pi * x)))
+    prob = WaveProblem(c=1, u0=lambda x: math.sin(math.pi * x))
     with pytest.raises(UnsupportedFeatureError):
         shadow_solve(prob, g)
 
@@ -245,3 +248,31 @@ def test_shadow_with_sampled_rational_datum():
         assert run.delta[0][i] == u0[i] - Fr(float(u0[i]))
     table = build_table(run.a_exact, 12)
     assert reconstruct_global_error(run.delta, table, 6) == run.global_err
+
+
+def test_rational_lambda_datum_runs_like_the_polynomial(shadow_10x20):
+    # x * (1 - x) on a Fraction is a Fraction and on a float rounds as
+    # Horner's rule does, so a plain function is the same datum as the
+    # default problem's polynomial in both runs.
+    g = shadow_10x20.grid
+    prob = WaveProblem(c=1, u0=lambda x: x * (1 - x))
+    assert solve(prob, g, kind=EXACT).columns == shadow_10x20.exact_run.columns
+    run = shadow_solve(prob, g)
+    assert run.delta == shadow_10x20.delta
+    assert run.global_err == shadow_10x20.global_err
+
+
+def test_float_valued_datum_is_refused_before_any_binary64_march(monkeypatch):
+    import math
+
+    g = build_grid(0, 1, 1, 6, 12)
+    prob = WaveProblem(c=1, u0=lambda x: math.sin(math.pi * x))
+    with pytest.raises(UnsupportedFeatureError):
+        solve(prob, g, kind=EXACT)
+
+    def march(*args):
+        raise AssertionError("the binary64 march ran before the datum was refused")
+
+    monkeypatch.setattr(scheme, "_march_binary64", march)
+    with pytest.raises(UnsupportedFeatureError):
+        shadow_solve(prob, g)
