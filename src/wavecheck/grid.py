@@ -9,13 +9,16 @@ that equivalence.
 Every function here has one code path for both scalar kinds: Python's
 ``+ - * /`` act on floats and Fractions alike, and the binary64 evaluation
 order (left-to-right accumulation, one final ``dx`` scaling) is also a valid
-order for exact arithmetic.  Space-time tables are plain lists of per-step
-columns in either kind, indexed ``columns[k][i]``.
+order for exact arithmetic.  Space-time tables are lists of per-step
+columns, indexed ``columns[k][i]``: the functions here only index, slice,
+zip and iterate a column, so it may be a list in either kind or, as a
+binary64 run stores it, an ``array('d')``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,10 +63,17 @@ def build_grid(x_min, x_max, t_max, i_max: int, k_max: int, kind: str = BINARY64
     """Construct a grid, validating the program preconditions.
 
     Interval counts must be greater than one; the domain must be nonempty.
+    A grid whose ``(i_max+1)(k_max+1)`` nodes need more than ``sys.maxsize``
+    bytes as binary64 values is refused: no machine can hold its table.
     """
     ensure_kind(kind)
     check_count("i_max", i_max)
     check_count("k_max", k_max)
+    nodes = (i_max + 1) * (k_max + 1)
+    if nodes * 8 > sys.maxsize:
+        raise ParameterError(
+            f"i_max = {i_max} and k_max = {k_max} give {nodes} nodes, which need more than "
+            f"{sys.maxsize} bytes at 8 bytes a node")
     x_min = convert(x_min, kind)
     x_max = convert(x_max, kind)
     t_max = convert(t_max, kind)

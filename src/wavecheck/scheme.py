@@ -11,19 +11,23 @@ Each Python expression below mirrors that evaluation order (left to right,
 ``dp`` materialized, no fused multiply-add), so round-off measurements made
 against this solver are measurements of that operation schedule.
 
-Sampling the data, the Courant number and the column storage are one code
-path for both scalar kinds.  Only the march itself is chosen by kind: the
-exact recurrences run without rounding, where the order is immaterial, so
-they run fraction-free, as integers over a common denominator per time step
-(``2*D*q**k`` for ``a = p/q``), with one Fraction built per node.  Their
-stencil is :func:`wavecheck.fundamental.three_term`, the one integer kernel
-the fundamental table and the local-error table also use.
+Sampling the data and the Courant number are one code path for both
+scalar kinds.  Only the march, and with it the column storage, is chosen by
+kind.  The binary64 march stores each column as ``array('d')``, 8 bytes a
+node like the C program's ``double`` field, with every value's exact bits.
+The exact recurrences run without rounding, where the order is immaterial,
+so they run fraction-free, as integers over a common denominator per time
+step (``2*D*q**k`` for ``a = p/q``), and store a list of Fractions per
+column, one built per node.  Their stencil is
+:func:`wavecheck.fundamental.three_term`, the one integer kernel the
+fundamental table and the local-error table also use.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -81,7 +85,9 @@ class SchemeRun:
     """A completed run: its columns plus everything needed to audit it.
 
     ``columns[k][i]`` is ``p_i^k``, in the grid's kind; rows 0 and
-    ``i_max`` are identically zero.
+    ``i_max`` are identically zero.  A binary64 column is an ``array('d')``
+    and an exact one a list of Fractions; ``u0``, ``u1`` and ``source`` are
+    the sampled data as lists.
     """
 
     grid: Grid
@@ -176,37 +182,41 @@ def _march_binary64(g: Grid, a: float, u0, u1, source) -> list:
     ``l, c, r`` are ``p[i-1], p[i], p[i+1]`` of the current column and ``o``
     is ``p[i]`` of the one before, so each node is evaluated in the C
     loop's order: ``dp = (r - 2c) + l``, then ``(2c - o) + a*dp``.
+
+    Each finished column is stored as ``array('d')``, 8 bytes a node as in
+    the C program's ``double`` field, with the exact bits of every value.
+    The two columns the next step reads stay lists, so the comprehensions
+    never unbox a stored value.
     """
     imax = g.i_max
     dt = g.dt
     ha = 0.5 * a
     dt2 = dt * dt
-    prev = list(u0)
-    cols = [prev]
+    prev = u0
+    cols = [array("d", prev)]
 
-    col = [0.0] * (imax + 1)
+    cur = [0.0] * (imax + 1)
     if u1 is None:
-        col[1:imax] = [c + ha * ((r - 2.0 * c) + l)
+        cur[1:imax] = [c + ha * ((r - 2.0 * c) + l)
                        for l, c, r in zip(prev, prev[1:], prev[2:])]
     else:
-        col[1:imax] = [(c + dt * v) + ha * ((r - 2.0 * c) + l)
+        cur[1:imax] = [(c + dt * v) + ha * ((r - 2.0 * c) + l)
                        for l, c, r, v in zip(prev, prev[1:], prev[2:], u1[1:])]
-    _abort_on_nonfinite(col, 1)
-    cols.append(col)
+    _abort_on_nonfinite(cur, 1)
+    cols.append(array("d", cur))
 
     for k in range(1, g.k_max):
-        pk = cols[k]
-        pkm1 = cols[k - 1]
         nxt = [0.0] * (imax + 1)
         if source is None:
             nxt[1:imax] = [(2.0 * c - o) + a * ((r - 2.0 * c) + l)
-                           for l, c, r, o in zip(pk, pk[1:], pk[2:], pkm1[1:])]
+                           for l, c, r, o in zip(cur, cur[1:], cur[2:], prev[1:])]
         else:
             nxt[1:imax] = [((2.0 * c - o) + a * ((r - 2.0 * c) + l)) + dt2 * s
-                           for l, c, r, o, s in zip(pk, pk[1:], pk[2:], pkm1[1:],
+                           for l, c, r, o, s in zip(cur, cur[1:], cur[2:], prev[1:],
                                                     source[k][1:])]
         _abort_on_nonfinite(nxt, k + 1)
-        cols.append(nxt)
+        cols.append(array("d", nxt))
+        prev, cur = cur, nxt
     return cols
 
 

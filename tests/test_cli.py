@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -315,6 +316,25 @@ def test_time_steps_too_small_to_count_name_the_flags_that_produced_them(
         tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert f"{message} (t_max / dt must be finite)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["convergence", "truncation"])
+def test_order_refuses_a_grid_no_machine_can_store_before_any_march(tmp_path, capsys,
+                                                                     monkeypatch, mode):
+    from wavecheck import analysis, scheme
+
+    def refuse(*args):
+        raise AssertionError("a march or truncation table started")
+
+    monkeypatch.setattr(scheme, "_march_binary64", refuse)
+    monkeypatch.setattr(analysis, "truncation_error", refuse)
+    argv = ["order", "--chain", "10,20,40", "--cn", "1e-300", "--mode", mode]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "i_max = 10 and k_max = 9999999999999999335" in err
+    assert " give 1099999999999999926897" in err
+    assert f"nodes, which need more than {sys.maxsize} bytes at 8 bytes a node" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as Fr
 
 import pytest
@@ -35,6 +36,16 @@ def test_build_grid_rejects_empty_domains():
         build_grid(1, 1, 1, 10, 10)
     with pytest.raises(ParameterError):
         build_grid(0, 1, 0, 10, 10)
+
+
+def test_build_grid_refuses_node_tables_beyond_sys_maxsize_bytes():
+    # i_max = 3 gives 4 nodes a column, 32 bytes at 8 bytes a node.
+    k_max = sys.maxsize // 32 - 1
+    assert build_grid(0, 1, 1, 3, k_max).k_max == k_max
+    nodes = 4 * (k_max + 2)
+    message = f"give {nodes} nodes, which need more than {sys.maxsize} bytes"
+    with pytest.raises(ParameterError, match=message):
+        build_grid(0, 1, 1, 3, k_max + 1, "exact")
 
 
 def test_build_grid_exact_rational_steps():

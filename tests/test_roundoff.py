@@ -230,15 +230,6 @@ def test_shadow_rejects_second_datum_and_source():
         shadow_solve(WaveProblem(c=1, u0=u0, s=src), g)
 
 
-def test_shadow_rejects_inexact_datum():
-    import math
-
-    g = build_grid(0, 1, 1, 6, 12)
-    prob = WaveProblem(c=1, u0=lambda x: math.sin(math.pi * x))
-    with pytest.raises(UnsupportedFeatureError):
-        shadow_solve(prob, g)
-
-
 def test_shadow_with_sampled_rational_datum():
     # Data given as rationals: the binary64 run rounds them, delta^0 records it.
     g = build_grid(0, 1, 1, 6, 12)

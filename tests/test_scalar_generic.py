@@ -11,6 +11,7 @@ import ast
 import os
 import subprocess
 import sys
+from array import array
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -288,9 +289,12 @@ def test_importing_the_package_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_field_storage_is_plain_lists():
+def test_field_storage_is_array_d_for_binary64_and_fraction_lists_for_exact():
+    u0 = [0.0, 0.1, 0.2, 0.3, 0.2, 0.1, 0.0]
     g = build_grid(0, 1, 1, 6, 12)
-    run = solve(WaveProblem(c=1, u0=[0.0, 0.1, 0.2, 0.3, 0.2, 0.1, 0.0]), g)
-    assert all(type(col) is list for col in run.columns)
-    assert all(type(v) is float for col in run.columns for v in col)
+    run = solve(WaveProblem(c=1, u0=u0), g)
+    assert all(type(col) is array and col.typecode == "d" for col in run.columns)
     assert run.max_abs() == 0.3
+    exact = solve(WaveProblem(c=1, u0=u0), g, kind="exact")
+    assert all(type(col) is list for col in exact.columns)
+    assert all(type(v) is Fr for col in exact.columns for v in col)

@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from array import array
 from fractions import Fraction as Fr
 
 import pytest
@@ -248,8 +250,25 @@ def test_binary64_march_equals_node_loop_oracle(data, with_u1, with_source):
     u1 = column() if with_u1 else None
     source = [column() for _ in range(k_max + 1)] if with_source else None
     got = scheme._march_binary64(g, a, u0, u1, source)
+    assert all(type(col) is array and col.typecode == "d" for col in got)
     want = march_oracle(g, a, u0, u1, source)
     assert [[v.hex() for v in col] for col in got] == [[v.hex() for v in col] for col in want]
+
+
+def test_binary64_run_retains_at_most_10_bytes_a_node():
+    # A list of boxed floats retains about 32 bytes a node; an array('d')
+    # column holds 8, plus one header per column.
+    g = build_grid(0, 1, 1, 200, 400)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run = solve(default_problem(), g)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nodes = (g.i_max + 1) * (g.k_max + 1)
+    assert len(run.columns) == g.k_max + 1
+    assert retained <= 10 * nodes
 
 
 @pytest.mark.parametrize("col", [
