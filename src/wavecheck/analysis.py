@@ -17,7 +17,7 @@ from .errors import DomainError, ParameterError
 from .grid import Grid, apply_Ah, build_grid, check_count, norm_dx
 from .problem import AnalyticSolution, WaveProblem
 from .roundoff import NORM_SCALE
-from .scalars import BINARY64, to_fraction, zero
+from .scalars import BINARY64, convert, to_fraction, zero
 from .scheme import DEFAULT_XI, SchemeRun, courant_number, solve
 
 
@@ -46,10 +46,15 @@ def truncation_error(ref: AnalyticSolution, g: Grid, c) -> list:
     solution); row 1 uses the second-order initialization operator minus the
     sampled time derivative; later rows apply the full two-step operator.
     Boundary rows are zero by definition.  The samples are read as a stream,
-    keeping only the two columns before the current one.
+    keeping only the two columns before the current one.  After row 1 the
+    space stencil of :func:`apply_Ah` is written out inline, which gives the
+    same bits: ``t + (-(x / y)) == t - x / y`` in both scalar kinds.
     """
     dt = g.dt
     dt2 = dt * dt
+    c = convert(c, g.kind)
+    c2 = c * c
+    dx2 = g.dx * g.dx
     z = zero(g.kind)
     samples = iter(ref.sample(g))
     pkm2, pkm1 = next(samples), next(samples)
@@ -58,9 +63,8 @@ def truncation_error(ref: AnalyticSolution, g: Grid, c) -> list:
                                   apply_Ah(c, g, pkm2)[1:])]
     cols = [[z] * (g.i_max + 1), [z, *row1, z]]
     for pk in samples:
-        row = [(r - 2 * m + l) / dt2 + h
-               for r, m, l, h in zip(pk[1:], pkm1[1:], pkm2[1:],
-                                     apply_Ah(c, g, pkm1)[1:-1])]
+        row = [(r - 2 * m + l) / dt2 - (c2 * ((right - 2 * m) + left)) / dx2
+               for r, l, left, m, right in zip(pk[1:], pkm2[1:], pkm1, pkm1[1:], pkm1[2:])]
         cols.append([z, *row, z])
         pkm2, pkm1 = pkm1, pk
     return cols

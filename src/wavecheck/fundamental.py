@@ -38,10 +38,11 @@ def comb0(m: int, r: int) -> int:
 class FundamentalTable:
     """Triangular table of ``L_i^k`` for ``|i| <= k <= K`` in exact rationals.
 
-    Internally row k is stored as integers scaled by ``q**k`` where
-    ``a = p/q`` in lowest terms; the recurrence then runs in pure integer
-    arithmetic (no gcd per step), and entries materialize as Fractions on
-    access.
+    Internally row k is stored in full, ``i = -k..k``, as integers scaled by
+    ``q**k`` where ``a = p/q`` in lowest terms; the recurrence then runs in
+    pure integer arithmetic (no gcd per step), and entries materialize as
+    Fractions on access.  The accessors read the full rows and assume no
+    symmetry, so a fault planted on one side of a row still shows.
     """
 
     def __init__(self, a: Fraction, K: int, rows: list[list[int]]):
@@ -97,9 +98,12 @@ def three_term(cur: list, old: list, p, t, w) -> list:
 def build_table(a, K: int) -> FundamentalTable:
     """Run the three-term recurrence up to time index K.
 
-    Row k + 1 is the stencil over row k padded with two zeros on each side,
-    minus ``q**2`` times row k - 1 padded the same way; the fictitious row
-    -1 is zero.
+    The initial row is even and the stencil symmetric, so ``L_{-i}^k =
+    L_i^k`` and the recurrence runs on the half row ``i = 0..k`` only.  The
+    half of row k + 1 is the stencil over ``[L_1^k, *half, 0, 0]`` (``L_{-1}^k
+    = L_1^k``, zero at k = 0), minus ``q**2`` times the half of row k - 1
+    padded with two zeros; the fictitious row -1 is zero.  Each full row is
+    the half row mirrored about ``i = 0``.
     """
     a = to_fraction(a)
     if not 0 < a < 1:
@@ -110,11 +114,11 @@ def build_table(a, K: int) -> FundamentalTable:
     two_q_minus_p = 2 * (q - p)
 
     rows: list[list[int]] = [[1]]
-    old = [0, 0, 0]
+    half, old = [1], [0, 0]
     for k in range(K):
-        padded = [0, 0, *rows[k], 0, 0]
-        rows.append(three_term(padded, old, p, two_q_minus_p, q * q))
-        old = padded
+        cur = [half[1] if k else 0, *half, 0, 0]
+        half, old = three_term(cur, old, p, two_q_minus_p, q * q), [*half, 0, 0]
+        rows.append([*half[:0:-1], *half])
     return FundamentalTable(a, K, rows)
 
 
@@ -208,18 +212,26 @@ def _require_ordered(i: int, n: int, k: int) -> None:
         raise DomainError(f"need 0 <= i <= n <= k, got ({i}, {n}, {k})")
 
 
-def check_binomial_identity(i: int, n: int, k: int) -> bool:
-    """Exact equality of the single-sum and double-sum binomial identities.
+def check_binomial_identity(i: int, n: int, k: int) -> list[int]:
+    """Every ``m`` in ``[n, k]`` where a binomial identity fails at ``(i, n, m)``, in order.
 
-    Single sum: ``f(i, n, k) = C(2n, n+i) C(k+n, 2n)``.
-    Double sum (its column summation): the same left side summed over the
-    upper index equals ``C(2n, n+i) C(n+k+1, 2n+1)``.
+    Single sum: ``f(i, n, m) = C(2n, n+i) C(m+n, 2n)``.
+    Double sum (its column summation): ``sum_{l=n..m} f(i, n, l) = C(2n,
+    n+i) C(n+m+1, 2n+1)``.  The check walks the column ``m = n..k`` once,
+    evaluating each ``f(i, n, m)`` once and carrying the double sum along
+    m; an empty list means both identities hold at every ``m``.
     """
     _require_ordered(i, n, k)
-    single = brute_sum(i, n, k) == math.comb(2 * n, n + i) * math.comb(k + n, 2 * n)
-    double_lhs = sum(brute_sum(i, n, m) for m in range(n, k + 1))
-    double = double_lhs == math.comb(2 * n, n + i) * math.comb(n + k + 1, 2 * n + 1)
-    return single and double
+    central = math.comb(2 * n, n + i)
+    failing = []
+    double_lhs = 0
+    for m in range(n, k + 1):
+        f = brute_sum(i, n, m)
+        double_lhs += f
+        if (f != central * math.comb(m + n, 2 * n)
+                or double_lhs != central * math.comb(n + m + 1, 2 * n + 1)):
+            failing.append(m)
+    return failing
 
 
 def check_zeilberger_recurrences(i: int, n: int, k: int) -> bool:

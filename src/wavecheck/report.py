@@ -183,6 +183,18 @@ def identity_failures(check, k_max: int):
                     yield i, n, k
 
 
+def binomial_identity_failures(k_max: int) -> list:
+    """``identity_failures`` for the binomial identities, in the same order.
+
+    :func:`fundamental.check_binomial_identity` walks a whole ``(i, n)``
+    column along k, so each column is checked once, at ``k_max``, and the
+    failing triples are sorted back into ``(k, n, i)`` order.
+    """
+    failures = [(i, n, k) for n in range(k_max + 1) for i in range(n + 1)
+                for k in fundamental.check_binomial_identity(i, n, k_max)]
+    return sorted(failures, key=lambda t: t[::-1])
+
+
 def certificate_samples(rng: random.Random, samples: int, k_max: int):
     """Telescoping-certificate results at random ``0 <= i <= p <= n <= k <= k_max``."""
     for _ in range(samples):
@@ -342,9 +354,9 @@ def claim_nonnegativity(cfg: ClaimConfig):
 
 def claim_binomial_identities(cfg: ClaimConfig):
     kmax = cfg.identity_kmax
-    failure = next(identity_failures(fundamental.check_binomial_identity, kmax), None)
-    if failure is not None:
-        i, n, k = failure
+    failures = binomial_identity_failures(kmax)
+    if failures:
+        i, n, k = failures[0]
         return VIOLATED, {"i": i, "n": n, "k": k}
     return VERIFIED_EXACT, {"k_max": kmax, "triples": triple_count(kmax)}
 

@@ -3,7 +3,8 @@
 These are the plain ``fractions.Fraction`` loops that the package's exact
 march, local-error table, convolution reconstruction, round-off bound checks,
 closed form, Jacobi form and energy half steps used before they were
-rewritten in scaled integers.  They are kept verbatim as test oracles: every
+rewritten in scaled integers, and the full-row table recurrence that the
+half-row one replaced.  They are kept verbatim as test oracles: every
 Fraction the package returns must equal the one computed here.  The integer
 sums at the end are the explicit forms that the Jacobi recurrence and the
 direct binomial sums replaced, kept the same way.
@@ -13,7 +14,7 @@ import math
 from fractions import Fraction
 
 from wavecheck.errors import ParameterError
-from wavecheck.fundamental import FundamentalTable, summand
+from wavecheck.fundamental import FundamentalTable, summand, three_term
 from wavecheck.grid import Grid, apply_Ah, dot_dx
 from wavecheck.problem import antisym_index
 from wavecheck.roundoff import GLOBAL_BOUND_SCALE, NORM_SCALE, GlobalBoundReport
@@ -221,3 +222,17 @@ def lambda_via_jacobi_sum(a: Fraction, i: int, k: int) -> Fraction:
 def brute_sum(i: int, n: int, k: int) -> int:
     """``sum_p F(i, n, k; p)`` over ``min(i, 0) <= p <= max(n, 0)``, any indices."""
     return sum(summand(i, n, k, p) for p in range(min(i, 0), max(n, 0) + 1))
+
+
+def table_rows(a: Fraction, K: int) -> list[list[int]]:
+    """Scaled rows of ``build_table(a, K)`` by the recurrence over every ``i = -k..k``."""
+    p, q = a.numerator, a.denominator
+    two_q_minus_p = 2 * (q - p)
+
+    rows: list[list[int]] = [[1]]
+    old = [0, 0, 0]
+    for k in range(K):
+        padded = [0, 0, *rows[k], 0, 0]
+        rows.append(three_term(padded, old, p, two_q_minus_p, q * q))
+        old = padded
+    return rows

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as Fr
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_reference import brute_sum as ref_brute_sum
+from fraction_reference import table_rows
 from wavecheck import (
     ParameterError,
     build_table,
@@ -16,9 +18,16 @@ from wavecheck import (
     lambda_via_jacobi,
     row_sum,
 )
+from wavecheck.cli import main
 from wavecheck.errors import DomainError, NumericDomainError
 from wavecheck.fundamental import _jacobi_step, brute_sum
-from wavecheck.report import ClaimConfig, run_claims
+from wavecheck.report import (
+    VIOLATED,
+    ClaimConfig,
+    binomial_identity_failures,
+    claim_binomial_identities,
+    run_claims,
+)
 
 
 def test_initial_rows():
@@ -55,6 +64,16 @@ def test_spatial_symmetry_and_light_cone():
         assert t.entry(k + 1, k) == 0
         for i in range(k + 1):
             assert t.entry(i, k) == t.entry(-i, k)
+
+
+@given(
+    st.fractions(min_value=Fr(1, 97), max_value=Fr(96, 97), max_denominator=97),
+    st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=40, deadline=None)
+def test_half_row_table_equals_full_row_oracle(a, K):
+    t = build_table(a, K)
+    assert [t.scaled_row(k) for k in range(K + 1)] == table_rows(a, K)
 
 
 def test_row_totals_second_difference_vanishes():
@@ -146,19 +165,51 @@ def test_legendre_partial_sum_oracle():
 
 
 def test_binomial_identity_base_cases():
-    assert check_binomial_identity(0, 0, 0)
+    assert check_binomial_identity(0, 0, 0) == []
     # (0,1,1): direct enumeration gives 2 on the left, C(2,1) C(2,2) = 2.
     assert brute_sum(0, 1, 1) == 2
-    assert check_binomial_identity(0, 1, 1)
+    assert check_binomial_identity(0, 1, 1) == []
     with pytest.raises(DomainError):
         check_binomial_identity(2, 1, 3)
 
 
 def test_binomial_identity_sweep():
-    for k in range(10):
-        for n in range(k + 1):
-            for i in range(n + 1):
-                assert check_binomial_identity(i, n, k)
+    # Each call walks its (i, n) column over every k in [n, 9].
+    for n in range(10):
+        for i in range(n + 1):
+            assert check_binomial_identity(i, n, 9) == []
+
+
+#: SHA-256 of ``fundamental.json`` with ``f(1, 2, 5)`` off by one, recorded
+#: while each binomial triple was checked on its own, summing its column afresh.
+FAILING_BINOMIAL_SHA256 = "1aa84af3f73558bd1cd7f86fe57289952b403ce021e7a03cbf8bc5af84d0ee6f"
+
+
+def test_a_binomial_fault_is_located_by_the_claim_and_the_subcommand(tmp_path, monkeypatch):
+    exact = fundamental.brute_sum
+
+    def off_by_one(i, n, k):
+        return exact(i, n, k) + ((i, n, k) == (1, 2, 5))
+
+    monkeypatch.setattr(fundamental, "brute_sum", off_by_one)
+    # The single sum fails at k = 5 only; the double sum from k = 5 on.
+    assert check_binomial_identity(1, 2, 8) == [5, 6, 7, 8]
+    assert claim_binomial_identities(ClaimConfig()) == (VIOLATED, {"i": 1, "n": 2, "k": 5})
+    assert main(["fundamental", "--depth", "2", "--range", "8", "--certificates", "0",
+                 "--out", str(tmp_path)]) == 1
+    digest = hashlib.sha256((tmp_path / "fundamental.json").read_bytes()).hexdigest()
+    assert digest == FAILING_BINOMIAL_SHA256
+
+
+def test_binomial_faults_in_two_columns_are_listed_in_k_n_i_order(monkeypatch):
+    exact = fundamental.brute_sum
+
+    def off_by_one(i, n, k):
+        return exact(i, n, k) + ((i, n, k) in {(1, 2, 5), (0, 3, 4)})
+
+    monkeypatch.setattr(fundamental, "brute_sum", off_by_one)
+    assert binomial_identity_failures(6) == [(0, 3, 4), (1, 2, 5), (0, 3, 5),
+                                             (1, 2, 6), (0, 3, 6)]
 
 
 def test_zeilberger_diagonal_annihilation():
