@@ -212,41 +212,27 @@ def _require_ordered(i: int, n: int, k: int) -> None:
         raise DomainError(f"need 0 <= i <= n <= k, got ({i}, {n}, {k})")
 
 
-def check_binomial_identity(i: int, n: int, k: int) -> list[int]:
-    """Every ``m`` in ``[n, k]`` where a binomial identity fails at ``(i, n, m)``, in order.
+def check_binomial_identity(k_max: int) -> list[tuple[int, int, int]]:
+    """Every ordered triple ``(i, n, k)``, ``k <= k_max``, where a binomial identity fails.
 
-    Single sum: ``f(i, n, m) = C(2n, n+i) C(m+n, 2n)``.
-    Double sum (its column summation): ``sum_{l=n..m} f(i, n, l) = C(2n,
-    n+i) C(n+m+1, 2n+1)``.  The check walks the column ``m = n..k`` once,
-    evaluating each ``f(i, n, m)`` once and carrying the double sum along
-    m; an empty list means both identities hold at every ``m``.
+    Single sum: ``f(i, n, k) = C(2n, n+i) C(k+n, 2n)``.
+    Double sum (its column summation): ``sum_{l=n..k} f(i, n, l) = C(2n,
+    n+i) C(n+k+1, 2n+1)``.  The sweep walks each ``(i, n)`` column along k
+    once, evaluating each ``f`` once and carrying the double sum, and sorts
+    the failing triples once into ``(k, n, i)`` order.
     """
-    _require_ordered(i, n, k)
-    central = math.comb(2 * n, n + i)
     failing = []
-    double_lhs = 0
-    for m in range(n, k + 1):
-        f = brute_sum(i, n, m)
-        double_lhs += f
-        if (f != central * math.comb(m + n, 2 * n)
-                or double_lhs != central * math.comb(n + m + 1, 2 * n + 1)):
-            failing.append(m)
-    return failing
-
-
-def check_zeilberger_recurrences(i: int, n: int, k: int) -> bool:
-    """The three first-order shift recurrences of ``f``, checked on brute force.
-
-    ``(n+1+i) f(i+1,n,k) = (n-i) f(i,n,k)``
-    ``(n+1+i)(n+1-i) f(i,n+1,k) = (k+1+n)(k-n) f(i,n,k)``
-    ``(k+1-n) f(i,n,k+1) = (k+1+n) f(i,n,k)``
-    """
-    _require_ordered(i, n, k)
-    f = brute_sum(i, n, k)
-    ok_i = (n + 1 + i) * brute_sum(i + 1, n, k) == (n - i) * f
-    ok_n = (n + 1 + i) * (n + 1 - i) * brute_sum(i, n + 1, k) == (k + 1 + n) * (k - n) * f
-    ok_k = (k + 1 - n) * brute_sum(i, n, k + 1) == (k + 1 + n) * f
-    return ok_i and ok_n and ok_k
+    for n in range(k_max + 1):
+        for i in range(n + 1):
+            central = math.comb(2 * n, n + i)
+            double_lhs = 0
+            for k in range(n, k_max + 1):
+                f = brute_sum(i, n, k)
+                double_lhs += f
+                if (f != central * math.comb(k + n, 2 * n)
+                        or double_lhs != central * math.comb(n + k + 1, 2 * n + 1)):
+                    failing.append((i, n, k))
+    return sorted(failing, key=lambda t: t[::-1])
 
 
 def _rat_i(i: int, n: int, k: int, p: int) -> Fraction:
@@ -261,29 +247,59 @@ def _rat_k(i: int, n: int, k: int, p: int) -> Fraction:
     return Fraction((p + i) * (p - i), k + 1 - p)
 
 
+# Per shift variable: the recurrence ``b0 f + b1 f(shifted by step) = 0``, the
+# certificate ``rat`` and the zero denominators ``bad_dens`` of ``rat``.
 _CERTIFICATE = {
     "i": {
         "b0": lambda i, n, k: n - i,
         "b1": lambda i, n, k: -(n + 1 + i),
         "rat": _rat_i,
-        "shift": lambda i, n, k, p: summand(i + 1, n, k, p),
+        "step": (1, 0, 0),
         "bad_dens": lambda i, n, k, p: ("k - i",) if k == i else (),
     },
     "n": {
         "b0": lambda i, n, k: (k + 1 + n) * (k - n),
         "b1": lambda i, n, k: -(n + 1 + i) * (n + 1 - i),
         "rat": _rat_n,
-        "shift": lambda i, n, k, p: summand(i, n + 1, k, p),
+        "step": (0, 1, 0),
         "bad_dens": lambda i, n, k, p: ("n - p",) if p == n else (),
     },
     "k": {
         "b0": lambda i, n, k: k + 1 + n,
         "b1": lambda i, n, k: -(k + 1 - n),
         "rat": _rat_k,
-        "shift": lambda i, n, k, p: summand(i, n, k + 1, p),
+        "step": (0, 0, 1),
         "bad_dens": lambda i, n, k, p: ("k - p",) if p == k else (),
     },
 }
+
+
+def check_zeilberger_recurrences(k_max: int) -> list[tuple[int, int, int]]:
+    """Every ordered triple ``(i, n, k)``, ``k <= k_max``, where a shift recurrence fails.
+
+    For each shift variable of :data:`_CERTIFICATE` the first-order
+    recurrence ``b0 f(i, n, k) + b1 f((i, n, k) + step) = 0`` is checked on
+    brute force; the triples come in ``(k, n, i)`` order.  Row k holds
+    ``f(i, n, k)`` for ``i <= n+1 <= k+2``, which covers the i- and n-shifts
+    of every ordered triple at k; the k-shift reads row k + 1, which is
+    carried to the next k, so each ``f`` is evaluated once.
+    """
+    def row(k):
+        return [[brute_sum(i, n, k) for i in range(n + 2)] for n in range(k + 2)]
+
+    failing = []
+    rows = [None, row(0)]
+    for k in range(k_max + 1):
+        rows = [rows[1], row(k + 1)]
+        for n in range(k + 1):
+            for i in range(n + 1):
+                for cert in _CERTIFICATE.values():
+                    di, dn, dk = cert["step"]
+                    if (cert["b0"](i, n, k) * rows[0][n][i]
+                            + cert["b1"](i, n, k) * rows[dk][n + dn][i + di]):
+                        failing.append((i, n, k))
+                        break
+    return failing
 
 
 @dataclass
@@ -327,7 +343,9 @@ def check_certificate(i: int, n: int, k: int, p: int) -> CertificateResult:
         if bad:
             results[name] = f"skipped: zero denominator {', '.join(bad)}"
             continue
-        lhs = cert["b0"](i, n, k) + cert["b1"](i, n, k) * Fraction(cert["shift"](i, n, k, p), base)
+        di, dn, dk = cert["step"]
+        shifted = summand(i + di, n + dn, k + dk, p)
+        lhs = cert["b0"](i, n, k) + cert["b1"](i, n, k) * Fraction(shifted, base)
         rat = cert["rat"]
         rhs = rat(i, n, k, p + 1) * Fraction(summand(i, n, k, p + 1), base) - rat(i, n, k, p)
         results[name] = "ok" if lhs == rhs else "violated"

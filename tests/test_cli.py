@@ -164,14 +164,14 @@ def test_fundamental_range_bounds_the_recurrence_sweep(tmp_path, monkeypatch):
     seen = []
     check = fundamental.check_zeilberger_recurrences
 
-    def recording(i, n, k):
-        seen.append(k)
-        return check(i, n, k)
+    def recording(k_max):
+        seen.append(k_max)
+        return check(k_max)
 
     monkeypatch.setattr(fundamental, "check_zeilberger_recurrences", recording)
     assert main(["fundamental", "--depth", "2", "--range", "27", "--certificates", "1",
                  "--out", str(tmp_path)]) == 0
-    assert max(seen) == 27
+    assert seen == [27]
     assert read_json(tmp_path / "fundamental.json")["sweep"] == 27
 
 
@@ -379,6 +379,24 @@ def test_fundamental_counts_violated_certificates_apart_from_skipped(tmp_path, m
     assert (skipped, outcomes.count("violated")) == (46, 18)
     assert data["certificates_skipped"] == skipped
     assert data["certificates_checked"] == outcomes.count("ok") == 90 - 46 - 18
+
+
+def test_a_corrupted_shift_coefficient_fails_the_recurrence_and_the_certificate(
+        tmp_path, monkeypatch):
+    from wavecheck import fundamental
+
+    b1 = fundamental._CERTIFICATE["n"]["b1"]
+    monkeypatch.setitem(fundamental._CERTIFICATE["n"], "b1",
+                        lambda i, n, k: 2 * b1(i, n, k))
+    assert main(["fundamental", "--depth", "2", "--range", "2", "--certificates", "30",
+                 "--out", str(tmp_path)]) == 1
+    failures = read_json(tmp_path / "fundamental.json")["failures"]
+    # The n-recurrence fails wherever f(i, n + 1, k) is nonzero.
+    assert failures[:4] == [["shift-recurrence", "0", "0", "1"],
+                            ["shift-recurrence", "0", "0", "2"],
+                            ["shift-recurrence", "0", "1", "2"],
+                            ["shift-recurrence", "1", "1", "2"]]
+    assert [f[0] for f in failures[4:]] == ["certificate"] * 3
 
 
 @pytest.mark.parametrize("command", ["order", "bound"])
@@ -687,6 +705,10 @@ ARTIFACT_SHA256 = {
         ["fundamental", "--depth", "10", "--range", "10", "--certificates", "80"],
         {"fundamental.json":
          "4217bea2320d9d9eb850206247054dd90ecad1edbed8fd260e2e02ca29b17721"}),
+    "fundamental-readme": (
+        ["fundamental", "--depth", "40", "--range", "30"],
+        {"fundamental.json":
+         "2d248085ef597a132a8dd73e837c72a9176e98868cb455453705bfb9b4c2e7ea"}),
     "bound": (
         ["bound", "--chain", "20,40,80"],
         {"bound.json": "79bfd43a11bf302e1aac6c191952f9259c34ec701a0b6a44d46acc49884adaca"}),

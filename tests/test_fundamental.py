@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_reference
 from fraction_reference import brute_sum as ref_brute_sum
 from fraction_reference import table_rows
 from wavecheck import (
@@ -24,7 +25,6 @@ from wavecheck.fundamental import _jacobi_step, brute_sum
 from wavecheck.report import (
     VIOLATED,
     ClaimConfig,
-    binomial_identity_failures,
     claim_binomial_identities,
     run_claims,
 )
@@ -165,19 +165,16 @@ def test_legendre_partial_sum_oracle():
 
 
 def test_binomial_identity_base_cases():
-    assert check_binomial_identity(0, 0, 0) == []
+    assert check_binomial_identity(0) == []
     # (0,1,1): direct enumeration gives 2 on the left, C(2,1) C(2,2) = 2.
     assert brute_sum(0, 1, 1) == 2
-    assert check_binomial_identity(0, 1, 1) == []
-    with pytest.raises(DomainError):
-        check_binomial_identity(2, 1, 3)
+    assert check_binomial_identity(1) == []
+    assert check_binomial_identity(-1) == []  # no ordered triple to check
 
 
 def test_binomial_identity_sweep():
-    # Each call walks its (i, n) column over every k in [n, 9].
-    for n in range(10):
-        for i in range(n + 1):
-            assert check_binomial_identity(i, n, 9) == []
+    # Every (i, n) column is walked over every k in [n, 9].
+    assert check_binomial_identity(9) == []
 
 
 #: SHA-256 of ``fundamental.json`` with ``f(1, 2, 5)`` off by one, recorded
@@ -193,7 +190,7 @@ def test_a_binomial_fault_is_located_by_the_claim_and_the_subcommand(tmp_path, m
 
     monkeypatch.setattr(fundamental, "brute_sum", off_by_one)
     # The single sum fails at k = 5 only; the double sum from k = 5 on.
-    assert check_binomial_identity(1, 2, 8) == [5, 6, 7, 8]
+    assert check_binomial_identity(8) == [(1, 2, 5), (1, 2, 6), (1, 2, 7), (1, 2, 8)]
     assert claim_binomial_identities(ClaimConfig()) == (VIOLATED, {"i": 1, "n": 2, "k": 5})
     assert main(["fundamental", "--depth", "2", "--range", "8", "--certificates", "0",
                  "--out", str(tmp_path)]) == 1
@@ -208,8 +205,8 @@ def test_binomial_faults_in_two_columns_are_listed_in_k_n_i_order(monkeypatch):
         return exact(i, n, k) + ((i, n, k) in {(1, 2, 5), (0, 3, 4)})
 
     monkeypatch.setattr(fundamental, "brute_sum", off_by_one)
-    assert binomial_identity_failures(6) == [(0, 3, 4), (1, 2, 5), (0, 3, 5),
-                                             (1, 2, 6), (0, 3, 6)]
+    assert check_binomial_identity(6) == [(0, 3, 4), (1, 2, 5), (0, 3, 5),
+                                          (1, 2, 6), (0, 3, 6)]
 
 
 def test_zeilberger_diagonal_annihilation():
@@ -217,7 +214,7 @@ def test_zeilberger_diagonal_annihilation():
     for n in range(5):
         for k in range(n, n + 4):
             assert brute_sum(n + 1, n, k) == 0
-            assert check_zeilberger_recurrences(n, n, k)
+    assert check_zeilberger_recurrences(7) == []
 
 
 def test_brute_sum_equals_summand_oracle_off_the_ordered_region():
@@ -231,14 +228,47 @@ def test_brute_sum_equals_summand_oracle_off_the_ordered_region():
 def test_zeilberger_k_shift_base_case():
     assert brute_sum(0, 0, 0) == 1
     assert brute_sum(0, 0, 1) == 1
-    assert check_zeilberger_recurrences(0, 0, 0)
+    assert check_zeilberger_recurrences(0) == []
 
 
 def test_zeilberger_sweep():
-    for k in range(10):
-        for n in range(k + 1):
-            for i in range(n + 1):
-                assert check_zeilberger_recurrences(i, n, k)
+    assert check_zeilberger_recurrences(9) == []
+    assert check_zeilberger_recurrences(-1) == []  # no ordered triple to check
+
+
+@given(st.data(), st.integers(min_value=0, max_value=12), st.sampled_from((-2, -1, 1, 2)))
+@settings(max_examples=40, deadline=None)
+def test_recurrence_sweep_locates_a_planted_fault_like_the_per_triple_oracle(data, K, delta):
+    # The fault may sit on any sum the sweep reads: the ordered triples up to
+    # k = K + 1, their i-shifts to i = n + 1 and their n-shifts to n = k + 1.
+    k = data.draw(st.integers(min_value=0, max_value=K + 1))
+    n = data.draw(st.integers(min_value=0, max_value=k + 1))
+    i = data.draw(st.integers(min_value=0, max_value=n + 1))
+
+    def planted(exact):
+        return lambda *t: exact(*t) + delta * (t == (i, n, k))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fundamental, "brute_sum", planted(fundamental.brute_sum))
+        mp.setattr(fraction_reference, "brute_sum", planted(ref_brute_sum))
+        expected = list(fraction_reference.identity_failures(
+            fraction_reference.check_zeilberger_recurrences, K))
+        assert check_zeilberger_recurrences(K) == expected
+
+
+def test_recurrence_sweep_evaluates_each_sum_once(monkeypatch):
+    calls = []
+    exact = fundamental.brute_sum
+
+    def recording(i, n, k):
+        calls.append((i, n, k))
+        return exact(i, n, k)
+
+    monkeypatch.setattr(fundamental, "brute_sum", recording)
+    assert check_zeilberger_recurrences(30) == []
+    # Rows k = 0..31 of f(i, n, k), i <= n + 1 <= k + 2; the per-triple
+    # sweep made 21,824 calls for the same verdict.
+    assert len(calls) == len(set(calls)) == 7104
 
 
 def test_certificate_known_points():
