@@ -208,6 +208,15 @@ def derive_constants(xi, C3, C4, alpha3, alpha4, c, t_max, x_min, x_max) -> Erro
     )
 
 
+def _roundoff_term(k: ErrorConstants, dt: float) -> float:
+    """``C_Delta / dt^2``, or 0 without round-off; where ``dt^2`` underflows
+    to 0 (``dt <= 2^-537.5``), the quotient rounds to inf."""
+    if k.C_Delta == 0:
+        return 0.0
+    dt2 = dt * dt
+    return k.C_Delta / dt2 if dt2 else math.inf
+
+
 def total_error_bound(k: ErrorConstants, dx: float, dt: float) -> float:
     """``C_e (dx^2 + dt^2) + C_Delta / dt^2`` inside the refinement guard."""
     dx, dt = float(dx), float(dt)
@@ -217,7 +226,7 @@ def total_error_bound(k: ErrorConstants, dx: float, dt: float) -> float:
             f"refinement guard violated: hypot(dx, dt) = {math.hypot(dx, dt)} "
             f"> min(alpha_e, alpha_Delta) = {guard}"
         )
-    return k.C_e * (dx * dx + dt * dt) + k.C_Delta / (dt * dt)
+    return k.C_e * (dx * dx + dt * dt) + _roundoff_term(k, dt)
 
 
 #: Smallest admissible time step (the run-time precondition on dt).
@@ -228,26 +237,25 @@ DT_FLOOR = 2.0 ** -1000
 def bound_along_cn(k: ErrorConstants, fixed_cn: float, dt: float) -> float:
     """Total-error bound as a function of dt alone, with dx tied via the CN."""
     factor = 1.0 + (k.c / float(fixed_cn)) ** 2
-    return k.C_e * dt * dt * factor + k.C_Delta / (dt * dt)
+    return k.C_e * dt * dt * factor + _roundoff_term(k, dt)
 
 
-def optimal_dt(k: ErrorConstants, fixed_cn: float,
-               dt_min: float = DT_FLOOR) -> tuple[float, float]:
+def optimal_dt(k: ErrorConstants, fixed_cn: float) -> tuple[float, float]:
     """Minimize the bound over dt at fixed Courant number.
 
     The unconstrained minimizer is ``(C_Delta / (C_e (1 + (c/cn)^2)))^(1/4)``;
     it is clamped into the feasible interval given by the refinement guard
-    above and the time-step floor below.
+    above and :data:`DT_FLOOR` below.
     """
     fixed_cn = float(fixed_cn)
     if not 0 < fixed_cn <= 1 - k.xi:
         raise ParameterError(f"fixed_cn must lie in (0, 1 - xi], got {fixed_cn}")
     factor = 1.0 + (k.c / fixed_cn) ** 2
     dt_hi = min(k.alpha_e, k.alpha_Delta) / math.sqrt(factor)
-    if dt_min > dt_hi:
+    if DT_FLOOR > dt_hi:
         raise ParameterError(
-            f"empty feasible region: dt floor {dt_min} exceeds guard limit {dt_hi}"
+            f"empty feasible region: dt floor {DT_FLOOR} exceeds guard limit {dt_hi}"
         )
     raw = (k.C_Delta / (k.C_e * factor)) ** 0.25 if k.C_Delta > 0 else 0.0
-    dt_star = min(max(raw, dt_min), dt_hi)
+    dt_star = min(max(raw, DT_FLOOR), dt_hi)
     return dt_star, bound_along_cn(k, fixed_cn, dt_star)

@@ -326,7 +326,7 @@ def cmd_energy(args) -> int:
     run = solve(prob, g, xi=args.xi)
     series = energy.energy_series(run)
     gaps = [energy.energy_lower_bound_gap(series, run.cn, k) for k in range(g.k_max)]
-    estimate = energy.check_energy_estimate(run, series, args.xi)
+    violations = energy.check_energy_estimate(run, series)
     drift = series.drift()
     nonnegative = series.all_nonnegative()
     lower_bound_holds = all(v >= 0 for v in gaps)
@@ -346,13 +346,13 @@ def cmd_energy(args) -> int:
         "nonnegative": nonnegative,
         "lower_bound_min_gap": scalar_json(min(gaps)) if gaps else None,
         "lower_bound_holds": lower_bound_holds,
-        "estimate_holds": estimate.ok,
-        "estimate_violations": estimate.violations,
+        "estimate_holds": not violations,
+        "estimate_violations": violations,
     })
     print(f"energy: drift={float(drift)} nonneg={nonnegative} "
-          f"estimate={'ok' if estimate.ok else 'VIOLATED'}")
+          f"estimate={'VIOLATED' if violations else 'ok'}")
     # Drift is not a check: it is nonzero for binary64 runs and runs with a source.
-    return 0 if nonnegative and lower_bound_holds and estimate.ok else 1
+    return 0 if nonnegative and lower_bound_holds and not violations else 1
 
 
 def cmd_roundoff(args) -> int:
@@ -424,7 +424,7 @@ def cmd_fundamental(args) -> int:
     write_json(args.out / "fundamental.json", {
         "depth": args.depth, "sweep": args.sweep,
         "a_values": [str(a) for a in args.a],
-        "failures": [list(map(str, f)) for f in failures[:10]],
+        "failures": [list(map(str, f)) for f in failures],
         **counts,
     })
     if failures:

@@ -94,27 +94,20 @@ def c2_squared(xi) -> Fraction:
     return 1 / (2 * x * (2 - x))
 
 
-@dataclass
-class EnergyEstimateReport:
-    ok: bool
-    violations: list
-
-
-def check_energy_estimate(run: SchemeRun, series: EnergySeries,
-                          xi=None) -> EnergyEstimateReport:
+def check_energy_estimate(run: SchemeRun, series: EnergySeries) -> list:
     """Validate ``sqrt(E^{k+1/2}) <= C1 + C2 dt sum_{k'=1}^{k} ||s^{k'}||`` for all k.
 
-    ``series`` is ``energy_series(run)``.  Violations are findings, not
-    exceptions: the report names the offending half steps.  Exact runs are
-    decided with certified rational square-root enclosures.  Binary64 runs
-    allow a slack of ``-1e-12 * max(1, rhs)``: their energy drifts by
-    rounding, so an exact decision on the floats would report violations
-    that are not instability.  On the binary64 standing wave at 100 x 200
-    (``energy --scalar binary64 --problem standing``), 171 of the 200 half
-    step energies exceed ``E^{1/2}``, by at most 8.9e-15.
+    ``series`` is ``energy_series(run)``, and ``C2`` is taken at the run's
+    own margin ``run.cfl.xi``.  The result lists the half steps where the
+    estimate fails: findings, not exceptions.  Exact runs are decided with
+    certified rational square-root enclosures.  Binary64 runs allow a slack
+    of ``-1e-12 * max(1, rhs)``: their energy drifts by rounding, so an exact
+    decision on the floats would report violations that are not instability.
+    On the binary64 standing wave at 100 x 200 (``energy --scalar binary64
+    --problem standing``), 171 of the 200 half step energies exceed
+    ``E^{1/2}``, by at most 8.9e-15.
     """
-    if xi is None:
-        xi = run.cfl.xi
+    xi = run.cfl.xi
     g = run.grid
     e0 = series.values[0]
 
@@ -132,7 +125,7 @@ def check_energy_estimate(run: SchemeRun, series: EnergySeries,
                 terms.append(c2sq * dt2 * source_sq[k])
             if not certified_sqrt_leq(series.values[k], terms):
                 violations.append(k)
-        return EnergyEstimateReport(ok=not violations, violations=violations)
+        return violations
 
     c1, c2 = stability_constants(xi, max(float(e0), 0.0))
     acc = 0.0
@@ -143,4 +136,4 @@ def check_energy_estimate(run: SchemeRun, series: EnergySeries,
         lhs = math.sqrt(max(float(series.values[k]), 0.0))
         if rhs - lhs < -1e-12 * max(1.0, rhs):
             violations.append(k)
-    return EnergyEstimateReport(ok=not violations, violations=violations)
+    return violations

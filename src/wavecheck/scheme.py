@@ -26,7 +26,6 @@ fundamental table and the local-error table also use.
 from __future__ import annotations
 
 import math
-import warnings
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,8 +85,8 @@ class SchemeRun:
 
     ``columns[k][i]`` is ``p_i^k``, in the grid's kind; rows 0 and
     ``i_max`` are identically zero.  A binary64 column is an ``array('d')``
-    and an exact one a list of Fractions; ``u0``, ``u1`` and ``source`` are
-    the sampled data as lists.
+    and an exact one a list of Fractions; ``source`` is the sampled source
+    as one list per time step.
     """
 
     grid: Grid
@@ -96,8 +95,6 @@ class SchemeRun:
     a: Scalar
     cn: Scalar
     cfl: CflReport
-    u0: Sequence
-    u1: Optional[Sequence]
     source: Optional[list]
 
     def value(self, i: int, k: int) -> Scalar:
@@ -145,14 +142,13 @@ def _sample_source(s, g: Grid) -> Optional[list]:
     return cols
 
 
-def solve(p: WaveProblem, g: Grid, kind: str | None = None,
-          xi=DEFAULT_XI, enforce_cfl: bool = True) -> SchemeRun:
+def solve(p: WaveProblem, g: Grid, kind: str | None = None, xi=DEFAULT_XI) -> SchemeRun:
     """March the explicit scheme over the whole grid.
 
-    The run refuses to start when the Courant margin fails, unless
-    ``enforce_cfl=False`` downgrades the refusal to a warning (the stability
-    and error bounds all presuppose the margin).  binary64 runs abort on the
-    first non-finite value.
+    The Courant margin ``cn <= 1 - xi`` is always enforced: a run that fails
+    it raises :class:`CflViolationError` before sampling any datum, because
+    the stability and error bounds all presuppose it.  binary64 runs abort
+    on the first non-finite value.
     """
     if kind is None:
         kind = g.kind
@@ -160,10 +156,7 @@ def solve(p: WaveProblem, g: Grid, kind: str | None = None,
         g = build_grid(g.x_min, g.x_max, g.t_max, g.i_max, g.k_max, kind)
     report = check_cfl(p.c, g, xi)
     if not report.satisfied:
-        msg = f"Courant number {report.cn} exceeds 1 - xi = 1 - {xi}"
-        if enforce_cfl:
-            raise CflViolationError(msg)
-        warnings.warn(msg, stacklevel=2)
+        raise CflViolationError(f"Courant number {report.cn} exceeds 1 - xi = 1 - {xi}")
 
     u0 = _sample_space(p.u0, g, "u0")
     u1 = _sample_space(p.u1, g, "u1") if p.u1 is not None else None
@@ -173,7 +166,7 @@ def solve(p: WaveProblem, g: Grid, kind: str | None = None,
     a = cn * cn
     march = _march_binary64 if g.kind == BINARY64 else _march_exact
     return SchemeRun(grid=g, problem=p, columns=march(g, a, u0, u1, source), a=a,
-                     cn=cn, cfl=report, u0=u0, u1=u1, source=source)
+                     cn=cn, cfl=report, source=source)
 
 
 def _march_binary64(g: Grid, a: float, u0, u1, source) -> list:

@@ -21,7 +21,7 @@ from wavecheck import (
     total_error_bound,
     truncation_error,
 )
-from wavecheck.analysis import bound_along_cn, problem_for
+from wavecheck.analysis import DT_FLOOR, bound_along_cn, problem_for
 from wavecheck.errors import DomainError
 from wavecheck.report import constants_match_oracle
 
@@ -230,18 +230,29 @@ def test_optimal_dt_grid_search_oracle():
 
 
 def test_optimal_dt_lower_clamp_when_roundoff_free():
+    # C_Delta = NORM_SCALE * t_max^2 * sqrt(2) underflows to 0 at t_max = 1e-170,
+    # so the optimum is clamped to the floor, where dt^2 underflows as well.
+    k = derive_constants(0.5, 1, 1, 1, 1, 1, 1e-170, 0, 1)
+    assert k.C_Delta == 0
+    assert optimal_dt(k, 0.5) == (DT_FLOOR, 0.0)
+
+
+def test_bound_is_inf_where_dt_squared_underflows():
+    k = derive_constants(0.5, 1, 1, 1e-200, 1, 1, 1, 0, 1)
+    dt_hi = min(k.alpha_e, k.alpha_Delta) / math.sqrt(1.0 + (k.c / 0.5) ** 2)
+    assert dt_hi < 1e-200
+    assert optimal_dt(k, 0.5) == (dt_hi, math.inf)
     k = derive_constants(0.5, 1, 1, 1, 1, 1, 1, 0, 1)
-    k = replace(k, C_Delta=0.0)
-    dt_star, _ = optimal_dt(k, 0.5, dt_min=1e-6)
-    assert dt_star == 1e-6
+    assert total_error_bound(k, 0.01, 1e-170) == math.inf
 
 
 def test_optimal_dt_validation():
     k = derive_constants(0.5, 1, 1, 1, 1, 1, 1, 0, 1)
     with pytest.raises(ParameterError):
         optimal_dt(k, 0.9)  # cn > 1 - xi
+    tiny_guard = derive_constants(0.5, 1, 1, 1e-305, 1, 1, 1, 0, 1)
     with pytest.raises(ParameterError, match="empty feasible region"):
-        optimal_dt(k, 0.5, dt_min=10.0)
+        optimal_dt(tiny_guard, 0.5)
 
 
 def test_measured_total_error_within_bound():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from wavecheck import WaveProblem
 from wavecheck.cli import build_parser, main
 
 
@@ -91,29 +92,35 @@ def test_roundoff_small_grid_exact_reconstruction(tmp_path):
     assert data["global_max_ratio"] < 1
 
 
-@pytest.mark.parametrize("name,value,key", [
-    ("LOCAL_BOUND", Fraction(-1), "local_bound_ok"),
-    ("GLOBAL_BOUND_SCALE", Fraction(1, 2 ** 200), "global_bound_ok"),
-], ids=["local-bound", "global-bound"])
-def test_roundoff_exits_1_when_a_bound_check_fails(tmp_path, monkeypatch, name, value, key):
-    from wavecheck import roundoff
+@pytest.mark.parametrize("patch,key,written", [
+    (lambda mp: mp.setattr("wavecheck.roundoff.LOCAL_BOUND", Fraction(-1)),
+     "local_bound_ok", False),
+    (lambda mp: mp.setattr("wavecheck.roundoff.GLOBAL_BOUND_SCALE", Fraction(1, 2 ** 200)),
+     "global_bound_ok", False),
+    (lambda mp: mp.setattr("wavecheck.roundoff.A_GAP", Fraction(-1)), "a_gap_ok", False),
+    # The maximum of 9 x (1 - x) is 9/4, outside the range [-2, 2].
+    (lambda mp: mp.setattr("wavecheck.cli.default_problem",
+                           lambda: WaveProblem(c=1, u0=lambda x: 9 * x * (1 - x))),
+     "range_ok", False),
+    (lambda mp: corrupt_one_entry(mp, 0, 2), "reconstruction",
+     {"verdict": "mismatch", "first_mismatch": [1, 2]}),
+], ids=["local-bound", "global-bound", "a-gap", "range", "reconstruction"])
+def test_roundoff_exits_1_when_a_bound_check_fails(tmp_path, monkeypatch, patch, key, written):
+    patch(monkeypatch)
+    assert main(["roundoff", "--imax", "10", "--kmax", "20", "--out", str(tmp_path)]) == 1
+    assert read_json(tmp_path / "roundoff.json")[key] == written
 
-    monkeypatch.setattr(roundoff, name, value)
-    assert main(["roundoff", "--imax", "10", "--kmax", "20", "--no-reconstruction",
-                 "--out", str(tmp_path)]) == 1
-    assert read_json(tmp_path / "roundoff.json")[key] is False
 
-
-@pytest.mark.parametrize("name,fake,scalar,key", [
-    ("energy_lower_bound_gap", lambda series, cn, k: Fraction(-1), "exact",
+@pytest.mark.parametrize("target,fake,scalar,key", [
+    ("wavecheck.energy.energy_lower_bound_gap", lambda series, cn, k: Fraction(-1), "exact",
      "lower_bound_holds"),
-    ("stability_constants", lambda xi, e_half: (0.0, 0.0), "binary64",
+    ("wavecheck.energy.stability_constants", lambda xi, e_half: (0.0, 0.0), "binary64",
      "estimate_holds"),
-], ids=["lower-bound", "estimate"])
-def test_energy_exits_1_when_a_check_fails(tmp_path, monkeypatch, name, fake, scalar, key):
-    from wavecheck import energy
-
-    monkeypatch.setattr(energy, name, fake)
+    ("wavecheck.energy.EnergySeries.all_nonnegative", lambda series: False, "exact",
+     "nonnegative"),
+], ids=["lower-bound", "estimate", "nonnegative"])
+def test_energy_exits_1_when_a_check_fails(tmp_path, monkeypatch, target, fake, scalar, key):
+    monkeypatch.setattr(target, fake)
     assert main(["energy", "--imax", "12", "--kmax", "12", "--tmax", "1/2",
                  "--scalar", scalar, "--out", str(tmp_path)]) == 1
     assert read_json(tmp_path / "energy.json")[key] is False
@@ -133,6 +140,12 @@ def test_bound_holds(tmp_path):
     assert data["holds_everywhere"] is True
     assert all(row["measured"] <= row["bound"] for row in data["rows"])
     assert data["optimal"]["dt"] > 0
+
+
+def test_bound_exits_1_when_the_bound_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr("wavecheck.analysis.total_error_bound", lambda k, dx, dt: 0.0)
+    assert main(["bound", "--chain", "20,40,80", "--out", str(tmp_path)]) == 1
+    assert read_json(tmp_path / "bound.json")["holds_everywhere"] is False
 
 
 def test_bound_rejects_cn_outside_margin_before_any_solve(tmp_path, capsys, monkeypatch):
@@ -388,15 +401,20 @@ def test_a_corrupted_shift_coefficient_fails_the_recurrence_and_the_certificate(
     b1 = fundamental._CERTIFICATE["n"]["b1"]
     monkeypatch.setitem(fundamental._CERTIFICATE["n"], "b1",
                         lambda i, n, k: 2 * b1(i, n, k))
-    assert main(["fundamental", "--depth", "2", "--range", "2", "--certificates", "30",
-                 "--out", str(tmp_path)]) == 1
-    failures = read_json(tmp_path / "fundamental.json")["failures"]
-    # The n-recurrence fails wherever f(i, n + 1, k) is nonzero.
-    assert failures[:4] == [["shift-recurrence", "0", "0", "1"],
-                            ["shift-recurrence", "0", "0", "2"],
-                            ["shift-recurrence", "0", "1", "2"],
-                            ["shift-recurrence", "1", "1", "2"]]
-    assert [f[0] for f in failures[4:]] == ["certificate"] * 3
+    # Every failure is written, so the certificates that sort after more
+    # than ten recurrence failures are in the file too.
+    for sweep, recurrences, certificates in ((2, 4, 3), (4, 20, 2)):
+        out = tmp_path / str(sweep)
+        assert main(["fundamental", "--depth", "2", "--range", str(sweep),
+                     "--certificates", "30", "--out", str(out)]) == 1
+        failures = read_json(out / "fundamental.json")["failures"]
+        # The n-recurrence fails wherever f(i, n + 1, k) is nonzero.
+        assert failures[:4] == [["shift-recurrence", "0", "0", "1"],
+                                ["shift-recurrence", "0", "0", "2"],
+                                ["shift-recurrence", "0", "1", "2"],
+                                ["shift-recurrence", "1", "1", "2"]]
+        assert [f[0] for f in failures] == (["shift-recurrence"] * recurrences
+                                            + ["certificate"] * certificates)
 
 
 @pytest.mark.parametrize("command", ["order", "bound"])

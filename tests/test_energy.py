@@ -121,16 +121,14 @@ def test_stability_constants_domain():
 
 def test_estimate_zero_source_is_equality():
     g = build_grid(0, 1, Fr(1, 2), 12, 12, "exact")
-    run = solve(default_problem(), g)
-    report = check_energy_estimate(run, energy_series(run), Fr(1, 4))
-    assert report.ok
-    assert report.violations == []
+    run = solve(default_problem(), g, xi=Fr(1, 4))
+    assert check_energy_estimate(run, energy_series(run)) == []
 
 
 def test_estimate_zero_problem():
     g = build_grid(0, 1, 1, 8, 16, "exact")
-    run = solve(WaveProblem(c=1, u0=None), g)
-    assert check_energy_estimate(run, energy_series(run), Fr(1, 2)).ok
+    run = solve(WaveProblem(c=1, u0=None), g, xi=Fr(1, 2))
+    assert check_energy_estimate(run, energy_series(run)) == []
 
 
 def test_estimate_holds_with_random_sources():
@@ -148,15 +146,30 @@ def test_estimate_holds_with_random_sources():
 
         src = [vec() for _ in range(k_max + 1)]
         run = solve(WaveProblem(c=c, u0=vec(), u1=vec(), s=src), g, xi=xi)
-        report = check_energy_estimate(run, energy_series(run), xi)
-        assert report.ok, report.violations
+        assert check_energy_estimate(run, energy_series(run)) == []
 
 
 def test_estimate_binary64_reports_slack():
     g = build_grid(0, 1, Fr(1, 2), 16, 16)
-    run = solve(default_problem(), g)
-    report = check_energy_estimate(run, energy_series(run), 0.25)
-    assert report.ok
+    run = solve(default_problem(), g, xi=0.25)
+    assert check_energy_estimate(run, energy_series(run)) == []
+
+
+def test_estimate_takes_c2_at_the_runs_own_margin(monkeypatch):
+    seen = []
+
+    def recording(real):
+        def wrapper(xi, *rest):
+            seen.append(xi)
+            return real(xi, *rest)
+        return wrapper
+
+    monkeypatch.setattr(energy, "c2_squared", recording(energy.c2_squared))
+    monkeypatch.setattr(energy, "stability_constants", recording(energy.stability_constants))
+    for kind in ("exact", "binary64"):
+        run = solve(default_problem(), build_grid(0, 1, Fr(1, 2), 12, 12, kind), xi=Fr(3, 8))
+        check_energy_estimate(run, energy_series(run))
+    assert seen == [0.375, 0.375]
 
 
 def test_binary64_slack_absorbs_rounding_drift_that_an_exact_decision_reports(tmp_path):

@@ -155,23 +155,10 @@ def test_update_residual_vanishes_exactly():
             assert run.value(i, k + 1) - recomputed == 0
 
 
-def test_cfl_refusal_and_warn_only():
+def test_cfl_refusal():
     g = build_grid(0, 1, 1, 10, 10)  # cn = 1
     with pytest.raises(CflViolationError):
         solve(default_problem(), g)
-    with pytest.warns(UserWarning):
-        run = solve(default_problem(), g, enforce_cfl=False)
-    assert not run.cfl.satisfied
-
-
-def test_nonfinite_abort_reports_first_node():
-    g = build_grid(0, 1, 1, 50, 150)  # cn = 10 with c = 30: violently unstable
-    prob = WaveProblem(c=30, u0=default_problem().u0)
-    with pytest.warns(UserWarning):
-        with pytest.raises(NonFiniteError) as err:
-            solve(prob, g, enforce_cfl=False)
-    assert 0 <= err.value.i <= 50
-    assert 0 <= err.value.k <= 150
 
 
 def test_kind_override_rebuilds_grid():
@@ -292,15 +279,33 @@ def test_nonfinite_check_reports_the_first_bad_node(col, i):
     assert (err.value.i, err.value.k) == (i, 7)
 
 
+def test_nonfinite_abort_reports_first_node():
+    # Inside the margin (cn = 1/2), 2.0 * 1e308 overflows in the first step,
+    # so the run aborts at the first non-finite node of the node-loop march.
+    g = build_grid(0, 1, 1, 12, 24)
+    for nodes, first in (((7,), (7, 1)), ((3, 9), (3, 1))):
+        u0 = [1e308 if i in nodes else 0.0 for i in range(13)]
+        with pytest.raises(NonFiniteError) as err:
+            solve(WaveProblem(c=1, u0=u0), g)
+        assert (err.value.i, err.value.k) == first
+        oracle = march_oracle(g, courant_number(1, g) ** 2, u0, None, None)
+        assert first == next((i, k) for k, col in enumerate(oracle)
+                             for i, v in enumerate(col) if not math.isfinite(v))
+
+
 @pytest.mark.parametrize("problem,node", [
     (WaveProblem(c=3, u0=default_problem().u0), (8, 379)),
     (standing_wave(1, 3).as_problem(), (49, 390)),
 ])
 def test_unstable_run_aborts_at_the_recorded_node(problem, node):
-    # c = 3 on 200 x 400 gives cn = 1.5; the nodes were recorded from the
-    # node-by-node march.
+    # c = 3 on 200 x 400 gives cn = 1.5, which solve refuses, so the march
+    # is driven directly; the nodes were recorded from the node-by-node march.
     g = build_grid(0, 1, 1, 200, 400)
-    with pytest.warns(UserWarning):
-        with pytest.raises(NonFiniteError) as err:
-            solve(problem, g, enforce_cfl=False)
+    with pytest.raises(CflViolationError):
+        solve(problem, g)
+    u0 = scheme._sample_space(problem.u0, g, "u0")
+    u1 = scheme._sample_space(problem.u1, g, "u1") if problem.u1 is not None else None
+    a = courant_number(problem.c, g) ** 2
+    with pytest.raises(NonFiniteError) as err:
+        scheme._march_binary64(g, a, u0, u1, scheme._sample_source(problem.s, g))
     assert (err.value.i, err.value.k) == node
