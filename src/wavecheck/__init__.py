@@ -72,6 +72,6 @@ from .roundoff import (
     shadow_solve,
 )
 from .scalars import BINARY64, EXACT
-from .scheme import CflReport, SchemeRun, check_cfl, courant_number, solve
+from .scheme import SchemeRun, check_cfl, courant_number, solve
 
 __version__ = "0.1.0"

@@ -290,7 +290,7 @@ def cmd_solve(args) -> int:
         "grid": grid_summary(g),
         "cn": scalar_json(run.cn),
         "a": scalar_json(run.a),
-        "cfl_satisfied": run.cfl.satisfied,
+        "cfl_satisfied": True,  # solve returns no run outside its margin
         "max_abs": scalar_json(max_abs),
         "energy_first": scalar_json(series.values[0]),
         "energy_min": scalar_json(min(series.values)),
@@ -371,7 +371,7 @@ def cmd_roundoff(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     payload = {
         "grid": grid_summary(g),
-        "a": {"binary64": scalar_json(run.a_float), "exact": scalar_json(run.a_exact)},
+        "a": {"binary64": scalar_json(run.float_run.a), "exact": scalar_json(run.a_exact)},
         "a_gap_ok": run.a_gap_ok,
         "range_ok": run.range_violation is None,
         "max_abs_value": float(run.float_run.max_abs()),

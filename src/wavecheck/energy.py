@@ -98,7 +98,7 @@ def check_energy_estimate(run: SchemeRun, series: EnergySeries) -> list:
     """Validate ``sqrt(E^{k+1/2}) <= C1 + C2 dt sum_{k'=1}^{k} ||s^{k'}||`` for all k.
 
     ``series`` is ``energy_series(run)``, and ``C2`` is taken at the run's
-    own margin ``run.cfl.xi``.  The result lists the half steps where the
+    own margin ``run.xi``.  The result lists the half steps where the
     estimate fails: findings, not exceptions.  Exact runs are decided with
     certified rational square-root enclosures.  Binary64 runs allow a slack
     of ``-1e-12 * max(1, rhs)``: their energy drifts by rounding, so an exact
@@ -107,7 +107,7 @@ def check_energy_estimate(run: SchemeRun, series: EnergySeries) -> list:
     --problem standing``), 171 of the 200 half step energies exceed
     ``E^{1/2}``, by at most 8.9e-15.
     """
-    xi = run.cfl.xi
+    xi = run.xi
     g = run.grid
     e0 = series.values[0]
 

@@ -388,7 +388,7 @@ def claim_local_bound(cfg: ClaimConfig):
     run = roundoff.shadow_solve(default_problem(), g)
     if not run.a_gap_ok:
         return VIOLATED, {"reason": "stiffness coefficient gap exceeds 2^-49",
-                          "a_float": run.a_float, "a_exact": str(run.a_exact)}
+                          "a_float": run.float_run.a, "a_exact": str(run.a_exact)}
     if run.range_violation is not None:
         return VIOLATED, {"reason": "computed values escape [-2, 2]",
                           "at": run.range_violation}

@@ -63,7 +63,6 @@ class ShadowRun:
 
     float_run: SchemeRun
     exact_run: SchemeRun
-    a_float: float
     a_exact: Fraction
     delta: list       # columns of local errors, (i_max+1) x (k_max+1)
     global_err: list  # columns of computed-minus-exact
@@ -160,8 +159,7 @@ def shadow_solve(p: WaveProblem, g: Grid, xi: float = DEFAULT_XI) -> ShadowRun:
     exact_run = solve(p, g, kind=EXACT, xi=xi)
     float_run = solve(p, g, kind=BINARY64, xi=xi)
     a_exact = exact_run.a
-    a_float = float_run.a
-    a_gap_ok = abs(to_fraction(a_float) - a_exact) <= A_GAP
+    a_gap_ok = abs(to_fraction(float_run.a) - a_exact) <= A_GAP
 
     fl_cols, ex_cols = float_run.columns, exact_run.columns
     global_err = [_difference_column(fl_col, ex_col)
@@ -171,8 +169,7 @@ def shadow_solve(p: WaveProblem, g: Grid, xi: float = DEFAULT_XI) -> ShadowRun:
                             for i, v in enumerate(col) if not -2.0 <= v <= 2.0), None)
 
     return ShadowRun(
-        float_run=float_run, exact_run=exact_run,
-        a_float=a_float, a_exact=a_exact,
+        float_run=float_run, exact_run=exact_run, a_exact=a_exact,
         delta=delta, global_err=global_err, a_gap_ok=a_gap_ok,
         range_violation=range_violation,
     )

@@ -1,5 +1,8 @@
 """Second-order centered explicit scheme and its Courant-number guard.
 
+:func:`solve` returns no run outside the Courant margin ``cn <= 1 - xi``,
+so a :class:`SchemeRun` is proof that its margin held; it records both.
+
 The binary64 path reproduces the reference C loop operation for operation:
 
     a1 = dt/dx*v;  a = a1*a1;
@@ -48,19 +51,11 @@ DEFAULT_XI = 2.0 ** -50
 
 __all__ = [
     "DEFAULT_XI",
-    "CflReport",
     "SchemeRun",
     "check_cfl",
     "courant_number",
     "solve",
 ]
-
-
-@dataclass(frozen=True)
-class CflReport:
-    cn: Scalar
-    xi: float
-    satisfied: bool
 
 
 def courant_number(c, g: Grid) -> Scalar:
@@ -70,13 +65,11 @@ def courant_number(c, g: Grid) -> Scalar:
     return (g.dt / g.dx) * convert(c, g.kind)
 
 
-def check_cfl(c, g: Grid, xi) -> CflReport:
-    """Check ``cn <= 1 - xi`` with the comparison done in exact rationals."""
+def check_cfl(c, g: Grid, xi) -> bool:
+    """Whether ``cn <= 1 - xi``, in exact rationals; ``xi`` is checked before ``c``."""
     if not 0 < float(xi) < 1:
         raise ParameterError(f"xi must lie in (0, 1), got {xi}")
-    cn = courant_number(c, g)
-    satisfied = to_fraction(cn) <= 1 - to_fraction(xi)
-    return CflReport(cn=cn, xi=float(xi), satisfied=satisfied)
+    return to_fraction(courant_number(c, g)) <= 1 - to_fraction(xi)
 
 
 @dataclass
@@ -86,7 +79,8 @@ class SchemeRun:
     ``columns[k][i]`` is ``p_i^k``, in the grid's kind; rows 0 and
     ``i_max`` are identically zero.  A binary64 column is an ``array('d')``
     and an exact one a list of Fractions; ``source`` is the sampled source
-    as one list per time step.
+    as one list per time step.  ``cn`` and ``xi`` are the Courant number
+    and margin the run was admitted under, ``xi`` stored as a float.
     """
 
     grid: Grid
@@ -94,7 +88,7 @@ class SchemeRun:
     columns: list
     a: Scalar
     cn: Scalar
-    cfl: CflReport
+    xi: float
     source: Optional[list]
 
     def value(self, i: int, k: int) -> Scalar:
@@ -145,7 +139,7 @@ def _sample_source(s, g: Grid) -> Optional[list]:
 def solve(p: WaveProblem, g: Grid, kind: str | None = None, xi=DEFAULT_XI) -> SchemeRun:
     """March the explicit scheme over the whole grid.
 
-    The Courant margin ``cn <= 1 - xi`` is always enforced: a run that fails
+    The Courant margin of :func:`check_cfl` is always enforced: a run outside
     it raises :class:`CflViolationError` before sampling any datum, because
     the stability and error bounds all presuppose it.  binary64 runs abort
     on the first non-finite value.
@@ -154,19 +148,19 @@ def solve(p: WaveProblem, g: Grid, kind: str | None = None, xi=DEFAULT_XI) -> Sc
         kind = g.kind
     if kind != g.kind:
         g = build_grid(g.x_min, g.x_max, g.t_max, g.i_max, g.k_max, kind)
-    report = check_cfl(p.c, g, xi)
-    if not report.satisfied:
-        raise CflViolationError(f"Courant number {report.cn} exceeds 1 - xi = 1 - {xi}")
+    if not check_cfl(p.c, g, xi):
+        raise CflViolationError(
+            f"Courant number {courant_number(p.c, g)} exceeds 1 - xi = 1 - {xi}")
 
     u0 = _sample_space(p.u0, g, "u0")
     u1 = _sample_space(p.u1, g, "u1") if p.u1 is not None else None
     source = _sample_source(p.s, g)
 
-    cn = report.cn
+    cn = courant_number(p.c, g)
     a = cn * cn
     march = _march_binary64 if g.kind == BINARY64 else _march_exact
     return SchemeRun(grid=g, problem=p, columns=march(g, a, u0, u1, source), a=a,
-                     cn=cn, cfl=report, source=source)
+                     cn=cn, xi=float(xi), source=source)
 
 
 def _march_binary64(g: Grid, a: float, u0, u1, source) -> list:

@@ -10,7 +10,6 @@ from wavecheck import (
     WaveProblem,
     build_grid,
     convergence_error,
-    default_problem,
     derive_constants,
     estimate_order,
     max_norm_over_time,

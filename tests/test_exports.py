@@ -8,9 +8,18 @@ with a default counts as set when some call of a function by that name
 passes it, by keyword or by position.  A name read or a parameter set only
 by tests is a public surface nothing depends on: it goes, or it is listed
 below with the reason it stays.
+
+Both guards match by bare name, so they cannot tell a field or a function
+from another of the same name: a read of ``WaveProblem.c`` counts for
+``ErrorConstants.c`` too.  Every field whose name two dataclasses share, and
+every default of a function whose name another function shares, is
+therefore listed with the one function that reads or sets it.
+
+Every name a module under ``src/`` or ``tests/`` imports must be read in it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,6 +34,38 @@ KEPT_FOR_TESTS = {
 #: Parameters with a default that no call in a module or a benchmark file sets.
 KEPT_DEFAULTS = {
     "dalembert_zero_velocity.p1": "it refuses a nonzero second datum",
+}
+
+#: ``Class.field`` of each field whose name another dataclass also has, and
+#: a function (``module.name``) or method (``module.Class.name``) that reads it.
+SHARED_FIELD_READERS = {
+    "SchemeRun.xi": "energy.check_energy_estimate",
+    "ErrorConstants.xi": "report.constants_match_oracle",
+    "WaveProblem.c": "scheme.solve",
+    "ErrorConstants.c": "report.constants_match_oracle",
+    "Grid.t_max": "roundoff.check_global_bound",
+    "Grid.x_min": "roundoff.check_global_bound",
+    "Grid.x_max": "roundoff.check_global_bound",
+    "ErrorConstants.t_max": "report.constants_match_oracle",
+    "ErrorConstants.x_min": "report.constants_match_oracle",
+    "ErrorConstants.x_max": "report.constants_match_oracle",
+    "TaylorConstants.alpha3": "report.claim_total_error",
+    "TaylorConstants.C3": "report.claim_total_error",
+    "TaylorConstants.alpha4": "report.claim_total_error",
+    "TaylorConstants.C4": "report.claim_total_error",
+    "ErrorConstants.alpha3": "report.constants_match_oracle",
+    "ErrorConstants.C3": "report.constants_match_oracle",
+    "ErrorConstants.alpha4": "report.constants_match_oracle",
+    "ErrorConstants.C4": "report.constants_match_oracle",
+    "CertificateResult.results": "cli.cmd_fundamental",
+    "ClaimsReport.results": "report.ClaimsReport.to_dict",
+}
+
+#: ``module.function.parameter`` of each default of a function whose name
+#: another function in a module or a benchmark file also has, and a function
+#: that sets it.
+SHARED_NAME_SETTERS = {
+    "cli.main.argv": "workloads.catalog_run",
 }
 
 
@@ -49,6 +90,16 @@ def reads(tree: ast.Module) -> set:
 
 MODULES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
 BENCH = sorted((ROOT / "bench").glob("*.py"))
+SOURCES = {p.stem: p for p in MODULES + BENCH}
+
+
+def definition(path: str) -> ast.AST:
+    """The top-level function ``module.name`` or the method ``module.Class.name``."""
+    module, *names = path.split(".")
+    node = ast.parse(SOURCES[module].read_text())
+    for name in names:
+        node = next(n for n in node.body if getattr(n, "name", None) == name)
+    return node
 
 
 def test_every_exported_name_has_a_reader_outside_the_tests():
@@ -84,6 +135,17 @@ def test_every_dataclass_field_is_read_outside_its_class():
     assert unread == []
 
 
+def test_every_shared_field_name_has_a_listed_reader():
+    fields = [pair for p in MODULES for pair in dataclass_fields(ast.parse(p.read_text()))]
+    owners = Counter(field for _, field in fields)
+    shared = [f"{cls}.{field}" for cls, field in fields if owners[field] > 1]
+    assert sorted(SHARED_FIELD_READERS) == sorted(shared)
+    unread = [key for key, reader in SHARED_FIELD_READERS.items()
+              if not any(isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                         and n.attr == key.split(".")[1] for n in ast.walk(definition(reader)))]
+    assert unread == []
+
+
 def defaulted_parameters(tree: ast.Module):
     """``(function, parameter, position)`` of every parameter with a default.
 
@@ -111,10 +173,50 @@ def call_sites(tree: ast.Module):
             yield name, len(node.args), {k.arg for k in node.keywords}
 
 
+def sets(sites, name: str, param: str, pos) -> bool:
+    """Whether one of the ``call_sites`` calls ``name`` with ``param`` passed."""
+    return any(callee == name and (param in keys or pos is not None and count > pos)
+               for callee, count, keys in sites)
+
+
 def test_every_defaulted_parameter_is_set_outside_the_tests():
     sites = [site for p in MODULES + BENCH for site in call_sites(ast.parse(p.read_text()))]
     unset = [f"{name}.{param}" for p in MODULES
              for name, param, pos in defaulted_parameters(ast.parse(p.read_text()))
-             if not any(callee == name and (param in keys or pos is not None and count > pos)
-                        for callee, count, keys in sites)]
+             if not sets(sites, name, param, pos)]
     assert sorted(unset) == sorted(KEPT_DEFAULTS)
+
+
+def test_every_shared_function_name_default_has_a_listed_setter():
+    defined = Counter(f.name for p in MODULES + BENCH for f in ast.walk(ast.parse(p.read_text()))
+                      if isinstance(f, ast.FunctionDef))
+    shared = {f"{p.stem}.{name}.{param}": (name, param, pos) for p in MODULES
+              for name, param, pos in defaulted_parameters(ast.parse(p.read_text()))
+              if defined[name] > 1}
+    assert sorted(SHARED_NAME_SETTERS) == sorted(shared)
+    unset = [key for key, setter in SHARED_NAME_SETTERS.items()
+             if not sets(call_sites(definition(setter)), *shared[key])]
+    assert unset == []
+
+
+def imported_names(tree: ast.Module):
+    """Every name an import in ``tree`` binds, ``from __future__`` ones aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # A package __init__.py imports to re-export, so it is left out.
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+             if p.name != "__init__.py"]
+    unread = []
+    for p in paths:
+        tree = ast.parse(p.read_text())
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{p.relative_to(ROOT)}: {name}" for name in imported_names(tree)
+                   if name not in loaded]
+    assert unread == []

@@ -137,7 +137,7 @@ def random_exact_runs(draw):
     c = (1 - xi) * Fr(draw(st.integers(1, 16)), 16) * g.dx / g.dt
     if draw(st.booleans()):
         c = float(c)
-        assume(check_cfl(c, g, xi).satisfied)
+        assume(check_cfl(c, g, xi))
 
     def vector():
         inner = st.lists(rationals(max_den=8), min_size=i_max - 1, max_size=i_max - 1)

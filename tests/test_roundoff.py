@@ -50,7 +50,7 @@ def test_representable_samples_make_delta0_vanish():
     # so the initialization rounds nothing.
     g = build_grid(0, 1, 1, 8, 16)
     run = shadow_solve(default_problem(), g)
-    assert run.a_float == 0.25 and run.a_exact == Fr(1, 4)
+    assert run.float_run.a == 0.25 and run.a_exact == Fr(1, 4)
     assert all(v == 0 for v in run.delta[0])
 
 
@@ -84,7 +84,7 @@ def test_local_errors_recompute_identically(shadow_10x20):
 def test_local_bound_holds(shadow_10x20):
     run = shadow_10x20
     assert run.a_gap_ok
-    assert abs(Fr(run.a_float) - run.a_exact) <= A_GAP
+    assert abs(Fr(run.float_run.a) - run.a_exact) <= A_GAP
     assert max_abs_delta(run) <= LOCAL_BOUND
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from array import array
 from fractions import Fraction as Fr
@@ -26,21 +27,20 @@ from wavecheck import (
 
 def test_courant_number_and_margin():
     g = build_grid(0, 1, 1, 100, 200)
-    rep = check_cfl(1.0, g, 2.0 ** -50)
-    assert rep.cn == 0.5
-    assert rep.satisfied
+    assert courant_number(1.0, g) == 0.5
+    assert check_cfl(1.0, g, 2.0 ** -50) is True
 
 
 def test_cn_one_never_satisfies_margin():
     g = build_grid(0, 1, 1, 10, 10)  # dt = dx -> cn = c
     for xi in (2.0 ** -50, 0.1, 0.9):
-        assert not check_cfl(1.0, g, xi).satisfied
+        assert check_cfl(1.0, g, xi) is False
 
 
 def test_cn_two():
     g = build_grid(0, 1, 2, 10, 10)  # dt = 0.2, dx = 0.1
     assert courant_number(1.0, g) == 2.0
-    assert not check_cfl(1.0, g, 0.5).satisfied
+    assert check_cfl(1.0, g, 0.5) is False
 
 
 def test_cfl_xi_domain():
@@ -159,6 +159,19 @@ def test_cfl_refusal():
     g = build_grid(0, 1, 1, 10, 10)  # cn = 1
     with pytest.raises(CflViolationError):
         solve(default_problem(), g)
+
+
+@pytest.mark.parametrize("kind, cn_above", [
+    ("binary64", "0.5000000000000001"),
+    ("exact", "4503599627370497/9007199254740992"),
+])
+def test_margin_tie_is_admitted_and_the_next_velocity_refused(kind, cn_above):
+    g = build_grid(0, 1, 1, 10, 20, kind)  # cn = c/2
+    run = solve(WaveProblem(c=1), g, xi=0.5)
+    assert run.cn == Fr(1, 2) and run.xi == 0.5
+    message = f"Courant number {cn_above} exceeds 1 - xi = 1 - 0.5"
+    with pytest.raises(CflViolationError, match=f"^{re.escape(message)}$"):
+        solve(WaveProblem(c=math.nextafter(1.0, 2.0)), g, xi=0.5)
 
 
 def test_kind_override_rebuilds_grid():
