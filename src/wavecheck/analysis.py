@@ -5,12 +5,19 @@ convergence and consistency statements: a refinement chain at fixed Courant
 number should show the max-over-time interior norm of the error scaling like
 ``dx^2``, i.e. a log-log slope near 2.  The uniform big-O statements behind
 them are witnessed (one constant over the sampled family), not proved.
+
+An error table here is a one-pass iterator of time columns: the errors are
+computed column by column as the max-over-time norm reads them, so a
+measurement holds one run and a few columns, never the table.  A caller
+that indexes the table or reads it twice takes ``list(...)`` of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .energy import stability_constants
 from .errors import DomainError, ParameterError
@@ -33,22 +40,24 @@ def problem_for(ref: AnalyticSolution) -> WaveProblem:
     )
 
 
-def convergence_error(ref: AnalyticSolution, run: SchemeRun) -> list:
-    """Node-wise ``ref(x_i, t_k) - p_i^k`` over the whole grid, column by column."""
-    return [[r - p for r, p in zip(ref_col, col)]
-            for ref_col, col in zip(ref.sample(run.grid), run.columns)]
+def convergence_error(ref: AnalyticSolution, run: SchemeRun) -> Iterator[list]:
+    """Node-wise ``ref(x_i, t_k) - p_i^k``, yielded one time column at a time."""
+    return ([r - p for r, p in zip(ref_col, col)]
+            for ref_col, col in zip(ref.sample(run.grid), run.columns))
 
 
-def truncation_error(ref: AnalyticSolution, g: Grid, c) -> list:
+def truncation_error(ref: AnalyticSolution, g: Grid, c) -> Iterator[list]:
     """Residual of the sampled reference pushed through the discrete operator.
 
     Row 0 is zero by construction (the sampled datum is the sampled
     solution); row 1 uses the second-order initialization operator minus the
     sampled time derivative; later rows apply the full two-step operator.
-    Boundary rows are zero by definition.  The samples are read as a stream,
-    keeping only the two columns before the current one.  After row 1 the
-    space stencil of :func:`apply_Ah` is written out inline, which gives the
-    same bits: ``t + (-(x / y)) == t - x / y`` in both scalar kinds.
+    Boundary rows are zero by definition.  Rows 0 and 1 are computed on the
+    call, so a reference without a time derivative raises here; the later
+    columns are yielded one at a time, each from the sample stream and the
+    two columns before it.  After row 1 the space stencil of :func:`apply_Ah`
+    is written out inline, which gives the same bits:
+    ``t + (-(x / y)) == t - x / y`` in both scalar kinds.
     """
     dt = g.dt
     dt2 = dt * dt
@@ -61,18 +70,21 @@ def truncation_error(ref: AnalyticSolution, g: Grid, c) -> list:
     row1 = [(b - a) / dt + (dt / 2) * h - ref.partial(0, 1, g.x(i), 0)
             for i, a, b, h in zip(range(1, g.i_max), pkm2[1:], pkm1[1:],
                                   apply_Ah(c, g, pkm2)[1:])]
-    cols = [[z] * (g.i_max + 1), [z, *row1, z]]
-    for pk in samples:
-        row = [(r - 2 * m + l) / dt2 - (c2 * ((right - 2 * m) + left)) / dx2
-               for r, l, left, m, right in zip(pk[1:], pkm2[1:], pkm1, pkm1[1:], pkm1[2:])]
-        cols.append([z, *row, z])
-        pkm2, pkm1 = pkm1, pk
-    return cols
+
+    def later_columns(pkm2, pkm1):
+        for pk in samples:
+            row = [(r - 2 * m + l) / dt2 - (c2 * ((right - 2 * m) + left)) / dx2
+                   for r, l, left, m, right in zip(pk[1:], pkm2[1:], pkm1, pkm1[1:],
+                                                   pkm1[2:])]
+            yield [z, *row, z]
+            pkm2, pkm1 = pkm1, pk
+
+    return chain(([z] * (g.i_max + 1), [z, *row1, z]), later_columns(pkm2, pkm1))
 
 
-def max_norm_over_time(table: list, g: Grid) -> float:
-    """``max_k`` of the interior norm of each time column."""
-    return max(norm_dx(col, g) for col in table)
+def max_norm_over_time(columns: Iterable, g: Grid) -> float:
+    """``max_k`` of the interior norm of each time column, read in one pass."""
+    return max(norm_dx(col, g) for col in columns)
 
 
 def refinement_chain(i_maxes, cn, c, t_max=1.0, kind: str = BINARY64) -> list[Grid]:
@@ -125,12 +137,12 @@ def estimate_order(ref: AnalyticSolution, grids: list[Grid], mode: str = "conver
     points = []
     prob = problem_for(ref)
     for g in grids:
+        # The run is bound to no name, so it is freed before the next grid marches.
         if mode == "convergence":
-            run = solve(prob, g, xi=xi)
-            table = convergence_error(ref, run)
+            columns = convergence_error(ref, solve(prob, g, xi=xi))
         else:
-            table = truncation_error(ref, g, prob.c)
-        err = max_norm_over_time(table, g)
+            columns = truncation_error(ref, g, prob.c)
+        err = max_norm_over_time(columns, g)
         if err == 0.0:
             raise DomainError("zero-error family: order slope is undefined")
         points.append((float(g.dx), err))

@@ -9,10 +9,11 @@ that equivalence.
 Every function here has one code path for both scalar kinds: Python's
 ``+ - * /`` act on floats and Fractions alike, and the binary64 evaluation
 order (left-to-right accumulation, one final ``dx`` scaling) is also a valid
-order for exact arithmetic.  Space-time tables are lists of per-step
-columns, indexed ``columns[k][i]``: the functions here only index, slice,
-zip and iterate a column, so it may be a list in either kind or, as a
-binary64 run stores it, an ``array('d')``.
+order for exact arithmetic.  Space-time tables are per-step columns: a
+run stores them as a list indexed ``columns[k][i]``, and an error table may
+be a one-pass iterator that yields them.  The functions here take one
+column at a time and only index, slice, zip and iterate it, so it may be a
+list in either kind or, as a binary64 run stores it, an ``array('d')``.
 """
 
 from __future__ import annotations

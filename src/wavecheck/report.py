@@ -201,11 +201,13 @@ def reconstruction_mismatch(run: roundoff.ShadowRun, a):
 
 def total_error_rows(wave, consts: analysis.ErrorConstants, chain, cn, t_max=1.0):
     """``dx``, ``dt``, measured max-over-time error of ``wave`` and its a-priori
-    bound, per grid of the fixed-``cn`` refinement chain over ``chain``."""
+    bound, per grid of the fixed-``cn`` refinement chain over ``chain``.
+
+    Each run is read in one pass and bound to no name, so it is freed before
+    the row is yielded and the next grid marches."""
     prob = analysis.problem_for(wave)
     for g in analysis.refinement_chain(chain, cn, wave.c, t_max=t_max):
-        run = solve(prob, g)
-        err = analysis.max_norm_over_time(analysis.convergence_error(wave, run), g)
+        err = analysis.max_norm_over_time(analysis.convergence_error(wave, solve(prob, g)), g)
         bound = analysis.total_error_bound(consts, float(g.dx), float(g.dt))
         yield {"dx": float(g.dx), "dt": float(g.dt), "measured": err, "bound": bound}
 

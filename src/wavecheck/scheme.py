@@ -10,9 +10,10 @@ The binary64 path reproduces the reference C loop operation for operation:
     p[i][1]   = p[i][0] + 0.5*a*dp;
     p[i][k+1] = 2.*p[i][k] - p[i][k-1] + a*dp;
 
-Each Python expression below mirrors that evaluation order (left to right,
-``dp`` materialized, no fused multiply-add), so round-off measurements made
-against this solver are measurements of that operation schedule.
+Each Python expression below keeps that grouping (``dp`` materialized, no
+fused multiply-add), so round-off measurements made against this solver are
+measurements of that operation schedule.  The march computes ``2.*p[i][k]``
+once per node, and both of its uses read that value.
 
 Sampling the data and the Courant number are one code path for both
 scalar kinds.  Only the march, and with it the column storage, is chosen by
@@ -80,7 +81,8 @@ class SchemeRun:
     ``i_max`` are identically zero.  A binary64 column is an ``array('d')``
     and an exact one a list of Fractions; ``source`` is the sampled source
     as one list per time step.  ``cn`` and ``xi`` are the Courant number
-    and margin the run was admitted under, ``xi`` stored as a float.
+    and margin the run was admitted under, ``xi`` as it was passed and
+    checked, so ``cn <= 1 - xi`` holds exactly for the stored values.
     """
 
     grid: Grid
@@ -88,7 +90,7 @@ class SchemeRun:
     columns: list
     a: Scalar
     cn: Scalar
-    xi: float
+    xi: Scalar
     source: Optional[list]
 
     def value(self, i: int, k: int) -> Scalar:
@@ -160,15 +162,19 @@ def solve(p: WaveProblem, g: Grid, kind: str | None = None, xi=DEFAULT_XI) -> Sc
     a = cn * cn
     march = _march_binary64 if g.kind == BINARY64 else _march_exact
     return SchemeRun(grid=g, problem=p, columns=march(g, a, u0, u1, source), a=a,
-                     cn=cn, xi=float(xi), source=source)
+                     cn=cn, xi=xi, source=source)
 
 
 def _march_binary64(g: Grid, a: float, u0, u1, source) -> list:
     """The C loop column by column, one comprehension per time step.
 
     ``l, c, r`` are ``p[i-1], p[i], p[i+1]`` of the current column and ``o``
-    is ``p[i]`` of the one before, so each node is evaluated in the C
-    loop's order: ``dp = (r - 2c) + l``, then ``(2c - o) + a*dp``.
+    is ``p[i]`` of the one before, so each node is evaluated with the C
+    loop's operations: ``dp = (r - 2c) + l``, then ``(2c - o) + a*dp``.
+    ``2c`` is computed once per node, as ``t``, and read by both: the
+    grouping of the operations fixes every bit, not the order in which
+    independent ones run.  ``march_oracle`` in ``tests/test_scheme.py`` pins
+    that grouping.
 
     Each finished column is stored as ``array('d')``, 8 bytes a node as in
     the C program's ``double`` field, with the exact bits of every value.
@@ -195,10 +201,10 @@ def _march_binary64(g: Grid, a: float, u0, u1, source) -> list:
     for k in range(1, g.k_max):
         nxt = [0.0] * (imax + 1)
         if source is None:
-            nxt[1:imax] = [(2.0 * c - o) + a * ((r - 2.0 * c) + l)
+            nxt[1:imax] = [((t := 2.0 * c) - o) + a * ((r - t) + l)
                            for l, c, r, o in zip(cur, cur[1:], cur[2:], prev[1:])]
         else:
-            nxt[1:imax] = [((2.0 * c - o) + a * ((r - 2.0 * c) + l)) + dt2 * s
+            nxt[1:imax] = [(((t := 2.0 * c) - o) + a * ((r - t) + l)) + dt2 * s
                            for l, c, r, o, s in zip(cur, cur[1:], cur[2:], prev[1:],
                                                     source[k][1:])]
         _abort_on_nonfinite(nxt, k + 1)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 from dataclasses import replace
 from fractions import Fraction as Fr
 
@@ -69,7 +71,7 @@ class SeparableRational(AnalyticSolution):
 def test_convergence_error_zero_problem_is_zero():
     g = build_grid(0, 1, 1, 8, 16)
     run = solve(WaveProblem(c=1, u0=None), g)
-    table = convergence_error(ZeroSolution(), run)
+    table = list(convergence_error(ZeroSolution(), run))
     assert all(table[k][i] == 0.0 for i in range(9) for k in range(17))
 
 
@@ -77,7 +79,7 @@ def test_convergence_error_boundary_nodes_vanish():
     wave = standing_wave(1, 1)
     g = build_grid(0, 1, 1, 20, 40)
     run = solve(problem_for(wave), g)
-    table = convergence_error(wave, run)
+    table = list(convergence_error(wave, run))
     for k in range(41):
         assert abs(table[k][0]) == 0.0
         assert abs(table[k][20]) < 1e-15  # sin(pi * 1.0) in binary64
@@ -95,7 +97,7 @@ def test_convergence_error_regression_value():
 def test_truncation_error_vanishes_for_affine_solutions():
     ref = AffineSolution()
     g = build_grid(0, 1, 1, 8, 12, "exact")
-    table = truncation_error(ref, g, ref.c)
+    table = list(truncation_error(ref, g, ref.c))
     for k in range(13):
         for i in range(9):
             assert table[k][i] == 0
@@ -104,7 +106,7 @@ def test_truncation_error_vanishes_for_affine_solutions():
 def test_truncation_error_boundary_rows_zero():
     wave = standing_wave(1, 1)
     g = build_grid(0, 1, 1, 16, 32)
-    table = truncation_error(wave, g, 1.0)
+    table = list(truncation_error(wave, g, 1.0))
     for k in range(33):
         assert table[k][0] == 0.0
         assert table[k][16] == 0.0
@@ -116,6 +118,54 @@ def test_truncation_error_quarters_when_grid_halves():
     n1 = max_norm_over_time(truncation_error(wave, g1, 1.0), g1)
     n2 = max_norm_over_time(truncation_error(wave, g2, 1.0), g2)
     assert 3.5 <= n1 / n2 <= 4.5
+
+
+def error_peak_columns(measure):
+    """Peak traced memory while ``measure()`` runs, in 200x400 grid columns.
+
+    A column of fresh floats takes 201 * (8 + 24) bytes; the whole 401-column
+    table of one error would read about 420 here.
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        measure()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (201 * 32)
+
+
+def test_error_norms_hold_a_few_columns_not_the_table():
+    wave = standing_wave(1, 1)
+    g = build_grid(0, 1, 1, 200, 400)
+    run = solve(problem_for(wave), g)
+    convergence = error_peak_columns(lambda: max_norm_over_time(convergence_error(wave, run), g))
+    truncation = error_peak_columns(lambda: max_norm_over_time(truncation_error(wave, g, 1.0), g))
+    assert convergence < 12 and truncation < 12
+
+
+@pytest.mark.parametrize("measure", ["estimate_order", "total_error_rows"])
+def test_each_grids_run_is_freed_before_the_next_grid_marches(monkeypatch, measure):
+    from wavecheck import analysis, report
+
+    wave = standing_wave(1, 1)
+    runs = []
+
+    def solving(*args, **kwargs):
+        assert [r() for r in runs] == [None] * len(runs)
+        run = solve(*args, **kwargs)
+        runs.append(weakref.ref(run))
+        return run
+
+    monkeypatch.setattr(analysis, "solve", solving)
+    monkeypatch.setattr(report, "solve", solving)
+    if measure == "estimate_order":
+        estimate_order(wave, refinement_chain([10, 20, 40], 0.5, 1.0))
+    else:
+        k = derive_constants(0.5, 1, 1, 1, 1, 1.0, 1.0, 0.0, 1.0)
+        list(report.total_error_rows(wave, k, [10, 20, 40], 0.5))
+    assert len(runs) == 3
 
 
 def test_truncation_error_needs_time_derivative():
@@ -137,7 +187,7 @@ def test_convergence_error_solves_scheme_with_truncation_inputs():
     ref = SeparableRational()
     g = build_grid(0, 1, 1, 6, 8, "exact")
     c = ref.c
-    eps = truncation_error(ref, g, c)
+    eps = list(truncation_error(ref, g, c))
 
     samples = [[ref.value(g.x(i), g.t(k)) for i in range(7)] for k in range(9)]
     u1 = [Fr(0)] + [ref.partial(0, 1, g.x(i), Fr(0)) for i in range(1, 6)] + [Fr(0)]

@@ -166,10 +166,12 @@ def test_estimate_takes_c2_at_the_runs_own_margin(monkeypatch):
 
     monkeypatch.setattr(energy, "c2_squared", recording(energy.c2_squared))
     monkeypatch.setattr(energy, "stability_constants", recording(energy.stability_constants))
-    for kind in ("exact", "binary64"):
-        run = solve(default_problem(), build_grid(0, 1, Fr(1, 2), 12, 12, kind), xi=Fr(3, 8))
-        check_energy_estimate(run, energy_series(run))
-    assert seen == [0.375, 0.375]
+    # 1/10 has no binary64 value: C2 is taken at 1/10, not at the float nearest it.
+    for xi in (Fr(3, 8), Fr(1, 10)):
+        for kind in ("exact", "binary64"):
+            run = solve(default_problem(), build_grid(0, 1, Fr(1, 2), 12, 12, kind), xi=xi)
+            check_energy_estimate(run, energy_series(run))
+    assert seen == [Fr(3, 8)] * 2 + [Fr(1, 10)] * 2
 
 
 def test_binary64_slack_absorbs_rounding_drift_that_an_exact_decision_reports(tmp_path):

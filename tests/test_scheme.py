@@ -174,6 +174,14 @@ def test_margin_tie_is_admitted_and_the_next_velocity_refused(kind, cn_above):
         solve(WaveProblem(c=math.nextafter(1.0, 2.0)), g, xi=0.5)
 
 
+def test_run_stores_the_rational_margin_it_was_admitted_under():
+    # 1/10 has no binary64 value, and cn = 9/10 is above 1 - float(1/10).
+    g = build_grid(0, 1, 1, 10, 20, "exact")
+    run = solve(WaveProblem(c=Fr(9, 5)), g, xi=Fr(1, 10))
+    assert run.cn == Fr(9, 10) and run.xi == Fr(1, 10)
+    assert run.cn <= 1 - run.xi
+
+
 def test_kind_override_rebuilds_grid():
     g = build_grid(0, 1, 1, 8, 16)
     run = solve(default_problem(), g, kind="exact")
@@ -253,6 +261,30 @@ def test_binary64_march_equals_node_loop_oracle(data, with_u1, with_source):
     assert all(type(col) is array and col.typecode == "d" for col in got)
     want = march_oracle(g, a, u0, u1, source)
     assert [[v.hex() for v in col] for col in got] == [[v.hex() for v in col] for col in want]
+
+
+#: The two regroupings of the C update that no claim tells apart from it.
+C_REGROUPINGS = {
+    "(2c + a*dp) - o": lambda l, c, r, o, a: (2.0 * c + a * ((r - 2.0 * c) + l)) - o,
+    "dp = (r + l) - 2c": lambda l, c, r, o, a: (2.0 * c - o) + a * ((r + l) - 2.0 * c),
+}
+
+
+@pytest.mark.parametrize("regrouping", C_REGROUPINGS)
+def test_node_loop_oracle_tells_each_regrouping_from_the_c_order(regrouping):
+    # The C operation order is pinned here, by march_oracle, not by any claim:
+    # a march that regroups the update passes every claim but differs in bits.
+    update = C_REGROUPINGS[regrouping]
+    g = build_grid(0, 1, 1, 10, 20)
+    a = courant_number(1, g) ** 2
+    u0 = scheme._sample_space(standing_wave(1, 1).as_problem().u0, g, "u0")
+    want = march_oracle(g, a, u0, None, None)
+    regrouped = want[:2]  # the first step has no 2c - o term
+    for k in range(1, g.k_max):
+        cur, prev = regrouped[k], regrouped[k - 1]
+        regrouped.append([0.0, *(update(cur[i - 1], cur[i], cur[i + 1], prev[i], a)
+                                 for i in range(1, g.i_max)), 0.0])
+    assert regrouped != want
 
 
 def test_binary64_run_retains_at_most_10_bytes_a_node():
