@@ -57,13 +57,16 @@ def truncation_error(ref: AnalyticSolution, g: Grid, c) -> Iterator[list]:
     columns are yielded one at a time, each from the sample stream and the
     two columns before it.  After row 1 the space stencil of :func:`apply_Ah`
     is written out inline, which gives the same bits:
-    ``t + (-(x / y)) == t - x / y`` in both scalar kinds.
+    ``t + (-(x / y)) == t - x / y`` in both scalar kinds.  The product
+    ``2 * m`` is computed once per node and read by both stencils; it is
+    exact in both kinds, so this too keeps every bit.
     """
     dt = g.dt
     dt2 = dt * dt
     c = convert(c, g.kind)
     c2 = c * c
     dx2 = g.dx * g.dx
+    two = convert(2, g.kind)
     z = zero(g.kind)
     samples = iter(ref.sample(g))
     pkm2, pkm1 = next(samples), next(samples)
@@ -73,7 +76,7 @@ def truncation_error(ref: AnalyticSolution, g: Grid, c) -> Iterator[list]:
 
     def later_columns(pkm2, pkm1):
         for pk in samples:
-            row = [(r - 2 * m + l) / dt2 - (c2 * ((right - 2 * m) + left)) / dx2
+            row = [(r - (t := two * m) + l) / dt2 - (c2 * ((right - t) + left)) / dx2
                    for r, l, left, m, right in zip(pk[1:], pkm2[1:], pkm1, pkm1[1:],
                                                    pkm1[2:])]
             yield [z, *row, z]

@@ -17,12 +17,14 @@ once per node, and both of its uses read that value.
 
 Sampling the data and the Courant number are one code path for both
 scalar kinds.  Only the march, and with it the column storage, is chosen by
-kind.  The binary64 march stores each column as ``array('d')``, 8 bytes a
-node like the C program's ``double`` field, with every value's exact bits.
-The exact recurrences run without rounding, where the order is immaterial,
-so they run fraction-free, as integers over a common denominator per time
-step (``2*D*q**k`` for ``a = p/q``), and store a list of Fractions per
-column, one built per node.  Their stencil is
+kind.  The binary64 march computes each step as a list of the interior
+nodes, which the next step reads directly, and stores each column as
+``array('d')`` of exactly ``i_max + 1`` slots, filled by one packing call:
+8 bytes a node like the C program's ``double`` field, with every value's
+exact bits.  The exact recurrences run without rounding, where the order
+is immaterial, so they run fraction-free, as integers over a common
+denominator per time step (``2*D*q**k`` for ``a = p/q``), and store a list
+of Fractions per column, one built per node.  Their stencil is
 :func:`wavecheck.fundamental.three_term`, the one integer kernel the
 fundamental table and the local-error table also use.
 """
@@ -30,6 +32,7 @@ fundamental table and the local-error table also use.
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,40 +179,60 @@ def _march_binary64(g: Grid, a: float, u0, u1, source) -> list:
     independent ones run.  ``march_oracle`` in ``tests/test_scheme.py`` pins
     that grouping.
 
-    Each finished column is stored as ``array('d')``, 8 bytes a node as in
-    the C program's ``double`` field, with the exact bits of every value.
-    The two columns the next step reads stay lists, so the comprehensions
-    never unbox a stored value.
+    Each comprehension yields the interior list ``inner``; the next step
+    reads ``c`` and ``o`` straight from the current and previous interior
+    lists, and ``l`` and ``r`` from the bounded column, so one slice a step
+    is made.  The bounded column is a list of exactly ``i_max + 1`` items:
+    ``[0.0, *inner, 0.0]`` over-allocates by an eighth, and those larger
+    blocks, freed between the stored columns, raised the peak resident
+    memory of a 1600×3200 run by 3.5 MB (CPython 3.11, glibc malloc).
+
+    Each finished column, ``u0`` included, is checked for non-finite values
+    and packed in one call into a copy of an all-zero ``array('d')`` of
+    exactly ``i_max + 1`` slots: 8 bytes a node as in the C program's
+    ``double`` field, with the exact bits of every value.  The columns the
+    next step reads stay lists, so the comprehensions never unbox a stored
+    value.
     """
     imax = g.i_max
     dt = g.dt
     ha = 0.5 * a
     dt2 = dt * dt
-    prev = u0
-    cols = [array("d", prev)]
+    pack = struct.Struct(f"{imax + 1}d").pack_into
+    blank = array("d", [0.0]) * (imax + 1)
 
-    cur = [0.0] * (imax + 1)
+    def bounded(inner: list) -> list:
+        col = [0.0] * (imax + 1)
+        col[1:imax] = inner
+        return col
+
+    def stored(col: list) -> array:
+        out = blank[:]
+        pack(out, 0, *col)
+        return out
+
+    _abort_on_nonfinite(u0, 0)
     if u1 is None:
-        cur[1:imax] = [c + ha * ((r - 2.0 * c) + l)
-                       for l, c, r in zip(prev, prev[1:], prev[2:])]
+        inner = [c + ha * ((r - 2.0 * c) + l)
+                 for l, c, r in zip(u0, u0[1:], u0[2:])]
     else:
-        cur[1:imax] = [(c + dt * v) + ha * ((r - 2.0 * c) + l)
-                       for l, c, r, v in zip(prev, prev[1:], prev[2:], u1[1:])]
+        inner = [(c + dt * v) + ha * ((r - 2.0 * c) + l)
+                 for l, c, r, v in zip(u0, u0[1:], u0[2:], u1[1:])]
+    cur = bounded(inner)
     _abort_on_nonfinite(cur, 1)
-    cols.append(array("d", cur))
+    cols = [stored(u0), stored(cur)]
+    before = u0[1:imax]
 
     for k in range(1, g.k_max):
-        nxt = [0.0] * (imax + 1)
         if source is None:
-            nxt[1:imax] = [((t := 2.0 * c) - o) + a * ((r - t) + l)
-                           for l, c, r, o in zip(cur, cur[1:], cur[2:], prev[1:])]
+            nxt = [((t := 2.0 * c) - o) + a * ((r - t) + l)
+                   for l, c, r, o in zip(cur, inner, cur[2:], before)]
         else:
-            nxt[1:imax] = [(((t := 2.0 * c) - o) + a * ((r - t) + l)) + dt2 * s
-                           for l, c, r, o, s in zip(cur, cur[1:], cur[2:], prev[1:],
-                                                    source[k][1:])]
-        _abort_on_nonfinite(nxt, k + 1)
-        cols.append(array("d", nxt))
-        prev, cur = cur, nxt
+            nxt = [(((t := 2.0 * c) - o) + a * ((r - t) + l)) + dt2 * s
+                   for l, c, r, o, s in zip(cur, inner, cur[2:], before, source[k][1:])]
+        before, inner, cur = inner, nxt, bounded(nxt)
+        _abort_on_nonfinite(cur, k + 1)
+        cols.append(stored(cur))
     return cols
 
 

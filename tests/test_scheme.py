@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 import tracemalloc
 from array import array
 from fractions import Fraction as Fr
@@ -303,6 +304,15 @@ def test_binary64_run_retains_at_most_10_bytes_a_node():
     assert retained <= 10 * nodes
 
 
+def test_binary64_columns_are_allocated_at_their_exact_size():
+    # An array('d') built from bytes over-allocates by a sixteenth, about
+    # 8.5 bytes a node, which the 10-byte bound above would let through.
+    run = solve(default_problem(), build_grid(0, 1, 1, 200, 400))
+    for col in run.columns:
+        assert len(col) == 201
+        assert sys.getsizeof(col) == sys.getsizeof(array("d", list(col)))
+
+
 @pytest.mark.parametrize("col", [
     [0.0, 1e308, 1e308, 0.0],
     [0.0, -1e308, -1e308, 1.0, 0.0],
@@ -327,9 +337,12 @@ def test_nonfinite_check_reports_the_first_bad_node(col, i):
 def test_nonfinite_abort_reports_first_node():
     # Inside the margin (cn = 1/2), 2.0 * 1e308 overflows in the first step,
     # so the run aborts at the first non-finite node of the node-loop march.
+    # A non-finite datum is reported at its own node in column 0, not at a
+    # neighbour it spoils in column 1.
     g = build_grid(0, 1, 1, 12, 24)
-    for nodes, first in (((7,), (7, 1)), ((3, 9), (3, 1))):
-        u0 = [1e308 if i in nodes else 0.0 for i in range(13)]
+    for value, nodes, first in ((1e308, (7,), (7, 1)), (1e308, (3, 9), (3, 1)),
+                                (math.nan, (3,), (3, 0)), (math.inf, (3,), (3, 0))):
+        u0 = [value if i in nodes else 0.0 for i in range(13)]
         with pytest.raises(NonFiniteError) as err:
             solve(WaveProblem(c=1, u0=u0), g)
         assert (err.value.i, err.value.k) == first
