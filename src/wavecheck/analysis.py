@@ -159,17 +159,11 @@ def estimate_order(ref: AnalyticSolution, grids: list[Grid], mode: str = "conver
 
 @dataclass(frozen=True)
 class ErrorConstants:
-    """Inputs and derived constants of the a-priori total-error bound."""
+    """Derived constants of the a-priori total-error bound, plus the two
+    inputs its consumers read: the margin ``xi`` and the velocity ``c``."""
 
     xi: float
-    alpha3: float
-    C3: float
-    alpha4: float
-    C4: float
     c: float
-    t_max: float
-    x_min: float
-    x_max: float
     C2: float
     C_prime: float
     C_second: float
@@ -216,9 +210,7 @@ def derive_constants(xi, C3, C4, alpha3, alpha4, c, t_max, x_min, x_max) -> Erro
     alpha_delta = min(1.0, t_max / 2.0)
     c_delta = float(NORM_SCALE) * t_max ** 2 * math.sqrt(span + 1.0)
     return ErrorConstants(
-        xi=xi, alpha3=alpha3, C3=C3, alpha4=alpha4, C4=C4, c=c,
-        t_max=t_max, x_min=x_min, x_max=x_max,
-        C2=c2, C_prime=c_prime, C_second=c_second,
+        xi=xi, c=c, C2=c2, C_prime=c_prime, C_second=c_second,
         alpha_e=alpha_e, C_e=c_e, alpha_Delta=alpha_delta, C_Delta=c_delta,
     )
 

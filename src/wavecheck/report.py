@@ -406,15 +406,23 @@ def claim_local_bound(cfg: ClaimConfig):
 
 
 def claim_global_bound(cfg: ClaimConfig):
+    """The node-wise bound on every grid; the norm-level evidence is read
+    from the reports and names each grid where that form does not apply."""
     grids = list(cfg.reconstruction_grids) + [cfg.local_bound_grid]
     worst_ratio = Fraction(0)
     worst_at = None
+    not_applicable = []
     for i_max, k_max in grids:
         g = build_grid(0, 1, 1, i_max, k_max, BINARY64)
         run = roundoff.shadow_solve(default_problem(), g)
         rep = roundoff.check_global_bound(run)
         if not rep.ok:
             return VIOLATED, {"grid": [i_max, k_max], "violations": rep.violations[:5]}
+        if rep.norm_level_ok is False:
+            return VIOLATED, {"grid": [i_max, k_max], "norm_level": "fails although "
+                              "the node-wise bound holds, which implies it"}
+        if rep.norm_level_ok is None:
+            not_applicable.append([i_max, k_max])
         if rep.max_ratio_exact > worst_ratio:
             worst_ratio = rep.max_ratio_exact
             worst_at = [i_max, k_max, list(rep.worst_node)]
@@ -422,7 +430,8 @@ def claim_global_bound(cfg: ClaimConfig):
         "grids": [list(gk) for gk in grids],
         "max_ratio": float(worst_ratio),
         "worst": worst_at,
-        "norm_level": "holds on all runs",
+        "norm_level": (f"does not apply on {not_applicable}; holds on the other runs"
+                       if not_applicable else "holds on all runs"),
     }
 
 
@@ -490,10 +499,10 @@ def _constants_oracle(xi, c3, c4, a3, a4, c, t_max, x_min, x_max) -> dict:
     }
 
 
-def constants_match_oracle(consts: analysis.ErrorConstants) -> bool:
-    oracle = _constants_oracle(consts.xi, consts.C3, consts.C4, consts.alpha3,
-                               consts.alpha4, consts.c, consts.t_max,
-                               consts.x_min, consts.x_max)
+def constants_match_oracle(consts: analysis.ErrorConstants, inputs: tuple) -> bool:
+    """Whether each derived constant is within tolerance of the oracle's,
+    computed from ``inputs``, the arguments ``consts`` was derived from."""
+    oracle = _constants_oracle(*inputs)
     for name, (lo, hi) in oracle.items():
         mid = (lo + hi) / 2
         got = to_fraction(getattr(consts, name))
@@ -514,11 +523,9 @@ def claim_constants(cfg: ClaimConfig):
         t_max = Fraction(rng.randint(1, 60), 20)
         x_min = Fraction(rng.randint(-20, 10), 10)
         x_max = x_min + Fraction(rng.randint(1, 40), 10)
-        consts = analysis.derive_constants(
-            float(xi), float(c3), float(c4), float(a3), float(a4),
-            float(c), float(t_max), float(x_min), float(x_max))
-        # The oracle reads back the binary64 inputs the library actually saw.
-        if not constants_match_oracle(consts):
+        # The library and the oracle are given the same binary64 inputs.
+        inputs = tuple(map(float, (xi, c3, c4, a3, a4, c, t_max, x_min, x_max)))
+        if not constants_match_oracle(analysis.derive_constants(*inputs), inputs):
             return VIOLATED, {"set": j, "xi": str(xi)}
     return VERIFIED_TOL, {"parameter_sets": CONSTANTS_SETS,
                           "relative_tolerance": float(CONSTANTS_REL_TOL)}

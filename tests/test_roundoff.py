@@ -18,11 +18,13 @@ from wavecheck import (
     default_problem,
     local_errors,
     reconstruct_global_error,
+    roundoff,
     scheme,
     shadow_solve,
     solve,
 )
 from wavecheck.problem import Polynomial
+from wavecheck.report import VERIFIED_EXACT, VIOLATED, ClaimConfig, claim_global_bound
 from wavecheck.scalars import EXACT
 from wavecheck.roundoff import A_GAP, GLOBAL_BOUND_SCALE, LOCAL_BOUND, max_abs_delta
 
@@ -211,6 +213,31 @@ def test_node_wise_global_bound_implies_the_norm_level_one(data):
     rep = check_global_bound(run)
     if rep.ok:
         assert rep.norm_level_ok is True
+
+
+@pytest.mark.parametrize("norm_level_ok,status,evidence", [
+    (True, VERIFIED_EXACT, {"norm_level": "holds on all runs"}),
+    (None, VERIFIED_EXACT,
+     {"norm_level": "does not apply on [[8, 16]]; holds on the other runs"}),
+    (False, VIOLATED, {"grid": [8, 16]}),
+], ids=["holds", "does-not-apply", "fails"])
+def test_global_bound_claim_reads_the_norm_level_check(monkeypatch, norm_level_ok, status,
+                                                        evidence):
+    # Only the 8x16 run's report is changed.  False there while the node-wise
+    # bound holds contradicts the implication, so the claim reads violated.
+    check = roundoff.check_global_bound
+
+    def patched(run):
+        rep = check(run)
+        if run.grid.i_max == 8:
+            rep = dataclasses.replace(rep, norm_level_ok=norm_level_ok)
+        return rep
+
+    monkeypatch.setattr(roundoff, "check_global_bound", patched)
+    cfg = ClaimConfig(reconstruction_grids=((8, 16), (10, 20)), local_bound_grid=(12, 24))
+    got_status, got = claim_global_bound(cfg)
+    assert got_status == status
+    assert {key: got[key] for key in evidence} == evidence
 
 
 def test_computed_values_stay_in_range(shadow_10x20):
