@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -90,7 +91,12 @@ def id_list(text: str):
     return _comma_list(text, str)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; ``main`` may run any number of times.
+
+    Its defaults are immutable, so no parse can change what the next sees.
+    """
     # The catalog's defaults, read from report.ClaimConfig: the name
     # cli.ClaimConfig may be rebound to a factory with other sizes.
     catalog = report.ClaimConfig()
@@ -134,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_order, grid=False)
     p_order.add_argument("--mode", choices=("convergence", "truncation"),
                          default="convergence")
-    p_order.add_argument("--chain", type=int_list, default=list(catalog.order_chain),
+    p_order.add_argument("--chain", type=int_list, default=catalog.order_chain,
                          help="comma-separated i_max chain")
     p_order.add_argument("--m", type=int, default=1)
     p_order.set_defaults(func=cmd_order)
@@ -159,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="table depth for closed-form/row-sum/nonneg checks")
     p_fund.add_argument("--range", dest="sweep", type=int, default=catalog.identity_kmax,
                         help="max k for the identity / recurrence sweeps")
-    p_fund.add_argument("--a", type=rational_list, default=list(report.A_VALUES),
+    p_fund.add_argument("--a", type=rational_list, default=report.A_VALUES,
                         help="comma-separated rationals in (0,1)")
     p_fund.add_argument("--certificates", type=int, default=catalog.certificate_samples)
     p_fund.add_argument("--seed", type=int, default=catalog.random_seed)
@@ -169,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="a-priori total-error bound and optimum")
     common(p_bound, grid=False)
     p_bound.add_argument("--m", type=int, default=1)
-    p_bound.add_argument("--chain", type=int_list, default=list(report.TOTAL_ERROR_CHAIN))
+    p_bound.add_argument("--chain", type=int_list, default=report.TOTAL_ERROR_CHAIN)
     # Here --xi sets the margin of the bound constants; unset, it follows --cn
     # through analysis.constants_margin.
     p_bound.set_defaults(func=cmd_bound, xi=None)
@@ -316,7 +322,7 @@ def cmd_order(args) -> int:
         "slope": fit.slope,
         "points": [{"dx": dx, "error": err} for dx, err in fit.points],
     })
-    print(f"order[{args.mode}]: slope = {fit.slope:.4f} over chain {args.chain}")
+    print(f"order[{args.mode}]: slope = {fit.slope:.4f} over chain {list(args.chain)}")
     return 0
 
 
@@ -473,19 +479,18 @@ def cmd_report(args) -> int:
                       inject_wrong_a=args.selftest_inject_fault)
     rep = run_claims(cfg, only=args.only)
     args.out.mkdir(parents=True, exist_ok=True)
+    text = rep.to_text()
     write_json(args.out / "claims.json", rep.to_dict())
-    (args.out / "claims.txt").write_text(rep.to_text() + "\n")
+    (args.out / "claims.txt").write_text(text + "\n")
     write_json(args.out / "timings.json", rep.timings())
-    print(rep.to_text())
+    print(text)
     return rep.exit_code
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = apply_config_file(argv)
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(apply_config_file(argv))
         return args.func(args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

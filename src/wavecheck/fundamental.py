@@ -81,7 +81,8 @@ class FundamentalTable:
                     yield j - k, k
 
     def all_nonnegative(self) -> bool:
-        return next(self.negative_entries(), None) is None
+        """No negative entry; the scaled rows have the signs of the entries."""
+        return all(min(row) >= 0 for row in self._rows)
 
 
 def three_term(cur: list, old: list, p, t, w) -> list:
@@ -329,14 +330,17 @@ def check_certificate(i: int, n: int, k: int, p: int) -> CertificateResult:
 
         b_{l,0} + b_{l,1} (LF/F) = R_l(p+1) (PF/F) - R_l(p)
 
-    is evaluated in exact rational arithmetic.  Configurations that put a
-    zero in one of the certificate denominators are skipped with the
-    denominator named.
+    is decided in integers: with ``R_l(p) = r0/d0`` and ``R_l(p+1) = r1/d1``
+    it holds exactly when ``(b_{l,0} F + b_{l,1} LF) d0 d1 = r1 d0 PF - r0 d1
+    F``, since ``F`` and both denominators are nonzero.  Configurations
+    that put a zero in one of the certificate denominators are skipped with
+    the denominator named.
     """
     _require_ordered(i, n, k)
     if not i <= p <= n:
         raise DomainError(f"p={p} outside the summand support [{i}, {n}]")
     base = summand(i, n, k, p)
+    following = summand(i, n, k, p + 1)
     results: dict = {}
     for name, cert in _CERTIFICATE.items():
         bad = cert["bad_dens"](i, n, k, p)
@@ -345,8 +349,10 @@ def check_certificate(i: int, n: int, k: int, p: int) -> CertificateResult:
             continue
         di, dn, dk = cert["step"]
         shifted = summand(i + di, n + dn, k + dk, p)
-        lhs = cert["b0"](i, n, k) + cert["b1"](i, n, k) * Fraction(shifted, base)
         rat = cert["rat"]
-        rhs = rat(i, n, k, p + 1) * Fraction(summand(i, n, k, p + 1), base) - rat(i, n, k, p)
+        r0, r1 = rat(i, n, k, p), rat(i, n, k, p + 1)
+        d0, d1 = r0.denominator, r1.denominator
+        lhs = (cert["b0"](i, n, k) * base + cert["b1"](i, n, k) * shifted) * d0 * d1
+        rhs = r1.numerator * d0 * following - r0.numerator * d1 * base
         results[name] = "ok" if lhs == rhs else "violated"
     return CertificateResult(point=(i, n, k, p), results=results)

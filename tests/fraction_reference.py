@@ -8,14 +8,22 @@ half-row one replaced.  They are kept verbatim as test oracles: every
 Fraction the package returns must equal the one computed here.  The integer
 sums at the end are the explicit forms that the Jacobi recurrence and the
 direct binomial sums replaced, kept the same way, and so is the per-triple
-sweep of the shift recurrences that the row-carrying sweep replaced.
+sweep of the shift recurrences that the row-carrying sweep replaced, and the
+telescoping certificate's two sides as Fractions, which the cross-multiplied
+integer test replaced.
 """
 
 import math
 from fractions import Fraction
 
 from wavecheck.errors import ParameterError
-from wavecheck.fundamental import FundamentalTable, _require_ordered, summand, three_term
+from wavecheck.fundamental import (
+    _CERTIFICATE,
+    FundamentalTable,
+    _require_ordered,
+    summand,
+    three_term,
+)
 from wavecheck.grid import Grid, apply_Ah, dot_dx
 from wavecheck.problem import antisym_index
 from wavecheck.roundoff import GLOBAL_BOUND_SCALE, NORM_SCALE, GlobalBoundReport
@@ -261,3 +269,21 @@ def check_zeilberger_recurrences(i: int, n: int, k: int) -> bool:
     ok_n = (n + 1 + i) * (n + 1 - i) * brute_sum(i, n + 1, k) == (k + 1 + n) * (k - n) * f
     ok_k = (k + 1 - n) * brute_sum(i, n, k + 1) == (k + 1 + n) * f
     return ok_i and ok_n and ok_k
+
+
+def certificate_results(i: int, n: int, k: int, p: int) -> dict:
+    """``check_certificate(i, n, k, p).results`` with each identity's sides as Fractions."""
+    base = summand(i, n, k, p)
+    results: dict = {}
+    for name, cert in _CERTIFICATE.items():
+        bad = cert["bad_dens"](i, n, k, p)
+        if bad:
+            results[name] = f"skipped: zero denominator {', '.join(bad)}"
+            continue
+        di, dn, dk = cert["step"]
+        shifted = summand(i + di, n + dn, k + dk, p)
+        lhs = cert["b0"](i, n, k) + cert["b1"](i, n, k) * Fraction(shifted, base)
+        rat = cert["rat"]
+        rhs = rat(i, n, k, p + 1) * Fraction(summand(i, n, k, p + 1), base) - rat(i, n, k, p)
+        results[name] = "ok" if lhs == rhs else "violated"
+    return results

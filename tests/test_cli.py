@@ -428,13 +428,16 @@ def test_grid_flags_are_rejected_where_unread(tmp_path, capsys, command, flag):
 
 #: Defaults of each subcommand's flags, recorded while the parser still wrote
 #: them out as literals; it now reads them from the catalog and the scheme.
+#: The list defaults were re-recorded as tuples when the parser became one
+#: per process: a list default is shared by every parse, so one run that
+#: appended to it would change the defaults of the next.
 PARSER_DEFAULTS = {
     "order": {"c": 1, "tmax": 1, "cn": 0.5, "xi": 2.0 ** -50, "mode": "convergence",
-              "chain": [50, 100, 200, 400], "m": 1},
+              "chain": (50, 100, 200, 400), "m": 1},
     "fundamental": {"depth": 40, "sweep": 30,
-                    "a": [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)],
+                    "a": (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)),
                     "certificates": 500, "seed": 20130},
-    "bound": {"c": 1, "tmax": 1, "cn": 0.5, "xi": None, "m": 1, "chain": [50, 100, 200]},
+    "bound": {"c": 1, "tmax": 1, "cn": 0.5, "xi": None, "m": 1, "chain": (50, 100, 200)},
     "report": {"only": None, "seed": 20130, "selftest_inject_fault": False},
 }
 
@@ -446,6 +449,24 @@ def test_parser_defaults_are_pinned(command):
     got = {key: args[key] for key in expected}
     assert got == expected
     assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in expected.items()}
+    for key, value in args.items():  # immutable, so a shared parser holds no state
+        assert hash(value) is not None, key
+
+
+@pytest.mark.parametrize("command", ["solve", "energy", "roundoff"])
+def test_parser_defaults_without_a_pin_are_hashable(command):
+    for key, value in vars(build_parser().parse_args([command])).items():
+        assert hash(value) is not None, key
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_order_prints_its_default_chain_as_a_list(tmp_path, capsys):
+    assert main(["order", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith(" over chain [50, 100, 200, 400]\n")
+    assert read_json(tmp_path / "order.json")["chain"] == [50, 100, 200, 400]
 
 
 def test_report_subset_and_skip_labeling(tmp_path):
@@ -734,12 +755,16 @@ ARTIFACT_SHA256 = {
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
-def test_artifacts_match_recorded_digests(tmp_path, name):
+def test_artifacts_match_recorded_digests(tmp_path, capsys, name):
+    # Two runs in one process share the parser: both must write the same
+    # files and print the same lines.
     argv, expected = ARTIFACT_SHA256[name]
-    digests = []
+    digests, stdouts = [], []
     for run in ("run1", "run2"):
         out = tmp_path / run
         assert main(argv + ["--out", str(out)]) == 0
         digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                         for path in out.iterdir()})
+        stdouts.append(capsys.readouterr().out.replace(str(out), "<out>"))
     assert digests[0] == digests[1] == expected
+    assert stdouts[0] == stdouts[1] != ""

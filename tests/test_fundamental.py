@@ -295,6 +295,39 @@ def test_certificate_support_validation():
         check_certificate(3, 1, 2, 1)
 
 
+@pytest.mark.parametrize("corruption", [
+    None,
+    ("k", "rat", lambda rat: lambda i, n, k, p: rat(i, n, k, p) + 1),
+    ("n", "b1", lambda b1: lambda i, n, k: 2 * b1(i, n, k)),
+], ids=["exact", "rat-k-plus-one", "b1-n-doubled"])
+def test_certificate_results_equal_the_fraction_reference(monkeypatch, corruption):
+    if corruption is not None:
+        name, key, wrap = corruption
+        cert = fundamental._CERTIFICATE[name]
+        monkeypatch.setitem(cert, key, wrap(cert[key]))
+    outcomes = set()
+    for k in range(13):
+        for n in range(k + 1):
+            for i in range(n + 1):
+                for p in range(i, n + 1):
+                    expected = fraction_reference.certificate_results(i, n, k, p)
+                    assert check_certificate(i, n, k, p).results == expected, (i, n, k, p)
+                    outcomes.update(expected.values())
+    # Each corruption shows as a violation; the exact certificate shows none.
+    assert ("violated" in outcomes) == (corruption is not None)
+
+
+def test_table_with_one_planted_negative_entry_is_not_nonnegative():
+    table = build_table(Fr(1, 2), 6)
+    assert table.all_nonnegative()
+    for i in (-2, 3):  # left and right of the centre of row 5
+        rows = [table.scaled_row(k) for k in range(7)]
+        rows[5][i + 5] = -1
+        planted = fundamental.FundamentalTable(table.a, 6, rows)
+        assert not planted.all_nonnegative()
+        assert list(planted.negative_entries()) == [(i, 5)]
+
+
 def test_certificate_random_tuples():
     import random
 
