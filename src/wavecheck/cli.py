@@ -393,8 +393,9 @@ def cmd_roundoff(args) -> int:
     write_json(args.out / "roundoff.json", payload)
     print(f"roundoff: max|delta|={float(worst_delta):.3e} "
           f"ratio={bound_rep.max_ratio:.3e} reconstruction={verdict}")
-    passed = (run.a_gap_ok and run.range_violation is None
-              and payload["local_bound_ok"] and bound_rep.ok and verdict != "mismatch")
+    passed = (run.a_gap_ok and run.range_violation is None and payload["local_bound_ok"]
+              and bound_rep.ok and bound_rep.norm_level_ok is not False
+              and verdict != "mismatch")
     return 0 if passed else 1
 
 

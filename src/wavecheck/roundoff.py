@@ -6,21 +6,20 @@ Every binary64 value is a rational, so the global error ``D = computed -
 exact`` and the per-update local errors ``d`` are exact rationals, and the
 convolution identity tying them together can be checked with zero tolerance.
 
-The exact layers run fraction-free (Bareiss-style): values sharing a
-denominator are held as integers over it, and each output node becomes one
-Fraction at the end.  The exact march keeps a column over ``2*D*q**k`` (see
-:mod:`wavecheck.scheme`), a local-error update of dyadic binary64 values is
-an integer over ``q * 2**e``, both through the one integer stencil
-:func:`wavecheck.fundamental.three_term` that also builds the fundamental
-table, and the convolution sums each node over ``D * q**k`` with ``D`` the
-common denominator of all local errors.  Every table returned is the same
+The exact layers run fraction-free (Bareiss-style): :func:`common_column`
+reads a column of floats or Fractions as integers over the lcm of its
+denominators, :func:`over_one_denominator` puts several over one lcm, and
+each output node becomes one Fraction at the end.  The exact march keeps a
+column over ``2*D*q**k`` (see :mod:`wavecheck.scheme`) and a local-error
+update is an integer over ``q`` times its columns' lcm, both through the
+integer stencil :func:`wavecheck.fundamental.three_term` that also builds
+the fundamental table; the convolution sums each node over ``D * q**k``
+with ``D`` the lcm of all local errors.  Every table returned is the same
 list of Fractions a plain rational loop gives.
 
-The round-off checks read the tables one column at a time as integers over
-the column's common denominator (:func:`common_column`).  Column k of the
-global error is the integer difference ``fl * den - ex * 2**e`` of the
-binary64 column over ``2**e`` and the exact column over its lcm ``den``.
-:func:`check_global_bound` compares each ``|n|`` against one integer
+The round-off checks read the tables one column at a time the same way.
+Global-error column k is the binary64 minus the exact column over their
+lcm.  :func:`check_global_bound` compares each ``|n|`` against one integer
 threshold per column, takes the worst ratio from the column's largest
 ``|n|`` and sums the norm-level form as ``sum n**2`` over ``den**2``;
 :func:`max_abs_delta` takes each column's largest ``|n|`` over its lcm.
@@ -34,7 +33,6 @@ matches the stored ``computed - exact`` table entry for entry.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -44,7 +42,7 @@ from .errors import ParameterError, UnsupportedFeatureError
 from .fundamental import FundamentalTable, three_term
 from .grid import Grid
 from .problem import WaveProblem, antisym_extension
-from .scalars import BINARY64, EXACT, common_column, to_fraction
+from .scalars import BINARY64, EXACT, common_column, over_one_denominator, to_fraction
 from .scheme import DEFAULT_XI, SchemeRun, solve
 
 #: Local round-off bound for one update of the scheme, 78 * 2**-52.
@@ -63,11 +61,14 @@ class ShadowRun:
 
     float_run: SchemeRun
     exact_run: SchemeRun
-    a_exact: Fraction
     delta: list       # columns of local errors, (i_max+1) x (k_max+1)
     global_err: list  # columns of computed-minus-exact
     a_gap_ok: bool
     range_violation: Optional[tuple]
+
+    @property
+    def a_exact(self) -> Fraction:
+        return self.exact_run.a
 
     @property
     def grid(self) -> Grid:
@@ -82,64 +83,44 @@ class ShadowRun:
         return self.exact_run.grid.k_max
 
 
-def _dyadic_column(col) -> tuple[list[int], int]:
-    """Binary64 values as integers over one power of two: ``(ints, e)``.
+def _difference_column(a_col, b_col) -> list:
+    """``a - b`` per node, for columns of any scalar kind.
 
-    Each column gets its own exponent, so one tiny value widens only the
-    column it sits in.
+    Both columns are put over the lcm ``den`` of their denominators
+    (:func:`common_column`, :func:`over_one_denominator`), so each node is
+    one Fraction, ``x - y`` over ``den``.
     """
-    ratios = [v.as_integer_ratio() for v in col]
-    e = max(d.bit_length() for _, d in ratios) - 1
-    return [n << (e + 1 - d.bit_length()) for n, d in ratios], e
-
-
-def _difference_column(fl_col, ex_col) -> list:
-    """``fl - ex`` per node as one integer difference over ``den * 2**e``.
-
-    The binary64 column is integers over ``2**e`` and the exact column
-    integers over their lcm ``den``, so each node is ``fl * den - ex * 2**e``
-    and becomes one Fraction.
-    """
-    fl, e = _dyadic_column(fl_col)
-    ex, den = common_column(ex_col)
-    d = den << e
-    return [Fraction(f * den - (x << e), d) for f, x in zip(fl, ex)]
+    (a_ints, b_ints), den = over_one_denominator(common_column(a_col), common_column(b_col))
+    return [Fraction(x - y, den) for x, y in zip(a_ints, b_ints)]
 
 
 def _local_error_table(fl_cols: list, exact_col0: list, a: Fraction) -> list:
     """Local errors per the update definitions, from the binary64 columns.
 
-    With ``a = p/q`` every update is :func:`three_term` divided by a weight.
-    ``d^0`` is the data error.  ``d^1 = y + (a/2) (y_(i+1) - 2 y_i + y_(i-1))
-    - p^1`` with ``y = p^0 - d^0`` is the stencil with ``w = 2q`` on ``p^1``,
-    over ``2q``, in Fractions.  For k >= 1, ``2 p^k - p^(k-1) + a (p^k_(i+1) -
-    2 p^k_i + p^k_(i-1)) - p^(k+1)`` is the stencil with ``w = q`` on
-    ``p^(k-1) + p^(k+1)``: of dyadic values, an integer over ``q * 2**e``
-    with ``2**e`` the widest of the three columns' exponents, so it builds
-    one Fraction per node.
+    With ``a = p/q`` each update ``d^k`` for k >= 1 is ``step``: the stencil
+    :func:`three_term` with weight ``w`` over ``w * den``, where ``den`` is
+    the lcm :func:`over_one_denominator` puts its columns over.  ``d^0 =
+    ex^0 - p^0`` is the data error.  ``d^1 = y + (a/2) (y_(i+1) - 2 y_i +
+    y_(i-1)) - p^1`` with ``y = p^0 - d^0 = 2 p^0 - ex^0`` has ``w = 2q`` on
+    ``p^1``; later ``2 p^k - p^(k-1) + a (p^k_(i+1) - 2 p^k_i + p^k_(i-1)) -
+    p^(k+1)`` has ``w = q`` on ``p^(k-1) + p^(k+1)``.  The binary64 columns
+    are read as integers one at a time, three held at once.
     """
-    kmax = len(fl_cols) - 1
-    z = Fraction(0)
     p, q = a.numerator, a.denominator
-    two_q_minus_p = 2 * (q - p)
-    fl0 = [to_fraction(v) for v in fl_cols[0]]
-    fl1 = [to_fraction(v) for v in fl_cols[1]]
+    two_q_minus_p, z = 2 * (q - p), Fraction(0)
 
-    d0 = [z, *(ex - fl for ex, fl in zip(exact_col0[1:-1], fl0[1:-1])), z]
-    y = [fl - d for fl, d in zip(fl0, d0)]
-    d1 = [z, *(n / (2 * q) for n in three_term(y, fl1[1:], p, two_q_minus_p, 2 * q)), z]
+    def step(cur, old, w, den):
+        den *= w
+        return [z, *(Fraction(n, den) for n in three_term(cur, old, p, two_q_minus_p, w)), z]
 
-    cols = [d0, d1]
-    prev_dy, cur_dy = _dyadic_column(fl_cols[0]), _dyadic_column(fl_cols[1])
-    for k in range(1, kmax):
-        next_dy = _dyadic_column(fl_cols[k + 1])
-        e = max(prev_dy[1], cur_dy[1], next_dy[1])
-        prev, cur, nxt = ([n << (e - ej) for n in col] if ej < e else col
-                          for col, ej in (prev_dy, cur_dy, next_dy))
-        den = q << e
-        old = [back + ahead for back, ahead in zip(prev[1:], nxt[1:])]
-        cols.append([z, *(Fraction(n, den)
-                          for n in three_term(cur, old, p, two_q_minus_p, q)), z])
+    fl_ints = map(common_column, fl_cols)
+    prev_dy, cur_dy = next(fl_ints), next(fl_ints)
+    (fl0, ex0, fl1), den = over_one_denominator(prev_dy, common_column(exact_col0), cur_dy)
+    y = [2 * f - x for f, x in zip(fl0, ex0)]
+    cols = [_difference_column(exact_col0, fl_cols[0]), step(y, fl1[1:], 2 * q, den)]
+    for next_dy in fl_ints:
+        (prev, cur, nxt), den = over_one_denominator(prev_dy, cur_dy, next_dy)
+        cols.append(step(cur, [back + ahead for back, ahead in zip(prev[1:], nxt[1:])], q, den))
         prev_dy, cur_dy = cur_dy, next_dy
     return cols
 
@@ -158,20 +139,18 @@ def shadow_solve(p: WaveProblem, g: Grid, xi: float = DEFAULT_XI) -> ShadowRun:
         )
     exact_run = solve(p, g, kind=EXACT, xi=xi)
     float_run = solve(p, g, kind=BINARY64, xi=xi)
-    a_exact = exact_run.a
-    a_gap_ok = abs(to_fraction(float_run.a) - a_exact) <= A_GAP
+    a_gap_ok = abs(to_fraction(float_run.a) - exact_run.a) <= A_GAP
 
     fl_cols, ex_cols = float_run.columns, exact_run.columns
     global_err = [_difference_column(fl_col, ex_col)
                   for fl_col, ex_col in zip(fl_cols, ex_cols)]
-    delta = _local_error_table(fl_cols, ex_cols[0], a_exact)
+    delta = _local_error_table(fl_cols, ex_cols[0], exact_run.a)
     range_violation = next(((i, k, v) for k, col in enumerate(fl_cols)
                             for i, v in enumerate(col) if not -2.0 <= v <= 2.0), None)
 
     return ShadowRun(
-        float_run=float_run, exact_run=exact_run, a_exact=a_exact,
-        delta=delta, global_err=global_err, a_gap_ok=a_gap_ok,
-        range_violation=range_violation,
+        float_run=float_run, exact_run=exact_run, delta=delta,
+        global_err=global_err, a_gap_ok=a_gap_ok, range_violation=range_violation,
     )
 
 
@@ -209,11 +188,9 @@ def reconstruct_global_error(delta: list, table: FundamentalTable, i_max: int) -
         raise ParameterError(
             f"fundamental table depth {table.K} insufficient for k_max {k_max}"
         )
-    den = math.lcm(*(v.denominator for row in delta for v in row))
-    # Row m extended to indices -k_max .. i_max + k_max, scaled by D.
-    ext = [[v.numerator * (den // v.denominator)
-            for v in antisym_extension(row, -k_max, i_max + k_max)]
-           for row in delta]
+    # Row m extended to indices -k_max .. i_max + k_max, as integers over D.
+    ext, den = over_one_denominator(*(
+        common_column(antisym_extension(row, -k_max, i_max + k_max)) for row in delta))
     # Reversed rows turn sum_j d~_{i-j} L_j into a dot product with a slice.
     lam_rev = [table.scaled_row(l)[::-1] for l in range(k_max + 1)]
     q = table.a.denominator

@@ -67,11 +67,25 @@ def zero(kind: str) -> Scalar:
 
 
 def common_column(col) -> tuple[list[int], int]:
-    """A Fraction column as integers over the lcm of its denominators: ``(ints, den)``."""
-    dens = {v.denominator for v in col}
+    """A column as integers over the lcm of its denominators: ``(ints, den)``.
+
+    Floats, ints and Fractions alike are read through ``as_integer_ratio``;
+    for a binary64 column ``den`` is its largest power-of-two denominator.
+    """
+    ratios = [v.as_integer_ratio() for v in col]
+    dens = {d for _, d in ratios}
     den = math.lcm(*dens)
     scale = {d: den // d for d in dens}
-    return [v.numerator * scale[v.denominator] for v in col], den
+    return [n * scale[d] for n, d in ratios], den
+
+
+def over_one_denominator(*cols) -> tuple[list[list[int]], int]:
+    """``(ints, den)`` columns rescaled to their lcm: ``([ints, ...], lcm)``.
+
+    A column already over the lcm is returned as it is, not copied.
+    """
+    den = math.lcm(*(d for _, d in cols))
+    return [ints if d == den else list(map((den // d).__mul__, ints)) for ints, d in cols], den
 
 
 def sqrt_bounds(x: Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:

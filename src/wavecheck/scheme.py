@@ -48,7 +48,17 @@ from .errors import (
 from .fundamental import three_term
 from .grid import Grid, build_grid, check_vector
 from .problem import WaveProblem
-from .scalars import BINARY64, EXACT, Scalar, convert, is_rational, to_fraction, zero
+from .scalars import (
+    BINARY64,
+    EXACT,
+    Scalar,
+    common_column,
+    convert,
+    is_rational,
+    over_one_denominator,
+    to_fraction,
+    zero,
+)
 
 #: Default Courant margin; the reference program is specified down to this value.
 DEFAULT_XI = 2.0 ** -50
@@ -239,13 +249,13 @@ def _march_binary64(g: Grid, a: float, u0, u1, source) -> list:
 def _march_exact(g: Grid, a: Fraction, u0, u1, source) -> list:
     """The exact recurrences in integers, one Fraction per node at the end.
 
-    With ``a = p/q`` and ``D`` the lcm of the denominators of ``u0``,
-    ``dt*u1`` and ``dt**2*s``, column k is held as integers over
-    ``2*D*q**k``.  Each step is then :func:`wavecheck.fundamental.three_term`
-    plus the scaled data terms: the first step adds the scaled velocity
-    (weight -1), later ones subtract ``q**2`` times the column before.  No
-    step pays for a gcd; each column becomes Fractions as soon as it is
-    done, and only the last two integer columns are kept.
+    With ``a = p/q`` and ``u0``, ``dt*u1`` and ``dt**2*s`` over the lcm ``D``
+    of their denominators (:func:`wavecheck.scalars.over_one_denominator`),
+    column k is held as integers over ``2*D*q**k``.  Each step is then
+    :func:`wavecheck.fundamental.three_term` plus the scaled data terms: the
+    first step adds the scaled velocity (weight -1), later ones subtract
+    ``q**2`` times the column before.  No step pays for a gcd; each column
+    becomes Fractions when it is done, and two integer columns are kept.
     """
     imax = g.i_max
     p, q = a.numerator, a.denominator
@@ -253,25 +263,19 @@ def _march_exact(g: Grid, a: Fraction, u0, u1, source) -> list:
     vel = [dt * v for v in u1] if u1 is not None else [0] * (imax + 1)
     forcing = ([[dt * dt * v for v in source[k]] for k in range(1, g.k_max)]
                if source is not None else [])
-    D = math.lcm(*(v.denominator for v in u0), *(v.denominator for v in vel),
-                 *(v.denominator for col in forcing for v in col))
+    (u0_d, vel_d, *forcing), D = over_one_denominator(*map(common_column, (u0, vel, *forcing)))
     two_q_minus_p, q2 = 2 * (q - p), q * q
-
-    def scaled(col, factor):
-        return [v.numerator * (factor // v.denominator) for v in col]
-
-    u0_d = scaled(u0, D)
     prev = [2 * v for v in u0_d]
-    cur = [0, *three_term(u0_d, scaled(vel, 2 * q * D)[1:], p, two_q_minus_p, -1), 0]
+    cur = [0, *three_term(u0_d, [2 * q * v for v in vel_d[1:]], p, two_q_minus_p, -1), 0]
     den = 2 * D * q
     cols = [list(u0), [Fraction(n, den) for n in cur]]
 
     for k in range(1, g.k_max):
         nxt = [0, *three_term(cur, prev[1:], p, two_q_minus_p, q2), 0]
         if forcing:
-            f = scaled(forcing[k - 1], den * q)
+            f, scale = forcing[k - 1], den * q // D
             for i in range(1, imax):
-                nxt[i] += f[i]
+                nxt[i] += f[i] * scale
         prev, cur = cur, nxt
         den *= q
         cols.append([Fraction(n, den) for n in cur])

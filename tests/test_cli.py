@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import sys
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wavecheck import WaveProblem
+from wavecheck import WaveProblem, roundoff
 from wavecheck.cli import build_parser, main
 
 
@@ -92,6 +93,13 @@ def test_roundoff_small_grid_exact_reconstruction(tmp_path):
     assert data["global_max_ratio"] < 1
 
 
+def fail_norm_level(monkeypatch):
+    """Make ``roundoff.check_global_bound`` report ``norm_level_ok=False``."""
+    check = roundoff.check_global_bound
+    monkeypatch.setattr(roundoff, "check_global_bound",
+                        lambda run: dataclasses.replace(check(run), norm_level_ok=False))
+
+
 @pytest.mark.parametrize("patch,key,written", [
     (lambda mp: mp.setattr("wavecheck.roundoff.LOCAL_BOUND", Fraction(-1)),
      "local_bound_ok", False),
@@ -104,7 +112,8 @@ def test_roundoff_small_grid_exact_reconstruction(tmp_path):
      "range_ok", False),
     (lambda mp: corrupt_one_entry(mp, 0, 2), "reconstruction",
      {"verdict": "mismatch", "first_mismatch": [1, 2]}),
-], ids=["local-bound", "global-bound", "a-gap", "range", "reconstruction"])
+    (fail_norm_level, "norm_level_ok", False),
+], ids=["local-bound", "global-bound", "a-gap", "range", "reconstruction", "norm-level"])
 def test_roundoff_exits_1_when_a_bound_check_fails(tmp_path, monkeypatch, patch, key, written):
     patch(monkeypatch)
     assert main(["roundoff", "--imax", "10", "--kmax", "20", "--out", str(tmp_path)]) == 1

@@ -7,6 +7,7 @@ Jacobi form and the energy series run in scaled integers;
 output must be the same list of Fractions.
 """
 
+import math
 from fractions import Fraction as Fr
 
 import pytest
@@ -41,6 +42,7 @@ from wavecheck.errors import DomainError
 from wavecheck.problem import Polynomial, antisym_extension, antisym_index
 from wavecheck.report import A_VALUES, ClaimConfig
 from wavecheck.roundoff import _difference_column, _local_error_table, max_abs_delta
+from wavecheck.scalars import common_column, over_one_denominator
 
 #: First-datum scales s of u0 = s x (1 - x), as in the benchmark's seeds.
 DATUM_SCALES = tuple(Fr(n, 8) for n in (8, -8, 7, -7, 6, -6, 5, -5))
@@ -262,3 +264,52 @@ def test_difference_column_equals_fraction_subtraction(data):
     fl = data.draw(st.lists(finite_floats, min_size=n, max_size=n))
     ex = data.draw(st.lists(rationals(max_den=1000), min_size=n, max_size=n))
     assert _difference_column(fl, ex) == [Fr(f) - x for f, x in zip(fl, ex)]
+
+
+#: Signed zero, the smallest subnormal (denominator 2**1074) and the floats
+#: nearest to +-2, the edges of the round-off analysis' range.
+EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 2.0, -2.0,
+               math.nextafter(2.0, 0), -math.nextafter(2.0, 0))
+binary64_columns = st.lists(st.one_of(finite_floats, st.sampled_from(EDGE_FLOATS)),
+                            min_size=1, max_size=8)
+
+
+@given(binary64_columns)
+@settings(max_examples=100, deadline=None)
+def test_common_column_reads_a_float_column_as_its_fractions(col):
+    ints, den = common_column(col)
+    assert (ints, den) == common_column([Fr(v) for v in col])
+    assert den == max(Fr(v).denominator for v in col)
+    assert [Fr(n, den) for n in ints] == [Fr(v) for v in col]
+
+
+def test_common_column_puts_a_subnormal_over_two_to_the_1074():
+    assert common_column([5e-324, -0.0, 1.5]) == ([1, 0, 3 * 2 ** 1073], 2 ** 1074)
+    assert common_column([0, 3, -2]) == ([0, 3, -2], 1)
+
+
+@given(st.lists(st.lists(rationals(max_den=30), min_size=1, max_size=5), min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_over_one_denominator_keeps_every_value_over_the_lcm(cols):
+    parts = [common_column(col) for col in cols]
+    ints, den = over_one_denominator(*parts)
+    assert den == math.lcm(*(d for _, d in parts))
+    assert [[Fr(n, den) for n in col] for col in ints] == cols
+    # A column already over the lcm is passed through, any other is rescaled.
+    assert [out is part for out, (part, d) in zip(ints, parts)] == [d == den for _, d in parts]
+
+
+def test_over_one_denominator_takes_the_lcm_not_the_largest_denominator():
+    thirds, quarters = common_column([Fr(1, 3), Fr(-2, 3)]), common_column([Fr(1, 4), Fr(3, 4)])
+    assert over_one_denominator(thirds, quarters) == ([[4, -8], [3, 9]], 12)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_difference_column_subtracts_columns_of_either_kind(data):
+    n = data.draw(st.integers(1, 8))
+    fl = data.draw(st.lists(finite_floats, min_size=n, max_size=n))
+    ex = data.draw(st.lists(rationals(max_den=1000), min_size=n, max_size=n))
+    assert _difference_column(ex, fl) == [x - Fr(f) for x, f in zip(ex, fl)]
+    assert _difference_column(ex, ex[::-1]) == [x - y for x, y in zip(ex, ex[::-1])]
+    assert _difference_column(fl, fl) == [0] * n
