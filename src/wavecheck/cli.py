@@ -331,11 +331,10 @@ def cmd_energy(args) -> int:
     prob = pick_problem(args)
     run = solve(prob, g, xi=args.xi)
     series = energy.energy_series(run)
-    gaps = [energy.energy_lower_bound_gap(series, run.cn, k) for k in range(g.k_max)]
+    gaps, failures = energy.lower_bound_failures(series, run.cn)
     violations = energy.check_energy_estimate(run, series)
     drift = series.drift()
-    nonnegative = series.all_nonnegative()
-    lower_bound_holds = all(v >= 0 for v in gaps)
+    nonnegative = all(e >= 0 for _, e, _ in failures)
     args.out.mkdir(parents=True, exist_ok=True)
     lines = ["k,energy"]
     if g.kind == EXACT:
@@ -350,15 +349,15 @@ def cmd_energy(args) -> int:
         "drift": scalar_json(drift),
         "drift_is_zero": drift == 0,
         "nonnegative": nonnegative,
-        "lower_bound_min_gap": scalar_json(min(gaps)) if gaps else None,
-        "lower_bound_holds": lower_bound_holds,
+        "lower_bound_min_gap": scalar_json(min(gaps)),
+        "lower_bound_holds": all(gap >= 0 for _, _, gap in failures),
         "estimate_holds": not violations,
         "estimate_violations": violations,
     })
     print(f"energy: drift={float(drift)} nonneg={nonnegative} "
           f"estimate={'VIOLATED' if violations else 'ok'}")
     # Drift is not a check: it is nonzero for binary64 runs and runs with a source.
-    return 0 if nonnegative and lower_bound_holds and not violations else 1
+    return 1 if failures or violations else 0
 
 
 def cmd_roundoff(args) -> int:
@@ -375,7 +374,7 @@ def cmd_roundoff(args) -> int:
         verdict = "exact-equal" if mismatch is None else "mismatch"
 
     args.out.mkdir(parents=True, exist_ok=True)
-    payload = {
+    write_json(args.out / "roundoff.json", {
         "grid": grid_summary(g),
         "a": {"binary64": scalar_json(run.float_run.a), "exact": scalar_json(run.a_exact)},
         "a_gap_ok": run.a_gap_ok,
@@ -389,18 +388,18 @@ def cmd_roundoff(args) -> int:
         "norm_level_ok": bound_rep.norm_level_ok,
         "reconstruction": verdict if mismatch is None else
                           {"verdict": verdict, "first_mismatch": list(mismatch[:2])},
-    }
-    write_json(args.out / "roundoff.json", payload)
+    })
     print(f"roundoff: max|delta|={float(worst_delta):.3e} "
           f"ratio={bound_rep.max_ratio:.3e} reconstruction={verdict}")
-    passed = (run.a_gap_ok and run.range_violation is None and payload["local_bound_ok"]
-              and bound_rep.ok and bound_rep.norm_level_ok is not False
-              and verdict != "mismatch")
-    return 0 if passed else 1
+    failed = (report.local_bound_verdict(run, worst_delta)[0] == report.VIOLATED
+              or report.global_bound_violation(bound_rep, [g.i_max, g.k_max]) is not None
+              or mismatch is not None)
+    return 1 if failed else 0
 
 
 def cmd_fundamental(args) -> int:
-    for flag, value in (("--range", args.sweep), ("--certificates", args.certificates)):
+    for flag, value in (("--depth", args.depth), ("--range", args.sweep),
+                        ("--certificates", args.certificates)):
         if value < 0:
             raise ParameterError(f"{flag} must be nonnegative, got {value}")
     failures = []
@@ -454,8 +453,8 @@ def cmd_bound(args) -> int:
                                        float(args.c), float(args.tmax), 0.0, 1.0)
     measured = report.total_error_rows(wave, consts, args.chain, args.cn,
                                        t_max=float(args.tmax))
-    rows = [{"i_max": imax, **row, "holds": row["measured"] <= row["bound"]}
-            for imax, row in zip(args.chain, measured)]
+    rows = [{"i_max": imax, **row, "holds": holds}
+            for imax, (row, holds) in zip(args.chain, measured)]
     holds = all(row["holds"] for row in rows)
     dt_star, bound_star = analysis.optimal_dt(consts, args.cn)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -35,9 +35,6 @@ class EnergySeries:
         e0 = self.values[0]
         return max(abs(v - e0) for v in self.values)
 
-    def all_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.values)
-
 
 def energy_series(run: SchemeRun) -> EnergySeries:
     """The one pass over a run's half steps that every energy check reads.
@@ -76,6 +73,13 @@ def energy_series(run: SchemeRun) -> EnergySeries:
 def energy_lower_bound_gap(series: EnergySeries, cn, k: int) -> Scalar:
     """``E^{k+1/2} - (1 - CN^2)/2 * ||(p^{k+1}-p^k)/dt||^2``; >= 0 under the margin."""
     return series.values[k] - (1 - cn ** 2) / 2 * series.kinetic[k]
+
+
+def lower_bound_failures(series: EnergySeries, cn) -> tuple[list, list]:
+    """Every half step's gap, and ``(k, E, gap)`` where ``E >= 0 and gap >= 0`` is false."""
+    gaps = [energy_lower_bound_gap(series, cn, k) for k in range(len(series.values))]
+    return gaps, [(k, e, gap) for k, (e, gap) in enumerate(zip(series.values, gaps))
+                  if not (e >= 0 and gap >= 0)]
 
 
 def stability_constants(xi: float, e_half) -> tuple[float, float]:

@@ -74,15 +74,10 @@ class FundamentalTable:
         return list(self._rows[k])
 
     def negative_entries(self):
-        """``(i, k)`` of every negative entry, row by row; read off the scaled rows."""
+        """``(i, k)`` of each negative entry; only rows with a negative minimum are read."""
         for k, row in enumerate(self._rows):
-            for j, v in enumerate(row):
-                if v < 0:
-                    yield j - k, k
-
-    def all_nonnegative(self) -> bool:
-        """No negative entry; the scaled rows have the signs of the entries."""
-        return all(min(row) >= 0 for row in self._rows)
+            if min(row) < 0:
+                yield from ((j - k, k) for j, v in enumerate(row) if v < 0)
 
 
 def three_term(cur: list, old: list, p, t, w) -> list:

@@ -15,9 +15,9 @@ Each claim runs a self-contained experiment and returns a status from
 A report with a violated or errored claim exits nonzero.
 
 The acceptance test suite drives these same functions at the documented
-parameters, so the CLI report and the test suite cannot drift apart.  The
-CLI subcommands run the same sweeps: a claim stops at the first failure, a
-subcommand collects them all.
+parameters, so the CLI report and the test suite cannot drift apart.  A
+check shared with a CLI subcommand is decided once, below: a claim stops at
+the first failure, a subcommand collects them all and exits on them.
 """
 
 from __future__ import annotations
@@ -200,8 +200,8 @@ def reconstruction_mismatch(run: roundoff.ShadowRun, a):
 
 
 def total_error_rows(wave, consts: analysis.ErrorConstants, chain, cn, t_max=1.0):
-    """``dx``, ``dt``, measured max-over-time error of ``wave`` and its a-priori
-    bound, per grid of the fixed-``cn`` refinement chain over ``chain``.
+    """``dx``, ``dt``, measured max-over-time error of ``wave`` and its a-priori bound per
+    grid of the fixed-``cn`` chain over ``chain``, and whether ``measured <= bound``.
 
     Each run is read in one pass and bound to no name, so it is freed before
     the row is yielded and the next grid marches."""
@@ -209,7 +209,38 @@ def total_error_rows(wave, consts: analysis.ErrorConstants, chain, cn, t_max=1.0
     for g in analysis.refinement_chain(chain, cn, wave.c, t_max=t_max):
         err = analysis.max_norm_over_time(analysis.convergence_error(wave, solve(prob, g)), g)
         bound = analysis.total_error_bound(consts, float(g.dx), float(g.dt))
-        yield {"dx": float(g.dx), "dt": float(g.dt), "measured": err, "bound": bound}
+        yield {"dx": float(g.dx), "dt": float(g.dt), "measured": err, "bound": bound}, err <= bound
+
+
+def _shadow_run(i_max: int, k_max: int) -> roundoff.ShadowRun:
+    return roundoff.shadow_solve(default_problem(), build_grid(0, 1, 1, i_max, k_max, BINARY64))
+
+
+def local_bound_verdict(run: roundoff.ShadowRun, worst) -> tuple:
+    """``(status, evidence)`` of the local bound, given ``max_abs_delta(run)``."""
+    if not run.a_gap_ok:
+        return VIOLATED, {"reason": "stiffness coefficient gap exceeds 2^-49",
+                          "a_float": run.float_run.a, "a_exact": str(run.a_exact)}
+    if run.range_violation is not None:
+        return VIOLATED, {"reason": "computed values escape [-2, 2]",
+                          "at": run.range_violation}
+    evidence = {
+        "grid": [run.i_max, run.k_max],
+        "max_abs_delta": float(worst),
+        "bound": float(roundoff.LOCAL_BOUND),
+        "ratio": float(worst / roundoff.LOCAL_BOUND),
+    }
+    return (VERIFIED_EXACT if worst <= roundoff.LOCAL_BOUND else VIOLATED), evidence
+
+
+def global_bound_violation(rep: roundoff.GlobalBoundReport, grid: list):
+    """Violation evidence of a node-wise, then norm-level, global-bound failure."""
+    if not rep.ok:
+        return {"grid": grid, "violations": rep.violations[:5]}
+    if rep.norm_level_ok is False:
+        return {"grid": grid, "norm_level": "fails although "
+                "the node-wise bound holds, which implies it"}
+    return None
 
 
 # --- individual claims -------------------------------------------------------
@@ -279,22 +310,16 @@ def _random_exact_run(rng: random.Random, xi) -> object:
 def claim_energy_lower_bound(cfg: ClaimConfig):
     rng = random.Random(cfg.random_seed)
     xis = [Fraction(DEFAULT_XI), Fraction(1, 10), Fraction(1, 2)]
-    checked = 0
-    min_gap = None
+    all_gaps = []
     for j in range(cfg.random_runs):
-        xi = xis[j % len(xis)]
-        run = _random_exact_run(rng, xi)
-        series = energy.energy_series(run)
-        for k, e in enumerate(series.values):
-            gap = energy.energy_lower_bound_gap(series, run.cn, k)
-            if gap < 0 or e < 0:
-                return VIOLATED, {"run": j, "k": k, "gap": str(gap), "energy": str(e)}
-            if min_gap is None or gap < min_gap:
-                min_gap = gap
-            checked += 1
-    evidence = {"runs": cfg.random_runs, "half_steps": checked,
-                "min_gap": float(min_gap)}
-    return WITNESSED, evidence
+        run = _random_exact_run(rng, xis[j % len(xis)])
+        gaps, failures = energy.lower_bound_failures(energy.energy_series(run), run.cn)
+        if failures:
+            k, e, gap = failures[0]
+            return VIOLATED, {"run": j, "k": k, "gap": str(gap), "energy": str(e)}
+        all_gaps += gaps
+    return WITNESSED, {"runs": cfg.random_runs, "half_steps": len(all_gaps),
+                       "min_gap": float(min(all_gaps))}
 
 
 def claim_row_sums(cfg: ClaimConfig):
@@ -326,7 +351,7 @@ def claim_nonnegativity(cfg: ClaimConfig):
     samples[::5] = [Fraction(rng.randint(1, 97), 98) for _ in samples[::5]]
     for a in samples:
         table = fundamental.build_table(a, cfg.nonneg_kmax)
-        if not table.all_nonnegative():
+        if next(table.negative_entries(), None) is not None:
             return VIOLATED, {"a": str(a)}
     return WITNESSED, {
         "k_max": cfg.nonneg_kmax,
@@ -366,10 +391,8 @@ def claim_telescoping(cfg: ClaimConfig):
 
 
 def claim_reconstruction(cfg: ClaimConfig):
-    prob = default_problem()
     for i_max, k_max in cfg.reconstruction_grids:
-        g = build_grid(0, 1, 1, i_max, k_max, BINARY64)
-        run = roundoff.shadow_solve(prob, g)
+        run = _shadow_run(i_max, k_max)
         a = run.a_exact
         if cfg.inject_wrong_a:
             a = a / 2  # deliberately wrong table: must surface as violated
@@ -385,24 +408,8 @@ def claim_reconstruction(cfg: ClaimConfig):
 
 
 def claim_local_bound(cfg: ClaimConfig):
-    i_max, k_max = cfg.local_bound_grid
-    g = build_grid(0, 1, 1, i_max, k_max, BINARY64)
-    run = roundoff.shadow_solve(default_problem(), g)
-    if not run.a_gap_ok:
-        return VIOLATED, {"reason": "stiffness coefficient gap exceeds 2^-49",
-                          "a_float": run.float_run.a, "a_exact": str(run.a_exact)}
-    if run.range_violation is not None:
-        return VIOLATED, {"reason": "computed values escape [-2, 2]",
-                          "at": run.range_violation}
-    worst = roundoff.max_abs_delta(run)
-    ok = worst <= roundoff.LOCAL_BOUND
-    evidence = {
-        "grid": [i_max, k_max],
-        "max_abs_delta": float(worst),
-        "bound": float(roundoff.LOCAL_BOUND),
-        "ratio": float(worst / roundoff.LOCAL_BOUND),
-    }
-    return (VERIFIED_EXACT if ok else VIOLATED), evidence
+    run = _shadow_run(*cfg.local_bound_grid)
+    return local_bound_verdict(run, roundoff.max_abs_delta(run))
 
 
 def claim_global_bound(cfg: ClaimConfig):
@@ -413,14 +420,9 @@ def claim_global_bound(cfg: ClaimConfig):
     worst_at = None
     not_applicable = []
     for i_max, k_max in grids:
-        g = build_grid(0, 1, 1, i_max, k_max, BINARY64)
-        run = roundoff.shadow_solve(default_problem(), g)
-        rep = roundoff.check_global_bound(run)
-        if not rep.ok:
-            return VIOLATED, {"grid": [i_max, k_max], "violations": rep.violations[:5]}
-        if rep.norm_level_ok is False:
-            return VIOLATED, {"grid": [i_max, k_max], "norm_level": "fails although "
-                              "the node-wise bound holds, which implies it"}
+        rep = roundoff.check_global_bound(_shadow_run(i_max, k_max))
+        if (violation := global_bound_violation(rep, [i_max, k_max])) is not None:
+            return VIOLATED, violation
         if rep.norm_level_ok is None:
             not_applicable.append([i_max, k_max])
         if rep.max_ratio_exact > worst_ratio:
@@ -443,9 +445,9 @@ def claim_total_error(cfg: ClaimConfig):
         1.0, 1.0, 0.0, 1.0
     )
     rows = []
-    for row in total_error_rows(wave, consts, TOTAL_ERROR_CHAIN, ORDER_CN):
+    for row, holds in total_error_rows(wave, consts, TOTAL_ERROR_CHAIN, ORDER_CN):
         rows.append(row)
-        if row["measured"] > row["bound"]:
+        if not holds:
             return VIOLATED, {"at": row}
     return VERIFIED_TOL, {
         "C_e": consts.C_e, "C_Delta": consts.C_Delta,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wavecheck import WaveProblem, roundoff
+from wavecheck import WaveProblem, energy, roundoff
 from wavecheck.cli import build_parser, main
 
 
@@ -120,12 +120,20 @@ def test_roundoff_exits_1_when_a_bound_check_fails(tmp_path, monkeypatch, patch,
     assert read_json(tmp_path / "roundoff.json")[key] == written
 
 
+def energy_series_with_one_negative_half_step(run, _series_of=energy.energy_series):
+    """``energy.energy_series(run)`` with the energy of half step 3 set to -1."""
+    series = _series_of(run)
+    series.values[3] = -1.0
+    return series
+
+
 @pytest.mark.parametrize("target,fake,scalar,key", [
     ("wavecheck.energy.energy_lower_bound_gap", lambda series, cn, k: Fraction(-1), "exact",
      "lower_bound_holds"),
     ("wavecheck.energy.stability_constants", lambda xi, e_half: (0.0, 0.0), "binary64",
      "estimate_holds"),
-    ("wavecheck.energy.EnergySeries.all_nonnegative", lambda series: False, "exact",
+    # binary64: an exact estimate check refuses a negative radicand.
+    ("wavecheck.energy.energy_series", energy_series_with_one_negative_half_step, "binary64",
      "nonnegative"),
 ], ids=["lower-bound", "estimate", "nonnegative"])
 def test_energy_exits_1_when_a_check_fails(tmp_path, monkeypatch, target, fake, scalar, key):
@@ -230,6 +238,7 @@ def test_chain_never_exceeds_the_requested_courant_number(tmp_path):
     (["fundamental", "--range", "-1"], "--range must be nonnegative"),
     (["order", "--chain", "10,10,10"], "pairwise distinct dx"),
     (["order", "--chain", "10,20,10"], "pairwise distinct dx"),
+    (["fundamental", "--depth", "-1"], "--depth must be nonnegative"),
 ])
 def test_bad_inputs_exit_2_naming_the_flag(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
