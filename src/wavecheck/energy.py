@@ -31,9 +31,9 @@ class EnergySeries:
     values: list
 
     def drift(self) -> Scalar:
-        """max over k of |E^{k+1/2} - E^{1/2}|; zero for exact zero-source runs."""
-        e0 = self.values[0]
-        return max(abs(v - e0) for v in self.values)
+        """max_k |E^{k+1/2} - E^{1/2}|: NaN if an energy is NaN, 0 for exact zero-source runs."""
+        drifts = [abs(v - self.values[0]) for v in self.values]
+        return math.nan if any(d != d for d in drifts) else max(drifts)
 
 
 def energy_series(run: SchemeRun) -> EnergySeries:
@@ -111,7 +111,9 @@ def check_energy_estimate(run: SchemeRun, series: EnergySeries) -> list:
 
     ``series`` is ``energy_series(run)``, and ``C2`` is taken at the run's
     own margin ``run.xi``.  The result lists the half steps where the
-    estimate fails: findings, not exceptions.  Exact runs are decided with
+    estimate fails: findings, not exceptions.  A half step whose energy is
+    not ``>= 0`` (negative, or NaN) fails before any square root is taken,
+    and C1 is taken from ``max(E^{1/2}, 0)``.  Exact runs are decided with
     certified rational square-root enclosures.  Binary64 runs allow a slack
     of ``-1e-12 * max(1, rhs)``: their energy drifts by rounding, so an exact
     decision on the floats would report violations that are not instability.
@@ -131,11 +133,12 @@ def check_energy_estimate(run: SchemeRun, series: EnergySeries) -> list:
     if g.kind == EXACT:
         c2sq = c2_squared(xi)
         dt2 = g.dt * g.dt
-        terms = [to_fraction(e0)]
+        terms = [max(to_fraction(e0), 0)]
         for k in range(g.k_max):
             if k >= 1 and source_sq[k] is not None:
                 terms.append(c2sq * dt2 * source_sq[k])
-            if not certified_sqrt_leq(series.values[k], terms):
+            e = series.values[k]
+            if not (e >= 0 and certified_sqrt_leq(e, terms)):
                 violations.append(k)
         return violations
 
@@ -145,7 +148,7 @@ def check_energy_estimate(run: SchemeRun, series: EnergySeries) -> list:
         if k >= 1 and source_sq[k] is not None:
             acc += math.sqrt(max(float(source_sq[k]), 0.0))
         rhs = c1 + c2 * float(g.dt) * acc
-        lhs = math.sqrt(max(float(series.values[k]), 0.0))
-        if rhs - lhs < -1e-12 * max(1.0, rhs):
+        e = float(series.values[k])
+        if not (e >= 0 and rhs - math.sqrt(e) >= -1e-12 * max(1.0, rhs)):
             violations.append(k)
     return violations

@@ -21,7 +21,6 @@ and the entries vanish outside the light cone ``|i| < k``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NumericDomainError, ParameterError
@@ -231,39 +230,28 @@ def check_binomial_identity(k_max: int) -> list[tuple[int, int, int]]:
     return sorted(failing, key=lambda t: t[::-1])
 
 
-def _rat_i(i: int, n: int, k: int, p: int) -> Fraction:
-    return Fraction((1 + 2 * i) * (p - i), k - i)
-
-
-def _rat_n(i: int, n: int, k: int, p: int) -> Fraction:
-    return Fraction((k - n) * (p + i) * (p - i), n + 1 - p)
-
-
-def _rat_k(i: int, n: int, k: int, p: int) -> Fraction:
-    return Fraction((p + i) * (p - i), k + 1 - p)
-
-
 # Per shift variable: the recurrence ``b0 f + b1 f(shifted by step) = 0``, the
-# certificate ``rat`` and the zero denominators ``bad_dens`` of ``rat``.
+# certificate ``rat`` as an unreduced ``(numerator, denominator)`` pair of
+# integers, and the zero denominators ``bad_dens`` of ``rat``.
 _CERTIFICATE = {
     "i": {
         "b0": lambda i, n, k: n - i,
         "b1": lambda i, n, k: -(n + 1 + i),
-        "rat": _rat_i,
+        "rat": lambda i, n, k, p: ((1 + 2 * i) * (p - i), k - i),
         "step": (1, 0, 0),
         "bad_dens": lambda i, n, k, p: ("k - i",) if k == i else (),
     },
     "n": {
         "b0": lambda i, n, k: (k + 1 + n) * (k - n),
         "b1": lambda i, n, k: -(n + 1 + i) * (n + 1 - i),
-        "rat": _rat_n,
+        "rat": lambda i, n, k, p: ((k - n) * (p + i) * (p - i), n + 1 - p),
         "step": (0, 1, 0),
         "bad_dens": lambda i, n, k, p: ("n - p",) if p == n else (),
     },
     "k": {
         "b0": lambda i, n, k: k + 1 + n,
         "b1": lambda i, n, k: -(k + 1 - n),
-        "rat": _rat_k,
+        "rat": lambda i, n, k, p: ((p + i) * (p - i), k + 1 - p),
         "step": (0, 0, 1),
         "bad_dens": lambda i, n, k, p: ("k - p",) if p == k else (),
     },
@@ -298,38 +286,18 @@ def check_zeilberger_recurrences(k_max: int) -> list[tuple[int, int, int]]:
     return failing
 
 
-@dataclass
-class CertificateResult:
-    """Per-variable outcome of the telescoping certificate at one lattice point."""
-
-    point: tuple[int, int, int, int]
-    results: dict
-
-    @property
-    def ok(self) -> bool:
-        return all(v != "violated" for v in self.results.values())
-
-    @property
-    def checked(self) -> int:
-        return sum(1 for v in self.results.values() if v == "ok")
-
-    @property
-    def skipped(self) -> int:
-        return sum(1 for v in self.results.values() if v.startswith("skipped"))
-
-
-def check_certificate(i: int, n: int, k: int, p: int) -> CertificateResult:
-    """Verify the per-summand telescoping identities at one support point.
+def check_certificate(i: int, n: int, k: int, p: int) -> dict:
+    """``"ok"``, ``"violated"`` or ``"skipped: ..."`` per shift variable at one support point.
 
     For each shift variable ``l`` the rational-function identity
 
         b_{l,0} + b_{l,1} (LF/F) = R_l(p+1) (PF/F) - R_l(p)
 
-    is decided in integers: with ``R_l(p) = r0/d0`` and ``R_l(p+1) = r1/d1``
-    it holds exactly when ``(b_{l,0} F + b_{l,1} LF) d0 d1 = r1 d0 PF - r0 d1
-    F``, since ``F`` and both denominators are nonzero.  Configurations
-    that put a zero in one of the certificate denominators are skipped with
-    the denominator named.
+    is decided in integers, no Fraction built: with ``R_l(p) = r0/d0`` and
+    ``R_l(p+1) = r1/d1`` unreduced, it holds exactly when ``(b_{l,0} F +
+    b_{l,1} LF) d0 d1 = r1 d0 PF - r0 d1 F``, since ``F`` and both
+    denominators are nonzero.  Configurations that put a zero in one of the
+    certificate denominators are skipped with the denominator named.
     """
     _require_ordered(i, n, k)
     if not i <= p <= n:
@@ -345,9 +313,8 @@ def check_certificate(i: int, n: int, k: int, p: int) -> CertificateResult:
         di, dn, dk = cert["step"]
         shifted = summand(i + di, n + dn, k + dk, p)
         rat = cert["rat"]
-        r0, r1 = rat(i, n, k, p), rat(i, n, k, p + 1)
-        d0, d1 = r0.denominator, r1.denominator
+        (r0, d0), (r1, d1) = rat(i, n, k, p), rat(i, n, k, p + 1)
         lhs = (cert["b0"](i, n, k) * base + cert["b1"](i, n, k) * shifted) * d0 * d1
-        rhs = r1.numerator * d0 * following - r0.numerator * d1 * base
+        rhs = r1 * d0 * following - r0 * d1 * base
         results[name] = "ok" if lhs == rhs else "violated"
-    return CertificateResult(point=(i, n, k, p), results=results)
+    return results

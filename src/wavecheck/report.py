@@ -16,7 +16,7 @@ A report with a violated or errored claim exits nonzero.
 
 The acceptance test suite drives these same functions at the documented
 parameters, so the CLI report and the test suite cannot drift apart.  A
-check shared with a CLI subcommand is decided once, below: a claim stops at
+check shared with a CLI subcommand is decided once, below: a claim reports
 the first failure, a subcommand collects them all and exits on them.
 """
 
@@ -176,14 +176,23 @@ def triple_count(k_max: int) -> int:
     return math.comb(k_max + 3, 3)
 
 
-def certificate_samples(rng: random.Random, samples: int, k_max: int):
-    """Telescoping-certificate results at random ``0 <= i <= p <= n <= k <= k_max``."""
+def certificate_failures(rng: random.Random, samples: int, k_max: int):
+    """Certificate identities ``checked`` and ``skipped``, and ``((i, n, k, p), results)``
+    wherever one is violated, at random ``0 <= i <= p <= n <= k <= k_max``."""
+    checked = skipped = 0
+    failures = []
     for _ in range(samples):
         k = rng.randint(0, k_max)
         n = rng.randint(0, k)
         i = rng.randint(0, n)
         p = rng.randint(i, n)
-        yield fundamental.check_certificate(i, n, k, p)
+        results = fundamental.check_certificate(i, n, k, p)
+        outcomes = list(results.values())
+        checked += outcomes.count("ok")
+        skipped += sum(v.startswith("skipped") for v in outcomes)
+        if "violated" in outcomes:
+            failures.append(((i, n, k, p), results))
+    return checked, skipped, failures
 
 
 def reconstruction_mismatch(run: roundoff.ShadowRun, a):
@@ -375,13 +384,11 @@ def claim_telescoping(cfg: ClaimConfig):
     if failures:
         i, n, k = failures[0]
         return VIOLATED, {"i": i, "n": n, "k": k, "what": "recurrence"}
-    rng = random.Random(cfg.random_seed + 2)
-    checked = skipped = 0
-    for res in certificate_samples(rng, cfg.certificate_samples, CERTIFICATE_KMAX):
-        if not res.ok:
-            return VIOLATED, {"point": res.point, "results": res.results}
-        checked += res.checked
-        skipped += res.skipped
+    checked, skipped, failures = certificate_failures(
+        random.Random(cfg.random_seed + 2), cfg.certificate_samples, CERTIFICATE_KMAX)
+    if failures:
+        point, results = failures[0]
+        return VIOLATED, {"point": point, "results": results}
     return VERIFIED_EXACT, {
         "recurrence_triples": triple_count(kmax),
         "certificate_samples": cfg.certificate_samples,

@@ -272,7 +272,11 @@ def check_zeilberger_recurrences(i: int, n: int, k: int) -> bool:
 
 
 def certificate_results(i: int, n: int, k: int, p: int) -> dict:
-    """``check_certificate(i, n, k, p).results`` with each identity's sides as Fractions."""
+    """``check_certificate(i, n, k, p)`` with each identity's sides as Fractions.
+
+    The certificates are ``(numerator, denominator)`` pairs of integers; each
+    enters here as ``Fraction(*pair)``.
+    """
     base = summand(i, n, k, p)
     results: dict = {}
     for name, cert in _CERTIFICATE.items():
@@ -284,6 +288,7 @@ def certificate_results(i: int, n: int, k: int, p: int) -> dict:
         shifted = summand(i + di, n + dn, k + dk, p)
         lhs = cert["b0"](i, n, k) + cert["b1"](i, n, k) * Fraction(shifted, base)
         rat = cert["rat"]
-        rhs = rat(i, n, k, p + 1) * Fraction(summand(i, n, k, p + 1), base) - rat(i, n, k, p)
+        rhs = (Fraction(*rat(i, n, k, p + 1)) * Fraction(summand(i, n, k, p + 1), base)
+               - Fraction(*rat(i, n, k, p)))
         results[name] = "ok" if lhs == rhs else "violated"
     return results

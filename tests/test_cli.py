@@ -120,11 +120,17 @@ def test_roundoff_exits_1_when_a_bound_check_fails(tmp_path, monkeypatch, patch,
     assert read_json(tmp_path / "roundoff.json")[key] == written
 
 
-def energy_series_with_one_negative_half_step(run, _series_of=energy.energy_series):
-    """``energy.energy_series(run)`` with the energy of half step 3 set to -1."""
-    series = _series_of(run)
-    series.values[3] = -1.0
-    return series
+def energy_series_with(value):
+    """``energy.energy_series`` with the energy of half step 3 set to ``value``,
+    in the run's scalar kind."""
+    series_of = energy.energy_series
+
+    def fake(run):
+        series = series_of(run)
+        series.values[3] = type(series.values[3])(value)
+        return series
+
+    return fake
 
 
 @pytest.mark.parametrize("target,fake,scalar,key", [
@@ -132,10 +138,10 @@ def energy_series_with_one_negative_half_step(run, _series_of=energy.energy_seri
      "lower_bound_holds"),
     ("wavecheck.energy.stability_constants", lambda xi, e_half: (0.0, 0.0), "binary64",
      "estimate_holds"),
-    # binary64: an exact estimate check refuses a negative radicand.
-    ("wavecheck.energy.energy_series", energy_series_with_one_negative_half_step, "binary64",
-     "nonnegative"),
-], ids=["lower-bound", "estimate", "nonnegative"])
+    ("wavecheck.energy.energy_series", energy_series_with(-1), "exact", "nonnegative"),
+    ("wavecheck.energy.energy_series", energy_series_with(float("nan")), "binary64",
+     "estimate_holds"),
+], ids=["lower-bound", "estimate", "nonnegative", "nan-estimate"])
 def test_energy_exits_1_when_a_check_fails(tmp_path, monkeypatch, target, fake, scalar, key):
     monkeypatch.setattr(target, fake)
     assert main(["energy", "--imax", "12", "--kmax", "12", "--tmax", "1/2",
@@ -395,21 +401,22 @@ def test_standing_wave_with_exact_scalars_exits_2_before_sampling(tmp_path, caps
 def test_fundamental_counts_violated_certificates_apart_from_skipped(tmp_path, monkeypatch):
     import random
 
+    from test_fundamental import plus_one
+
     from wavecheck import fundamental, report
 
-    def corrupted(i, n, k, p):
-        return fundamental._rat_k(i, n, k, p) + 1
-
-    monkeypatch.setitem(fundamental._CERTIFICATE["k"], "rat", corrupted)
+    cert = fundamental._CERTIFICATE["k"]
+    monkeypatch.setitem(cert, "rat", plus_one(cert["rat"]))
     assert main(["fundamental", "--depth", "4", "--range", "6", "--certificates", "30",
                  "--out", str(tmp_path)]) == 1
     data = read_json(tmp_path / "fundamental.json")
-    outcomes = [v for res in report.certificate_samples(random.Random(20130), 30, 6)
-                for v in res.results.values()]
-    skipped = sum(v.startswith("skipped") for v in outcomes)
-    assert (skipped, outcomes.count("violated")) == (46, 18)
+    checked, skipped, failures = report.certificate_failures(random.Random(20130), 30, 6)
+    violated = sum(list(results.values()).count("violated") for _, results in failures)
+    assert (skipped, violated) == (46, 18)
     assert data["certificates_skipped"] == skipped
-    assert data["certificates_checked"] == outcomes.count("ok") == 90 - 46 - 18
+    assert data["certificates_checked"] == checked == 90 - 46 - 18
+    assert [f for f in data["failures"] if f[0] == "certificate"] == [
+        ["certificate", str(point), str(results)] for point, results in failures]
 
 
 def test_a_corrupted_shift_coefficient_fails_the_recurrence_and_the_certificate(
@@ -766,6 +773,9 @@ ARTIFACT_SHA256 = {
         ["fundamental", "--depth", "40", "--range", "30"],
         {"fundamental.json":
          "2d248085ef597a132a8dd73e837c72a9176e98868cb455453705bfb9b4c2e7ea"}),
+    "roundoff": (
+        ["roundoff", "--imax", "10", "--kmax", "20"],
+        {"roundoff.json": "1555e24fe3dd64ad324c466655b952c598296b0907efad3ec644ff78e7487297"}),
     "bound": (
         ["bound", "--chain", "20,40,80"],
         {"bound.json": "79bfd43a11bf302e1aac6c191952f9259c34ec701a0b6a44d46acc49884adaca"}),

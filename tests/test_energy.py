@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -153,6 +154,28 @@ def test_estimate_binary64_reports_slack():
     g = build_grid(0, 1, Fr(1, 2), 16, 16)
     run = solve(default_problem(), g, xi=0.25)
     assert check_energy_estimate(run, energy_series(run)) == []
+
+
+@pytest.mark.parametrize("kind,k,value,violated", [
+    ("exact", 3, Fr(-1), [3]),
+    ("binary64", 3, -1.0, [3]),
+    ("binary64", 3, math.nan, [3]),
+    # C1 is sqrt(max(E^{1/2}, 0)) = 0, below every positive energy.
+    ("exact", 0, Fr(-1), list(range(12))),
+    ("binary64", 0, -1.0, list(range(12))),
+], ids=["exact-negative", "binary64-negative", "binary64-nan",
+        "exact-negative-first", "binary64-negative-first"])
+def test_estimate_lists_a_negative_or_nan_energy_as_violated(kind, k, value, violated):
+    run = solve(default_problem(), build_grid(0, 1, Fr(1, 2), 12, 12, kind))
+    series = energy_series(run)
+    series.values[k] = value
+    assert check_energy_estimate(run, series) == violated
+
+
+def test_drift_is_nan_when_an_energy_is_nan():
+    series = energy.EnergySeries(kinetic=[0.0] * 4, values=[1.0, 1.0, math.nan, 1.5])
+    assert math.isnan(series.drift())
+    assert energy.EnergySeries(kinetic=[0.0] * 2, values=[1.0, 1.5]).drift() == 0.5
 
 
 def test_estimate_takes_c2_at_the_runs_own_margin(monkeypatch):

@@ -45,8 +45,6 @@ SHARED_FIELD_READERS = {
     "ErrorConstants.xi": "analysis.optimal_dt",
     "WaveProblem.c": "scheme.solve",
     "ErrorConstants.c": "analysis.bound_along_cn",
-    "CertificateResult.results": "cli.cmd_fundamental",
-    "ClaimsReport.results": "report.ClaimsReport.to_dict",
 }
 
 #: ``module.function.parameter`` of each default of a function whose name

@@ -1,18 +1,20 @@
-"""Fault catalogue: one fault per check that a claim shares with a subcommand.
+"""Fault catalogue: at least one fault for every claim of the catalog.
 
-Each row names a claim id, the subcommand that decides the same check, and a
-fault: one package function or constant, monkeypatched.  Under the fault the
-claim must read ``violated`` and the subcommand must exit 1, so a claim and
-its subcommand cannot disagree on a failure.  Claims and subcommands run at
-reduced sizes; without a fault every one of them passes at these sizes.
+Each row names a claim id, the subcommand that decides the same check (None
+for a claim whose check no subcommand decides), and a fault: one package
+function or constant, monkeypatched.  Under the fault the claim must read
+``violated`` and the subcommand must exit 1, so a claim and its subcommand
+cannot disagree on a failure.  Claims and subcommands run at reduced sizes;
+without a fault every one of them passes at these sizes.
 """
 
+import struct
 from fractions import Fraction
 
 import pytest
-from test_cli import corrupt_one_entry, energy_series_with_one_negative_half_step, fail_norm_level
+from test_cli import corrupt_one_entry, energy_series_with, fail_norm_level
 
-from wavecheck import WaveProblem, analysis, cli, energy, fundamental, report, roundoff
+from wavecheck import WaveProblem, analysis, cli, energy, fundamental, report, roundoff, scheme
 from wavecheck.cli import main
 from wavecheck.report import (
     VERIFIED_EXACT,
@@ -23,10 +25,11 @@ from wavecheck.report import (
     run_claims,
 )
 
-#: Catalog sizes of the table; a claim under a fault stops at its first failure.
-SMALL = ClaimConfig(random_runs=3, row_sum_kmax=8, closed_form_kmax=6, nonneg_kmax=8,
-                    identity_kmax=8, zeilberger_kmax=8, certificate_samples=30,
-                    reconstruction_grids=((6, 12),), local_bound_grid=(10, 20))
+#: Catalog sizes of the table, small enough that the file runs in about a second.
+SMALL = ClaimConfig(order_chain=(20, 40, 80), random_runs=3, row_sum_kmax=8,
+                    closed_form_kmax=6, nonneg_kmax=8, identity_kmax=8, zeilberger_kmax=8,
+                    certificate_samples=30, reconstruction_grids=((6, 12),),
+                    local_bound_grid=(10, 20))
 PASSED = {VERIFIED_EXACT, VERIFIED_TOL, WITNESSED}
 
 ROUNDOFF = ["roundoff", "--imax", "10", "--kmax", "20"]
@@ -48,6 +51,36 @@ def out_of_range_problem(monkeypatch):
     for module in (report, cli):
         monkeypatch.setattr(module, "default_problem",
                             lambda: WaveProblem(c=1, u0=lambda x: 9 * x * (1 - x)))
+
+
+def march_at_half_a(monkeypatch):
+    march = scheme._march_binary64
+    monkeypatch.setattr(scheme, "_march_binary64", lambda g, a, *rest: march(g, a / 2, *rest))
+
+
+def residuals_plus_one_thousandth(monkeypatch):
+    truncation_error = analysis.truncation_error
+    monkeypatch.setattr(analysis, "truncation_error", lambda ref, g, c: (
+        [r + 1e-3 for r in row] for row in truncation_error(ref, g, c)))
+
+
+def one_half_step_raised(monkeypatch):
+    series_of = energy.energy_series
+
+    def raised(run):
+        series = series_of(run)
+        series.values[3] += 1
+        return series
+
+    monkeypatch.setattr(energy, "energy_series", raised)
+
+
+def xi_in_single_precision(monkeypatch):
+    # The oracle recomputes from the inputs the claim passed, not from the
+    # ones the derivation stored, so a changed input shows as a mismatch.
+    derive = analysis.derive_constants
+    monkeypatch.setattr(analysis, "derive_constants", lambda xi, *args: derive(
+        struct.unpack("f", struct.pack("f", xi))[0], *args))
 
 
 def binomial_off_by_one(monkeypatch):
@@ -79,10 +112,9 @@ FAULTS = {
     "energy-nan-gap": ("energy-lower-bound", ENERGY,
                        lambda mp: mp.setattr(energy, "energy_lower_bound_gap",
                                              lambda series, cn, k: float("nan"))),
-    # binary64: an exact estimate check refuses a negative radicand.
-    "energy-nonnegative": ("energy-lower-bound", ENERGY + ["--scalar", "binary64"],
+    "energy-nonnegative": ("energy-lower-bound", ENERGY,
                            lambda mp: mp.setattr(energy, "energy_series",
-                                                 energy_series_with_one_negative_half_step)),
+                                                 energy_series_with(-1))),
     "fundamental-nonnegative": ("fundamental-nonnegative", FUNDAMENTAL,
                                 lambda mp: mp.setattr(fundamental.FundamentalTable,
                                                       "negative_entries",
@@ -100,6 +132,10 @@ FAULTS = {
     "total-error-nan-bound": ("total-error-bound", BOUND,
                               lambda mp: mp.setattr(analysis, "total_error_bound",
                                                     lambda consts, dx, dt: float("nan"))),
+    "convergence-order": ("convergence-order", None, march_at_half_a),
+    "truncation-order": ("truncation-order", None, residuals_plus_one_thousandth),
+    "energy-constant": ("energy-constant", None, one_half_step_raised),
+    "constants-derivation": ("constants-derivation", None, xi_in_single_precision),
 }
 
 
@@ -113,16 +149,23 @@ def test_a_fault_violates_the_claim_and_fails_the_subcommand(tmp_path, monkeypat
     claim_id, argv, patch = FAULTS[fault]
     patch(monkeypatch)
     assert claim_status(claim_id) == VIOLATED
-    assert main(argv + ["--out", str(tmp_path)]) == 1
+    if argv is not None:
+        assert main(argv + ["--out", str(tmp_path)]) == 1
 
 
 def test_without_a_fault_the_claims_pass_and_the_subcommands_exit_0(tmp_path):
     for claim_id in sorted({row[0] for row in FAULTS.values()}):
         assert claim_status(claim_id) in PASSED, claim_id
-    for j, argv in enumerate(sorted({tuple(row[1]) for row in FAULTS.values()})):
+    subcommands = {tuple(row[1]) for row in FAULTS.values() if row[1] is not None}
+    for j, argv in enumerate(sorted(subcommands)):
         assert main([*argv, "--out", str(tmp_path / str(j))]) == 0, argv
 
 
 def test_every_claim_sharing_a_check_with_a_subcommand_has_a_fault():
     shared = {claim_id for claim_id, _, _ in report.CLAIMS} - set(CATALOG_ONLY)
-    assert shared == {row[0] for row in FAULTS.values()}
+    assert shared == {row[0] for row in FAULTS.values() if row[1] is not None}
+
+
+def test_every_claim_has_a_fault():
+    assert {claim_id for claim_id, _, _ in report.CLAIMS} == {row[0] for row in FAULTS.values()}
+    assert {row[0] for row in FAULTS.values() if row[1] is None} == set(CATALOG_ONLY)
