@@ -22,25 +22,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, energy, fundamental, report, roundoff
-from .errors import (
-    CflViolationError,
-    DomainError,
-    NonFiniteError,
-    NumericDomainError,
-    ParameterError,
-    ShapeError,
-    UnsupportedFeatureError,
-)
+from .errors import ParameterError, WavecheckError
 from .grid import build_grid
 from .problem import default_problem, standing_wave
 from .report import ClaimConfig, run_claims
 from .scalars import BINARY64, EXACT, scalar_json
 from .scheme import DEFAULT_XI, solve
-
-USAGE_ERRORS = (
-    ParameterError, ShapeError, DomainError, CflViolationError,
-    UnsupportedFeatureError, NumericDomainError, NonFiniteError,
-)
 
 
 # Flag types.  argparse turns an ArgumentTypeError or ValueError raised here
@@ -250,28 +237,27 @@ def pick_problem(args):
     return WaveProblem(c=args.c, u0=None, u1=None, s=None)
 
 
+def write_lines(path: Path, lines) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
+
+
+def csv_scalar(v) -> str:
+    return scalar_json(v) if isinstance(v, Fraction) else repr(v)
 
 
 def field_csv_lines(run):
     g = run.grid
-    if g.kind == BINARY64:
-        yield "i,k,value,value_hex"
-        for i in range(g.i_max + 1):
-            for k in range(g.k_max + 1):
-                v = run.value(i, k)
-                yield f"{i},{k},{v!r},{v.hex()}"
-    else:
-        yield "i,k,value"
-        for i in range(g.i_max + 1):
-            for k in range(g.k_max + 1):
-                v = run.value(i, k)
-                yield f"{i},{k},{v.numerator}/{v.denominator}"
-
-
-def write_lines(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n")
+    hex_column = g.kind == BINARY64
+    yield "i,k,value,value_hex" if hex_column else "i,k,value"
+    for i in range(g.i_max + 1):
+        for k in range(g.k_max + 1):
+            v = run.value(i, k)
+            yield f"{i},{k},{csv_scalar(v)}" + (f",{v.hex()}" if hex_column else "")
 
 
 def grid_summary(g) -> dict:
@@ -288,7 +274,6 @@ def cmd_solve(args) -> int:
     run = solve(prob, g, xi=args.xi)
     series = energy.energy_series(run)
     max_abs = run.max_abs()
-    args.out.mkdir(parents=True, exist_ok=True)
     write_lines(args.out / "field.csv", field_csv_lines(run))
     summary = {
         "scalar": g.kind,
@@ -313,7 +298,6 @@ def cmd_order(args) -> int:
     grids = analysis.refinement_chain(args.chain, args.cn, float(args.c),
                                       t_max=float(args.tmax))
     fit = analysis.estimate_order(wave, grids, mode=args.mode, xi=args.xi)
-    args.out.mkdir(parents=True, exist_ok=True)
     lines = ["dx,error"]
     lines += [f"{dx!r},{err!r}" for dx, err in fit.points]
     write_lines(args.out / "order.csv", lines)
@@ -334,14 +318,10 @@ def cmd_energy(args) -> int:
     gaps, failures = energy.lower_bound_failures(series, run.cn)
     violations = energy.check_energy_estimate(run, series)
     drift = series.drift()
+    min_gap = math.nan if any(gap != gap for gap in gaps) else min(gaps)
     nonnegative = all(e >= 0 for _, e, _ in failures)
-    args.out.mkdir(parents=True, exist_ok=True)
-    lines = ["k,energy"]
-    if g.kind == EXACT:
-        lines += [f"{k},{v.numerator}/{v.denominator}" for k, v in enumerate(series.values)]
-    else:
-        lines += [f"{k},{v!r}" for k, v in enumerate(series.values)]
-    write_lines(args.out / "energy.csv", lines)
+    write_lines(args.out / "energy.csv",
+                ["k,energy"] + [f"{k},{csv_scalar(v)}" for k, v in enumerate(series.values)])
     write_json(args.out / "energy.json", {
         "scalar": g.kind,
         "grid": grid_summary(g),
@@ -349,7 +329,7 @@ def cmd_energy(args) -> int:
         "drift": scalar_json(drift),
         "drift_is_zero": drift == 0,
         "nonnegative": nonnegative,
-        "lower_bound_min_gap": scalar_json(min(gaps)),
+        "lower_bound_min_gap": scalar_json(min_gap),
         "lower_bound_holds": all(gap >= 0 for _, _, gap in failures),
         "estimate_holds": not violations,
         "estimate_violations": violations,
@@ -373,7 +353,6 @@ def cmd_roundoff(args) -> int:
         mismatch = report.reconstruction_mismatch(run, run.a_exact)
         verdict = "exact-equal" if mismatch is None else "mismatch"
 
-    args.out.mkdir(parents=True, exist_ok=True)
     write_json(args.out / "roundoff.json", {
         "grid": grid_summary(g),
         "a": {"binary64": scalar_json(run.float_run.a), "exact": scalar_json(run.a_exact)},
@@ -425,7 +404,6 @@ def cmd_fundamental(args) -> int:
         "all_pass": not failures,
     }
 
-    args.out.mkdir(parents=True, exist_ok=True)
     write_json(args.out / "fundamental.json", {
         "depth": args.depth, "sweep": args.sweep,
         "a_values": [str(a) for a in args.a],
@@ -456,7 +434,6 @@ def cmd_bound(args) -> int:
             for imax, (row, holds) in zip(args.chain, measured)]
     holds = all(row["holds"] for row in rows)
     dt_star, bound_star = analysis.optimal_dt(consts, args.cn)
-    args.out.mkdir(parents=True, exist_ok=True)
     write_json(args.out / "bound.json", {
         "taylor": {"alpha3": tc.alpha3, "C3": tc.C3, "alpha4": tc.alpha4, "C4": tc.C4},
         "constants": {
@@ -477,10 +454,9 @@ def cmd_report(args) -> int:
     cfg = ClaimConfig(random_seed=args.seed,
                       inject_wrong_a=args.selftest_inject_fault)
     rep = run_claims(cfg, only=args.only)
-    args.out.mkdir(parents=True, exist_ok=True)
     text = rep.to_text()
     write_json(args.out / "claims.json", rep.to_dict())
-    (args.out / "claims.txt").write_text(text + "\n")
+    write_lines(args.out / "claims.txt", [text])
     write_json(args.out / "timings.json", rep.timings())
     print(text)
     return rep.exit_code
@@ -491,7 +467,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(apply_config_file(argv))
         return args.func(args)
-    except USAGE_ERRORS as exc:
+    except WavecheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -156,6 +156,18 @@ def test_estimate_binary64_reports_slack():
     assert check_energy_estimate(run, energy_series(run)) == []
 
 
+def test_estimate_binary64_with_a_source_adds_its_norms():
+    g = build_grid(0, 1, 1, 10, 20)
+    rng = random.Random(7)
+    src = [[0.0] + [rng.uniform(-4, 4) for _ in range(9)] + [0.0] for _ in range(21)]
+    run = solve(dataclasses.replace(default_problem(), s=src), g, xi=0.25)
+    series = energy_series(run)
+    assert check_energy_estimate(run, series) == []
+    # Without the source's norms on the right-hand side the estimate fails.
+    unforced = dataclasses.replace(run, source=[[0.0] * 11 for _ in range(21)])
+    assert len(check_energy_estimate(unforced, series)) == 19
+
+
 @pytest.mark.parametrize("kind,k,value,violated", [
     ("exact", 3, Fr(-1), [3]),
     ("binary64", 3, -1.0, [3]),

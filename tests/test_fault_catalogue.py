@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 from test_cli import corrupt_one_entry, energy_series_with, fail_norm_level
+from test_fundamental import plus_one
 
 from wavecheck import WaveProblem, analysis, cli, energy, fundamental, report, roundoff, scheme
 from wavecheck.cli import main
@@ -94,6 +95,13 @@ def doubled_shift_coefficient(monkeypatch):
     monkeypatch.setitem(fundamental._CERTIFICATE["n"], "b1", lambda i, n, k: 2 * b1(i, n, k))
 
 
+def certificate_k_plus_one(monkeypatch):
+    # The shift recurrences read only b0 and b1, so they still hold and the
+    # claim reaches its certificate sweep.
+    rat = fundamental._CERTIFICATE["k"]["rat"]
+    monkeypatch.setitem(fundamental._CERTIFICATE["k"], "rat", plus_one(rat))
+
+
 FAULTS = {
     "local-bound": ("local-error-bound", ROUNDOFF,
                     lambda mp: mp.setattr(roundoff, "LOCAL_BOUND", Fraction(-1))),
@@ -126,6 +134,7 @@ FAULTS = {
                  lambda mp: mp.setattr(fundamental, "row_sum", lambda table, k: Fraction(-1))),
     "binomial": ("binomial-identities", FUNDAMENTAL, binomial_off_by_one),
     "telescoping": ("telescoping-recurrences", FUNDAMENTAL, doubled_shift_coefficient),
+    "telescoping-certificate": ("telescoping-recurrences", FUNDAMENTAL, certificate_k_plus_one),
     "total-error-bound": ("total-error-bound", BOUND,
                           lambda mp: mp.setattr(analysis, "total_error_bound",
                                                 lambda consts, dx, dt: 0.0)),

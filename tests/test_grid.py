@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction as Fr
@@ -133,6 +134,23 @@ def test_certified_sqrt_leq_encloses_each_operand_once_per_round(monkeypatch):
     monkeypatch.setattr(scalars, "sqrt_bounds", counting)
     assert scalars.certified_sqrt_leq(3, [1, 2])  # sqrt 3 < 1 + sqrt 2 at 32 bits
     assert sorted(calls) == [1, 2, 3]
+
+
+def test_certified_sqrt_leq_escalates_precision_until_it_decides(monkeypatch):
+    # (sqrt 2 + sqrt 3)^2 = 5 + sqrt 24; the rationals below and above it are
+    # within 1e-40, closer than the 128-bit enclosures can separate.
+    bits = []
+
+    def recording(x, b=64):
+        bits.append(b)
+        return sqrt_bounds(x, b)
+
+    monkeypatch.setattr(scalars, "sqrt_bounds", recording)
+    root = math.isqrt(24 * 10 ** 80)
+    for num, expected in ((5 * 10 ** 40 + root, True), (5 * 10 ** 40 + root + 1, False)):
+        bits.clear()
+        assert scalars.certified_sqrt_leq(Fr(num, 10 ** 40), [2, 3]) is expected
+        assert sorted(set(bits)) == [32, 64, 128, 256]
 
 
 def test_interior_sum_equals_inclusive_sum_for_zero_boundary():
