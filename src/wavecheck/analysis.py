@@ -24,7 +24,7 @@ from .errors import DomainError, ParameterError
 from .grid import Grid, apply_Ah, build_grid, check_count, norm_dx
 from .problem import AnalyticSolution, WaveProblem
 from .roundoff import NORM_SCALE
-from .scalars import BINARY64, convert, to_fraction, zero
+from .scalars import BINARY64, convert, nan_or, to_fraction, zero
 from .scheme import DEFAULT_XI, SchemeRun, courant_number, solve
 
 
@@ -86,8 +86,8 @@ def truncation_error(ref: AnalyticSolution, g: Grid, c) -> Iterator[list]:
 
 
 def max_norm_over_time(columns: Iterable, g: Grid) -> float:
-    """``max_k`` of the interior norm of each time column, read in one pass."""
-    return max(norm_dx(col, g) for col in columns)
+    """``max_k`` of each time column's interior norm, read in one pass; NaN if one is."""
+    return nan_or(max, (norm_dx(col, g) for col in columns))
 
 
 def refinement_chain(i_maxes, cn, c, t_max=1.0, kind: str = BINARY64) -> list[Grid]:
@@ -129,7 +129,7 @@ class OrderFit:
 
 def estimate_order(ref: AnalyticSolution, grids: list[Grid], mode: str = "convergence",
                    xi: float = DEFAULT_XI) -> OrderFit:
-    """Least-squares slope of log error norm against log dx over a chain."""
+    """Least-squares slope of log error norm against log dx over a chain; NaN if a norm is."""
     if len(grids) < 3:
         raise ParameterError(f"need at least 3 grids in the chain, got {len(grids)}")
     if mode not in ("convergence", "truncation"):
@@ -149,6 +149,8 @@ def estimate_order(ref: AnalyticSolution, grids: list[Grid], mode: str = "conver
         if err == 0.0:
             raise DomainError("zero-error family: order slope is undefined")
         points.append((float(g.dx), err))
+    if any(err != err for _, err in points):
+        return OrderFit(slope=math.nan, points=points)
     import numpy as np  # only the slope fit needs it; importing wavecheck stays light
 
     xs = np.log([p[0] for p in points])

@@ -26,7 +26,7 @@ from .errors import ParameterError, WavecheckError
 from .grid import build_grid
 from .problem import default_problem, standing_wave
 from .report import ClaimConfig, run_claims
-from .scalars import BINARY64, EXACT, scalar_json
+from .scalars import BINARY64, EXACT, nan_or, scalar_json
 from .scheme import DEFAULT_XI, solve
 
 
@@ -246,18 +246,17 @@ def write_json(path: Path, obj) -> None:
     write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
-def csv_scalar(v) -> str:
-    return scalar_json(v) if isinstance(v, Fraction) else repr(v)
+CSV_SCALAR = {BINARY64: repr, EXACT: scalar_json}  # a rational as p/q, a float as repr
 
 
 def field_csv_lines(run):
     g = run.grid
-    hex_column = g.kind == BINARY64
+    hex_column, render = g.kind == BINARY64, CSV_SCALAR[g.kind]
     yield "i,k,value,value_hex" if hex_column else "i,k,value"
     for i in range(g.i_max + 1):
         for k in range(g.k_max + 1):
             v = run.value(i, k)
-            yield f"{i},{k},{csv_scalar(v)}" + (f",{v.hex()}" if hex_column else "")
+            yield f"{i},{k},{render(v)}" + (f",{v.hex()}" if hex_column else "")
 
 
 def grid_summary(g) -> dict:
@@ -284,8 +283,8 @@ def cmd_solve(args) -> int:
         "cfl_satisfied": True,  # solve returns no run outside its margin
         "max_abs": scalar_json(max_abs),
         "energy_first": scalar_json(series.values[0]),
-        "energy_min": scalar_json(min(series.values)),
-        "energy_max": scalar_json(max(series.values)),
+        "energy_min": scalar_json(nan_or(min, series.values)),
+        "energy_max": scalar_json(nan_or(max, series.values)),
     }
     write_json(args.out / "summary.json", summary)
     print(f"solve: cn={float(run.cn)} max|p|={float(max_abs)} "
@@ -318,10 +317,9 @@ def cmd_energy(args) -> int:
     gaps, failures = energy.lower_bound_failures(series, run.cn)
     violations = energy.check_energy_estimate(run, series)
     drift = series.drift()
-    min_gap = math.nan if any(gap != gap for gap in gaps) else min(gaps)
     nonnegative = all(e >= 0 for _, e, _ in failures)
-    write_lines(args.out / "energy.csv",
-                ["k,energy"] + [f"{k},{csv_scalar(v)}" for k, v in enumerate(series.values)])
+    write_lines(args.out / "energy.csv", ["k,energy"] + [
+        f"{k},{v}" for k, v in enumerate(map(CSV_SCALAR[g.kind], series.values))])
     write_json(args.out / "energy.json", {
         "scalar": g.kind,
         "grid": grid_summary(g),
@@ -329,7 +327,7 @@ def cmd_energy(args) -> int:
         "drift": scalar_json(drift),
         "drift_is_zero": drift == 0,
         "nonnegative": nonnegative,
-        "lower_bound_min_gap": scalar_json(min_gap),
+        "lower_bound_min_gap": scalar_json(nan_or(min, gaps)),
         "lower_bound_holds": all(gap >= 0 for _, _, gap in failures),
         "estimate_holds": not violations,
         "estimate_violations": violations,

@@ -19,7 +19,7 @@ from operator import mul
 
 from .errors import ParameterError
 from .grid import apply_Ah, dot_dx
-from .scalars import EXACT, Scalar, certified_sqrt_leq, common_column, convert, to_fraction
+from .scalars import EXACT, Scalar, certified_sqrt_leq, common_column, convert, nan_or, to_fraction
 from .scheme import SchemeRun
 
 
@@ -31,9 +31,9 @@ class EnergySeries:
     values: list
 
     def drift(self) -> Scalar:
-        """max_k |E^{k+1/2} - E^{1/2}|: NaN if an energy is NaN, 0 for exact zero-source runs."""
-        drifts = [abs(v - self.values[0]) for v in self.values]
-        return math.nan if any(d != d for d in drifts) else max(drifts)
+        """max_k |E^{k+1/2} - E^{1/2}| through ``scalars.nan_or``: NaN if an energy is
+        NaN, 0 for exact zero-source runs."""
+        return nan_or(max, (abs(v - self.values[0]) for v in self.values))
 
 
 def energy_series(run: SchemeRun) -> EnergySeries:

@@ -32,7 +32,7 @@ from . import analysis, energy, fundamental, roundoff
 from .errors import ParameterError
 from .grid import build_grid
 from .problem import WaveProblem, default_problem, standing_wave
-from .scalars import BINARY64, EXACT, sqrt_bounds, to_fraction
+from .scalars import BINARY64, EXACT, nan_or, sqrt_bounds, to_fraction
 from .scheme import DEFAULT_XI, solve
 
 VERIFIED_EXACT = "verified-exact"
@@ -262,13 +262,13 @@ def _order_claim(cfg: ClaimConfig, mode: str):
     lo, hi = SLOPE_BAND
     ok = lo <= fit.slope <= hi
     # One (alpha, C) pair witnessing the quadratic growth over the family.
-    c_witness = max(err / dx ** 2 for dx, err in fit.points)
+    c_witness = nan_or(max, (err / dx ** 2 for dx, err in fit.points))
     evidence = {
         "slope": fit.slope,
         "band": [lo, hi],
         "points": [[dx, err] for dx, err in fit.points],
         "witnessed_constant": c_witness,
-        "witnessed_radius": max(dx for dx, _ in fit.points),
+        "witnessed_radius": nan_or(max, (dx for dx, _ in fit.points)),
         "note": "uniform quadratic rate witnessed on this family, not proved",
     }
     return (VERIFIED_TOL if ok else VIOLATED), evidence

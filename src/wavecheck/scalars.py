@@ -22,6 +22,7 @@ bounds (:func:`sqrt_bounds`, :func:`certified_sqrt_leq`) instead of floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence, Union
@@ -64,6 +65,15 @@ def convert(x, kind: str) -> Scalar:
 
 def zero(kind: str) -> Scalar:
     return 0.0 if kind == BINARY64 else Fraction(0)
+
+
+def nan_or(reduce, values):
+    """``reduce(values)`` for builtin ``max`` or ``min``, or NaN if any value is NaN.
+
+    The builtins keep a NaN only when it comes first (IEEE 754-2019 §5.11); here one
+    stays once met, as ``max(nan, v)`` and ``min(nan, v)`` return their first argument.
+    ``values`` is read once, so a stream of column norms is never held whole."""
+    return functools.reduce(lambda best, v: v if v != v else reduce(best, v), values)
 
 
 def common_column(col) -> tuple[list[int], int]:

@@ -55,6 +55,7 @@ from .scalars import (
     common_column,
     convert,
     is_rational,
+    nan_or,
     over_one_denominator,
     to_fraction,
     zero,
@@ -113,7 +114,8 @@ class SchemeRun:
         return self.columns[k]
 
     def max_abs(self) -> Scalar:
-        return max(abs(v) for col in self.columns for v in col)
+        """``max |p_i^k|`` over the whole field; NaN if any node is NaN."""
+        return nan_or(max, (abs(v) for col in self.columns for v in col))
 
 
 def _sample_space(data, g: Grid, what: str) -> list:

@@ -160,6 +160,16 @@ def test_energy_min_gap_is_nan_when_a_gap_is_nan(tmp_path, monkeypatch):
     assert math.isnan(written["lower_bound_min_gap"]["decimal"])
 
 
+def test_solve_energy_extremes_are_nan_when_an_energy_is_nan(tmp_path, monkeypatch):
+    monkeypatch.setattr("wavecheck.energy.energy_series", energy_series_with(float("nan")))
+    assert main(["solve", "--imax", "12", "--kmax", "12", "--tmax", "1/2",
+                 "--out", str(tmp_path)]) == 0
+    summary = read_json(tmp_path / "summary.json")
+    for key in ("energy_min", "energy_max"):
+        assert math.isnan(summary[key]["decimal"]) and summary[key]["hex"] == "nan", key
+    assert not math.isnan(summary["energy_first"]["decimal"])
+
+
 def test_fundamental_quick_sweep(tmp_path):
     assert main(["fundamental", "--depth", "8", "--range", "8",
                  "--certificates", "50", "--out", str(tmp_path)]) == 0

@@ -8,7 +8,10 @@ cannot disagree on a failure.  Claims and subcommands run at reduced sizes;
 without a fault every one of them passes at these sizes.
 """
 
+import json
+import math
 import struct
+import sys
 from fractions import Fraction
 
 import pytest
@@ -63,6 +66,16 @@ def residuals_plus_one_thousandth(monkeypatch):
     truncation_error = analysis.truncation_error
     monkeypatch.setattr(analysis, "truncation_error", lambda ref, g, c: (
         [r + 1e-3 for r in row] for row in truncation_error(ref, g, c)))
+
+
+def nan_error_column(monkeypatch):
+    """Column k = 3 of every grid's convergence and truncation error is NaN.
+
+    A max over the columns must return NaN, not the largest finite norm."""
+    for name in ("convergence_error", "truncation_error"):
+        measure = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *args, measure=measure: (
+            [math.nan] * len(col) if k == 3 else col for k, col in enumerate(measure(*args))))
 
 
 def one_half_step_raised(monkeypatch):
@@ -141,8 +154,11 @@ FAULTS = {
     "total-error-nan-bound": ("total-error-bound", BOUND,
                               lambda mp: mp.setattr(analysis, "total_error_bound",
                                                     lambda consts, dx, dt: float("nan"))),
+    "total-error-nan-column": ("total-error-bound", BOUND, nan_error_column),
     "convergence-order": ("convergence-order", None, march_at_half_a),
+    "convergence-nan-column": ("convergence-order", None, nan_error_column),
     "truncation-order": ("truncation-order", None, residuals_plus_one_thousandth),
+    "truncation-nan-column": ("truncation-order", None, nan_error_column),
     "energy-constant": ("energy-constant", None, one_half_step_raised),
     "constants-derivation": ("constants-derivation", None, xi_in_single_precision),
 }
@@ -173,6 +189,23 @@ def test_without_a_fault_the_claims_pass_and_the_subcommands_exit_0(tmp_path):
 def test_every_claim_sharing_a_check_with_a_subcommand_has_a_fault():
     shared = {claim_id for claim_id, _, _ in report.CLAIMS} - set(CATALOG_ONLY)
     assert shared == {row[0] for row in FAULTS.values() if row[1] is not None}
+
+
+@pytest.mark.parametrize("mode", ["convergence", "truncation"])
+def test_order_writes_nan_points_and_a_nan_slope_without_asking_numpy(tmp_path, monkeypatch,
+                                                                      mode):
+    """Under a NaN error column ``order`` still exits 0, since it checks nothing.
+
+    What ``np.polyfit`` makes of a NaN point depends on the numpy build, so the
+    fit is never asked: with numpy unimportable the slope is still NaN."""
+    nan_error_column(monkeypatch)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert main(["order", "--mode", mode, "--chain", "10,20,40", "--out", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "order.json").read_text())
+    assert math.isnan(written["slope"])
+    assert [math.isnan(point["error"]) for point in written["points"]] == [True] * 3
+    assert (tmp_path / "order.csv").read_text().splitlines()[1:] == [
+        f"{point['dx']!r},nan" for point in written["points"]]
 
 
 def test_every_claim_has_a_fault():

@@ -8,6 +8,7 @@ the rational formulas.
 """
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from array import array
 from fractions import Fraction as Fr
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from test_analysis import AffineSolution, SeparableRational
 from wavecheck import WaveProblem, build_grid, solve, standing_wave, truncation_error
 from wavecheck.energy import energy_lower_bound_gap, energy_series
 from wavecheck.grid import apply_Ah, dot_dx
+from wavecheck.scalars import nan_or
 from wavecheck.scheme import DEFAULT_XI, check_cfl
 
 # --- binary64 oracles: the dedicated float code, one float() per operand ----
@@ -298,3 +301,65 @@ def test_field_storage_is_array_d_for_binary64_and_fraction_lists_for_exact():
     exact = solve(WaveProblem(c=1, u0=u0), g, kind="exact")
     assert all(type(col) is list for col in exact.columns)
     assert all(type(v) is Fr for col in exact.columns for v in col)
+
+
+# --- NaN through reductions -------------------------------------------------------
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wavecheck"
+
+#: Each single-argument builtin ``max`` or ``min`` in the package that does not
+#: go through ``nan_or``, as (module, enclosing function, call), with the reason
+#: its items are ints or Fractions, which are never NaN.
+INT_OR_FRACTION_REDUCTIONS = {
+    ("fundamental", "negative_entries", "min(row)"):
+        "a fundamental-table row holds Fractions",
+    ("report", "to_text", "max((len(r.claim_id) for r in self.results))"):
+        "string lengths are ints",
+    ("report", "claim_energy_lower_bound", "min(all_gaps)"):
+        "the gaps of exact runs are Fractions",
+    ("roundoff", "max_abs_delta", "max(map(abs, ints))"):
+        "a column's numerators over its common denominator are ints",
+    ("roundoff", "check_global_bound", "max(mags)"):
+        "the magnitudes of a column's numerators are ints",
+}
+
+
+def single_argument_reductions(path: Path) -> list:
+    """``(module, innermost enclosing function, call)`` of each call of ``max`` or
+    ``min`` with one positional argument in ``path``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("max", "min") and len(child.args) == 1):
+                found.append((path.stem, owner, ast.unparse(child)))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else owner)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_every_float_max_or_min_goes_through_nan_or():
+    """Builtin ``max`` and ``min`` over an iterable return a NaN only when it comes
+    first, so a float reduction written that way passes a NaN norm over.  Every one
+    in the package must go through ``scalars.nan_or``, which passes ``max`` or
+    ``min`` by name and calls neither, or be listed above.
+
+    Two-argument clamps such as ``max(float(e0), 0.0)`` are out of scope: each
+    bounds one value by a constant, and written value first, as that one is, it
+    returns the value when it is NaN.
+    """
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in single_argument_reductions(path)]
+    assert sorted(found) == sorted(INT_OR_FRACTION_REDUCTIONS)
+
+
+@pytest.mark.parametrize("reduce", [max, min])
+def test_nan_or_is_nan_wherever_a_nan_stands_and_the_builtin_otherwise(reduce):
+    for values in ([math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]):
+        assert math.isnan(nan_or(reduce, iter(values))), values
+    # Ties keep the first value, as in the builtin: the signed zeros tell which.
+    for values in ([0.0, -0.0], [-0.0, 0.0], [2.0, -1.0, 2.0], [Fr(1, 3), 0, Fr(-1, 2)]):
+        assert nan_or(reduce, iter(values)) is reduce(values), values

@@ -156,6 +156,13 @@ def test_update_residual_vanishes_exactly():
             assert run.value(i, k + 1) - recomputed == 0
 
 
+def test_max_abs_is_nan_when_a_node_is_nan():
+    run = solve(default_problem(), build_grid(0, 1, 1, 8, 16))
+    assert run.max_abs() == 0.25
+    run.columns[3][4] = math.nan
+    assert math.isnan(run.max_abs())
+
+
 def test_cfl_refusal():
     g = build_grid(0, 1, 1, 10, 10)  # cn = 1
     with pytest.raises(CflViolationError):
