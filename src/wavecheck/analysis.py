@@ -24,7 +24,7 @@ from .errors import DomainError, ParameterError
 from .grid import Grid, apply_Ah, build_grid, check_count, norm_dx
 from .problem import AnalyticSolution, WaveProblem
 from .roundoff import NORM_SCALE
-from .scalars import BINARY64, convert, nan_or, to_fraction, zero
+from .scalars import BINARY64, convert, nan_or, positive, to_fraction, within_margin, zero
 from .scheme import DEFAULT_XI, SchemeRun, courant_number, solve
 
 
@@ -96,9 +96,8 @@ def refinement_chain(i_maxes, cn, c, t_max=1.0, kind: str = BINARY64) -> list[Gr
     ``k_max`` is ``t_max / dt`` rounded to nearest, or one more when that
     grid's Courant number would exceed ``cn``.
     """
-    for name, v in (("c", c), ("cn", cn)):
-        if not float(v) > 0:
-            raise ParameterError(f"{name} must be positive, got {v}")
+    for name, v in (("c", c), ("cn", cn), ("t_max", t_max)):
+        positive(name, v)
     grids = []
     for imax in i_maxes:
         check_count("i_max", imax)
@@ -127,7 +126,7 @@ class OrderFit:
     points: list  # (dx, error-norm) pairs
 
 
-def estimate_order(ref: AnalyticSolution, grids: list[Grid], mode: str = "convergence",
+def estimate_order(ref: AnalyticSolution, grids: list[Grid], mode: str,
                    xi: float = DEFAULT_XI) -> OrderFit:
     """Least-squares slope of log error norm against log dx over a chain; NaN if a norm is."""
     if len(grids) < 3:
@@ -192,17 +191,10 @@ def derive_constants(xi, C3, C4, alpha3, alpha4, c, t_max, x_min, x_max) -> Erro
     sqrt(x_max - x_min + 1)``.  ``C2`` comes from
     :func:`wavecheck.energy.stability_constants`, which also checks ``xi``.
     """
-    xi, C3, C4 = float(xi), float(C3), float(C4)
-    alpha3, alpha4, c = float(alpha3), float(alpha4), float(c)
-    t_max, x_min, x_max = float(t_max), float(x_min), float(x_max)
     _, c2 = stability_constants(xi, 0.0)
-    for name, v in (("C3", C3), ("C4", C4), ("alpha3", alpha3), ("alpha4", alpha4),
-                    ("c", c), ("t_max", t_max)):
-        if not v > 0:
-            raise ParameterError(f"{name} must be positive, got {v}")
-    if not x_min < x_max:
-        raise ParameterError("empty space domain")
-    span = x_max - x_min
+    C3, C4, alpha3, alpha4, c, t_max, span = (float(positive(name, v)) for name, v in (
+        ("C3", C3), ("C4", C4), ("alpha3", alpha3), ("alpha4", alpha4), ("c", c),
+        ("t_max", t_max), ("x_max - x_min", x_max - x_min)))
     c_prime = max(1.0, C3 + c * c * C4 + 1.0)
     c_second = max(c_prime, 2.0 * (1.0 + c * c) * C4)
     alpha_e = min(1.0, t_max, alpha3, alpha4)
@@ -212,7 +204,7 @@ def derive_constants(xi, C3, C4, alpha3, alpha4, c, t_max, x_min, x_max) -> Erro
     alpha_delta = min(1.0, t_max / 2.0)
     c_delta = float(NORM_SCALE) * t_max ** 2 * math.sqrt(span + 1.0)
     return ErrorConstants(
-        xi=xi, c=c, C2=c2, C_prime=c_prime, C_second=c_second,
+        xi=float(xi), c=c, C2=c2, C_prime=c_prime, C_second=c_second,
         alpha_e=alpha_e, C_e=c_e, alpha_Delta=alpha_delta, C_Delta=c_delta,
     )
 
@@ -256,8 +248,8 @@ def optimal_dt(k: ErrorConstants, fixed_cn: float) -> tuple[float, float]:
     it is clamped into the feasible interval given by the refinement guard
     above and :data:`DT_FLOOR` below.
     """
-    fixed_cn = float(fixed_cn)
-    if not 0 < fixed_cn <= 1 - k.xi:
+    fixed_cn = float(positive("fixed_cn", fixed_cn))
+    if not within_margin(fixed_cn, k.xi):
         raise ParameterError(f"fixed_cn must lie in (0, 1 - xi], got {fixed_cn}")
     factor = 1.0 + (k.c / fixed_cn) ** 2
     dt_hi = min(k.alpha_e, k.alpha_Delta) / math.sqrt(factor)

@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -26,7 +25,8 @@ from .errors import ParameterError, WavecheckError
 from .grid import build_grid
 from .problem import default_problem, standing_wave
 from .report import ClaimConfig, run_claims
-from .scalars import BINARY64, EXACT, nan_or, scalar_json
+from .scalars import (BINARY64, EXACT, check_margin, finite, nan_or, positive, scalar_json,
+                      within_margin)
 from .scheme import DEFAULT_XI, solve
 
 
@@ -40,11 +40,7 @@ def _finite_number(text: str, parse):
         value = parse(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # a rational beyond the binary64 range
-        finite = False
-    if not finite:
+    if not finite(value):
         raise argparse.ArgumentTypeError(
             f"must be finite and within binary64 range, got {text!r}")
     return value
@@ -218,7 +214,7 @@ def apply_config_file(argv: list[str]) -> list[str]:
     return rest[:1] + tokens + rest[1:]
 
 
-def resolve_grid(args, kind: str = BINARY64):
+def resolve_grid(args, kind: str):
     if args.kmax is None:
         return analysis.refinement_chain([args.imax], args.cn, args.c,
                                          t_max=args.tmax, kind=kind)[0]
@@ -422,8 +418,8 @@ def cmd_bound(args) -> int:
     if not 0 < args.cn < 1:
         raise ParameterError(f"--cn must lie in (0, 1), got {args.cn}")
     xi = analysis.constants_margin(args.cn) if args.xi is None else args.xi
-    if args.cn > 1 - xi:
-        raise ParameterError(f"--cn must lie in (0, 1 - xi] = (0, {1 - xi}], got {args.cn}")
+    if not within_margin(args.cn, check_margin(xi)):
+        raise ParameterError(f"--cn must lie in (0, 1 - xi] = (0, 1 - {xi}], got {args.cn}")
     consts = analysis.derive_constants(xi, tc.C3, tc.C4, tc.alpha3, tc.alpha4,
                                        float(args.c), float(args.tmax), 0.0, 1.0)
     measured = report.total_error_rows(wave, consts, args.chain, args.cn,
@@ -464,6 +460,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(apply_config_file(argv))
+        if "m" in args:  # solve, order, energy and bound take --m
+            positive("--m", args.m)
         return args.func(args)
     except WavecheckError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,8 @@ from operator import mul
 
 from .errors import ParameterError
 from .grid import apply_Ah, dot_dx
-from .scalars import EXACT, Scalar, certified_sqrt_leq, common_column, convert, nan_or, to_fraction
+from .scalars import (EXACT, Scalar, certified_sqrt_leq, check_margin, common_column, convert,
+                      nan_or, to_fraction)
 from .scheme import SchemeRun
 
 
@@ -89,8 +90,7 @@ def stability_constants(xi: float, e_half) -> tuple[float, float]:
     depend on the Cauchy data, and that is the concrete reading), and
     ``C2 = 1/sqrt(2 xi (2 - xi))``.
     """
-    if not 0 < float(xi) < 1:
-        raise ParameterError(f"xi must lie in (0, 1), got {xi}")
+    check_margin(xi)
     if e_half < 0:
         raise ParameterError(f"E^(1/2) must be nonnegative, got {e_half}")
     c1 = math.sqrt(float(e_half))
@@ -100,9 +100,7 @@ def stability_constants(xi: float, e_half) -> tuple[float, float]:
 
 def c2_squared(xi) -> Fraction:
     """Exact ``C2^2 = 1 / (2 xi (2 - xi))`` for rational-arithmetic checks."""
-    x = to_fraction(xi)
-    if not 0 < x < 1:
-        raise ParameterError(f"xi must lie in (0, 1), got {xi}")
+    x = to_fraction(check_margin(xi))
     return 1 / (2 * x * (2 - x))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParameterError, ShapeError
-from .scalars import BINARY64, Scalar, convert, ensure_kind, zero
+from .scalars import BINARY64, Scalar, convert, ensure_kind, positive, zero
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,8 @@ def build_grid(x_min, x_max, t_max, i_max: int, k_max: int, kind: str = BINARY64
             f"{sys.maxsize} bytes at 8 bytes a node")
     x_min = convert(x_min, kind)
     x_max = convert(x_max, kind)
-    t_max = convert(t_max, kind)
-    if not x_min < x_max:
-        raise ParameterError(f"empty space domain: x_min={x_min} >= x_max={x_max}")
-    if not t_max > 0:
-        raise ParameterError(f"empty time domain: t_max={t_max}")
-    span = x_max - x_min
+    t_max = convert(positive("t_max", t_max), kind)
+    span = positive("x_max - x_min", x_max - x_min)
     dx = span / i_max
     dt = t_max / k_max
     return Grid(x_min, x_max, t_max, i_max, k_max, dx, dt, kind)
@@ -123,9 +119,7 @@ def apply_Ah(c, g: Grid, q: Sequence):
     indices).  The entries of ``q`` must already be in the grid's kind.
     """
     check_vector(q, g)
-    c = convert(c, g.kind)
-    if not c > 0:
-        raise ParameterError(f"propagation velocity must be positive, got {c}")
+    c = convert(positive("velocity", c), g.kind)
     c2 = c * c
     dx2 = g.dx * g.dx
     interior = [-(c2 * ((r - 2 * m) + l)) / dx2 for l, m, r in zip(q, q[1:], q[2:])]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import ParameterError, UnsupportedFeatureError
-from .scalars import BINARY64, EXACT, convert, is_rational, to_fraction
+from .scalars import BINARY64, EXACT, convert, is_rational, positive, to_fraction
 
 
 class Polynomial:
@@ -69,8 +69,7 @@ class WaveProblem:
     s: Optional[Sequence] = None
 
     def __post_init__(self):
-        if not float(self.c) > 0:
-            raise ParameterError(f"velocity must be positive, got {self.c}")
+        positive("velocity", self.c)
 
 
 class AnalyticSolution:
@@ -126,10 +125,8 @@ class StandingWave(AnalyticSolution):
     def __init__(self, m: int, c: float):
         if not (isinstance(m, int) and m >= 1):
             raise ParameterError(f"mode number must be a positive integer, got {m}")
-        if not c > 0:
-            raise ParameterError(f"velocity must be positive, got {c}")
         self.m = m
-        self.c = float(c)
+        self.c = float(positive("velocity", c))
         self.w = m * math.pi
         self.v = m * math.pi * self.c
 
@@ -181,7 +178,7 @@ class StandingWave(AnalyticSolution):
 
 
 def standing_wave(m: int, c) -> StandingWave:
-    return StandingWave(m, float(c))
+    return StandingWave(m, c)
 
 
 def fold_index(j: int, i_max: int) -> tuple[int, int]:

@@ -586,13 +586,12 @@ def _error_evidence(exc: Exception) -> dict:
     }
 
 
-def run_claims(cfg: ClaimConfig | None = None, only: list | None = None) -> ClaimsReport:
+def run_claims(cfg: ClaimConfig, only: list | None) -> ClaimsReport:
     """Execute the catalog; every claim id appears exactly once in the result.
 
     ``only`` selects claims by id; an unknown id raises ParameterError, so a
     misspelt selection cannot pass by running nothing.
     """
-    cfg = cfg or ClaimConfig()
     if only is not None:
         valid = [claim_id for claim_id, _, _ in CLAIMS]
         unknown = [claim_id for claim_id in only if claim_id not in valid]

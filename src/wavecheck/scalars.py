@@ -18,6 +18,9 @@ Fractions.
 Exact square roots do not stay rational, so comparisons involving square
 roots of rationals are decided with certified integer-square-root interval
 bounds (:func:`sqrt_bounds`, :func:`certified_sqrt_leq`) instead of floats.
+
+Every run parameter is admitted here, so the library and the CLI refuse the
+same values: :func:`positive`, :func:`check_margin` and :func:`within_margin`.
 """
 
 from __future__ import annotations
@@ -67,6 +70,35 @@ def zero(kind: str) -> Scalar:
     return 0.0 if kind == BINARY64 else Fraction(0)
 
 
+def finite(v) -> bool:
+    """Whether ``v`` is finite within binary64 range; a rational beyond it is not."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def positive(name: str, v):
+    """``v``, if it is positive and finite as a binary64 number (not one rounding to 0)."""
+    if finite(v) and float(v) > 0:
+        return v
+    if v > 0:
+        raise ParameterError(f"{name} must be finite and within binary64 range, got {v}")
+    raise ParameterError(f"{name} must be positive, got {v}")
+
+
+def check_margin(xi):
+    """``xi``, if it lies in (0, 1) as a binary64 number."""
+    if not (finite(xi) and 0 < float(xi) < 1):
+        raise ParameterError(f"xi must lie in (0, 1), got {xi}")
+    return xi
+
+
+def within_margin(cn, xi) -> bool:
+    """Whether the Courant margin ``cn <= 1 - xi`` holds, decided in exact rationals."""
+    return to_fraction(cn) <= 1 - to_fraction(xi)
+
+
 def nan_or(reduce, values):
     """``reduce(values)`` for builtin ``max`` or ``min``, or NaN if any value is NaN.
 
@@ -98,7 +130,7 @@ def over_one_denominator(*cols) -> tuple[list[list[int]], int]:
     return [ints if d == den else list(map((den // d).__mul__, ints)) for ints, d in cols], den
 
 
-def sqrt_bounds(x: Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:
+def sqrt_bounds(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     """Rational enclosure ``lo <= sqrt(x) <= hi`` with ``hi - lo <= 2**-bits / q``.
 
     Uses ``isqrt(p*q*4**bits)`` on ``x = p/q``, so both bounds are exact

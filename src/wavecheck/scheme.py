@@ -52,12 +52,14 @@ from .scalars import (
     BINARY64,
     EXACT,
     Scalar,
+    check_margin,
     common_column,
     convert,
     is_rational,
     nan_or,
     over_one_denominator,
-    to_fraction,
+    positive,
+    within_margin,
     zero,
 )
 
@@ -75,16 +77,13 @@ __all__ = [
 
 def courant_number(c, g: Grid) -> Scalar:
     """``c dt / dx`` in the grid's scalar kind, evaluated as ``(dt/dx)*c``."""
-    if not float(c) > 0:
-        raise ParameterError(f"velocity must be positive, got {c}")
-    return (g.dt / g.dx) * convert(c, g.kind)
+    return (g.dt / g.dx) * convert(positive("velocity", c), g.kind)
 
 
 def check_cfl(c, g: Grid, xi) -> bool:
     """Whether ``cn <= 1 - xi``, in exact rationals; ``xi`` is checked before ``c``."""
-    if not 0 < float(xi) < 1:
-        raise ParameterError(f"xi must lie in (0, 1), got {xi}")
-    return to_fraction(courant_number(c, g)) <= 1 - to_fraction(xi)
+    check_margin(xi)
+    return within_margin(courant_number(c, g), xi)
 
 
 @dataclass

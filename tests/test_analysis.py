@@ -161,7 +161,7 @@ def test_each_grids_run_is_freed_before_the_next_grid_marches(monkeypatch, measu
     monkeypatch.setattr(analysis, "solve", solving)
     monkeypatch.setattr(report, "solve", solving)
     if measure == "estimate_order":
-        estimate_order(wave, refinement_chain([10, 20, 40], 0.5, 1.0))
+        estimate_order(wave, refinement_chain([10, 20, 40], 0.5, 1.0), "convergence")
     else:
         k = derive_constants(0.5, 1, 1, 1, 1, 1.0, 1.0, 0.0, 1.0)
         list(report.total_error_rows(wave, k, [10, 20, 40], 0.5))
@@ -206,19 +206,25 @@ def test_estimate_order_needs_three_grids():
     wave = standing_wave(1, 1)
     grids = refinement_chain([10, 20], 0.5, 1.0)
     with pytest.raises(ParameterError, match="3 grids"):
-        estimate_order(wave, grids)
+        estimate_order(wave, grids, "convergence")
+
+
+def test_estimate_order_refuses_an_unknown_mode():
+    grids = refinement_chain([10, 20, 40], 0.5, 1.0)
+    with pytest.raises(ParameterError, match="unknown mode 'slope'"):
+        estimate_order(standing_wave(1, 1), grids, "slope")
 
 
 def test_estimate_order_zero_family_is_undefined():
     grids = refinement_chain([8, 16, 32], 0.5, 1.0)
     with pytest.raises(DomainError):
-        estimate_order(ZeroSolution(), grids)
+        estimate_order(ZeroSolution(), grids, "convergence")
 
 
 def test_estimate_order_quick_chain():
     wave = standing_wave(1, 1)
     grids = refinement_chain([10, 20, 40], 0.5, 1.0)
-    fit = estimate_order(wave, grids)
+    fit = estimate_order(wave, grids, "convergence")
     assert 1.8 <= fit.slope <= 2.2
 
 

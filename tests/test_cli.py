@@ -266,6 +266,13 @@ def test_chain_never_exceeds_the_requested_courant_number(tmp_path):
     (["order", "--chain", "10,10,10"], "pairwise distinct dx"),
     (["order", "--chain", "10,20,10"], "pairwise distinct dx"),
     (["fundamental", "--depth", "-1"], "--depth must be nonnegative"),
+    (["bound", "--cn", "0.9", "--xi", "0.1", "--chain", "20,40,80"],
+     "--cn must lie in (0, 1 - xi] = (0, 1 - 0.1], got 0.9"),
+    (["solve", "--m", "0", "--imax", "8"], "--m must be positive, got 0"),
+    (["energy", "--m", "-3", "--imax", "8", "--kmax", "8", "--tmax", "1/2"],
+     "--m must be positive, got -3"),
+    (["order", "--m", "0"], "--m must be positive, got 0"),
+    (["bound", "--m", "-1"], "--m must be positive, got -1"),
 ])
 def test_bad_inputs_exit_2_naming_the_flag(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -586,10 +593,10 @@ def test_report_unknown_claim_id_exits_2(tmp_path, capsys):
 
 def test_run_claims_rejects_unknown_ids():
     from wavecheck.errors import ParameterError
-    from wavecheck.report import run_claims
+    from wavecheck.report import ClaimConfig, run_claims
 
     with pytest.raises(ParameterError, match="unknown claim id.*no-such-claim"):
-        run_claims(only=["row-sums-linear", "no-such-claim"])
+        run_claims(ClaimConfig(), only=["row-sums-linear", "no-such-claim"])
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
@@ -651,6 +658,11 @@ def test_malformed_config_exits_2(tmp_path, capsys, before):
     argv = config + ["solve"] if before else ["solve"] + config
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "not key=value" in capsys.readouterr().err
+
+
+def test_config_without_a_path_exits_2(capsys):
+    assert main(["solve", "--config"]) == 2
+    assert "--config needs a file path" in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

@@ -1,13 +1,15 @@
 """Every name ``wavecheck`` exports, and every field it stores, is read by the
-package or the benchmark, and every parameter default is overridden there.
+package or the benchmark, and every parameter default is both overridden and
+relied on there.
 
 A read anywhere in a package module counts, the defining module included,
 except inside the name's own definition; a dataclass field counts as read
 when some attribute access outside its own class names it.  A parameter
 with a default counts as set when some call of a function by that name
-passes it, by keyword or by position.  A name read or a parameter set only
-by tests is a public surface nothing depends on: it goes, or it is listed
-below with the reason it stays.
+passes it, by keyword or by position, and as omitted when some call passes
+neither.  A name read or a parameter set only by tests is a public surface
+nothing depends on, and a default that every call overrides is a choice no
+caller makes: it goes, or it is listed below with the reason it stays.
 
 Both guards match by bare name, so they cannot tell a field or a function
 from another of the same name: the read of ``WaveProblem.c`` in
@@ -36,6 +38,11 @@ KEPT_FOR_TESTS = {
 #: Parameters with a default that no call in a module or a benchmark file sets.
 KEPT_DEFAULTS = {
     "dalembert_zero_velocity.p1": "it refuses a nonzero second datum",
+}
+
+#: Parameters with a default that every call in a module or a benchmark file sets.
+ALWAYS_SET_DEFAULTS = {
+    "dalembert_zero_velocity.p1": "no module calls the paper's analytic solution",
 }
 
 #: ``Class.field`` of each field whose name another dataclass also has, and
@@ -171,6 +178,16 @@ def test_every_defaulted_parameter_is_set_outside_the_tests():
              for name, param, pos in defaulted_parameters(ast.parse(p.read_text()))
              if not sets(sites, name, param, pos)]
     assert sorted(unset) == sorted(KEPT_DEFAULTS)
+
+
+def test_every_defaulted_parameter_is_omitted_outside_the_tests():
+    sites = [site for p in MODULES + BENCH for site in call_sites(ast.parse(p.read_text()))]
+    always_set = [f"{name}.{param}" for p in MODULES
+                  for name, param, pos in defaulted_parameters(ast.parse(p.read_text()))
+                  if not any(callee == name and param not in keys
+                             and (pos is None or count <= pos)
+                             for callee, count, keys in sites)]
+    assert sorted(always_set) == sorted(ALWAYS_SET_DEFAULTS)
 
 
 def test_every_shared_function_name_default_has_a_listed_setter():

@@ -50,6 +50,9 @@ def test_parameter_validation():
         build_table(Fr(3, 2), 5)
     with pytest.raises(ParameterError):
         build_table(Fr(1, 2), -1)
+    for k in (-2, 4):
+        with pytest.raises(DomainError, match=f"time index {k} outside"):
+            build_table(Fr(1, 2), 3).entry(0, k)
 
 
 def test_entries_nonnegative_small():

@@ -15,7 +15,7 @@ from wavecheck import (
     norm_dx,
     scalars,
 )
-from wavecheck.errors import ShapeError
+from wavecheck.errors import NumericDomainError, ShapeError
 from wavecheck.scalars import certified_sqrt_leq, sqrt_bounds
 
 
@@ -30,6 +30,8 @@ def test_build_grid_rejects_tiny_interval_counts():
         build_grid(0, 1, 1, 1, 10)
     with pytest.raises(ParameterError, match="greater than one"):
         build_grid(0, 1, 1, 10, 1)
+    with pytest.raises(ParameterError, match="i_max must be an integer, got 10.0"):
+        build_grid(0, 1, 1, 10.0, 10)
 
 
 def test_build_grid_rejects_empty_domains():
@@ -122,6 +124,18 @@ def test_certified_sqrt_leq_settles_true_ties():
     # Two classes left (2 and 3): decided by the enclosures.
     assert certified_sqrt_leq(8, [2, 3, 2])
     assert not certified_sqrt_leq(Fr(81, 8), [2, 3])
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: sqrt_bounds(Fr(-1), 64), NumericDomainError),
+    (lambda: certified_sqrt_leq(Fr(-1), [Fr(1)]), NumericDomainError),
+    (lambda: certified_sqrt_leq(Fr(1), [Fr(1), Fr(-1, 4)]), NumericDomainError),
+    (lambda: scalars.ensure_kind("decimal"), ParameterError),
+    (lambda: scalars.convert(1, "decimal"), ParameterError),
+])
+def test_negative_radicands_and_unknown_kinds_are_refused(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_certified_sqrt_leq_encloses_each_operand_once_per_round(monkeypatch):

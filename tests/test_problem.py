@@ -178,6 +178,12 @@ def test_dalembert_rejects_nonzero_velocity_datum():
         dalembert_zero_velocity(Polynomial((0, 1, -1)), 1, p1=Polynomial((0, 1, -1)))
 
 
+def test_dalembert_exposes_values_only():
+    sol = dalembert_zero_velocity(Polynomial((0, 1, -1)), 1)
+    with pytest.raises(UnsupportedFeatureError, match="values only"):
+        sol.partial(0, 1, 0.5, 0.25)
+
+
 def test_dalembert_rejects_nonvanishing_datum():
     with pytest.raises(ParameterError):
         dalembert_zero_velocity(Polynomial((1, 1)), 1)

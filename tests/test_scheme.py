@@ -214,6 +214,17 @@ def test_source_table_needs_one_column_per_time_level(columns):
         solve(WaveProblem(c=1, s=[[0.0] * 7] * columns), g)
 
 
+@pytest.mark.parametrize("problem,error,message", [
+    (WaveProblem(c=1, u0=[1.0] + [0.0] * 6), ParameterError, "sampled u0 must vanish"),
+    (WaveProblem(c=1, u1=[0.0] * 6 + [2.0]), ParameterError, "sampled u1 must vanish"),
+    (WaveProblem(c=1, s=[[0.0] * 7] * 12 + [[0.0] * 6]), ShapeError,
+     "source column 12 has length 6"),
+])
+def test_sampled_data_that_do_not_fit_the_grid_are_refused(problem, error, message):
+    with pytest.raises(error, match=message):
+        solve(problem, build_grid(0, 1, 1, 6, 12))
+
+
 def march_oracle(g, a, u0, u1, source):
     """The node-by-node binary64 loop the comprehension march replaced."""
     imax = g.i_max
