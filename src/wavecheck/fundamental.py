@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, NumericDomainError, ParameterError
-from .scalars import to_fraction
+from .scalars import finite, to_fraction
 
 
 def comb0(m: int, r: int) -> int:
@@ -100,8 +100,7 @@ def build_table(a, K: int) -> FundamentalTable:
     padded with two zeros; the fictitious row -1 is zero.  Each full row is
     the half row mirrored about ``i = 0``.
     """
-    a = to_fraction(a)
-    if not 0 < a < 1:
+    if not (finite(a) and 0 < (a := to_fraction(a)) < 1):
         raise ParameterError(f"a must lie in (0, 1), got {a}")
     if K < 0:
         raise ParameterError(f"table depth must be nonnegative, got {K}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParameterError, ShapeError
-from .scalars import BINARY64, Scalar, convert, ensure_kind, positive, zero
+from .scalars import BINARY64, Scalar, convert, ensure_kind, in_range, positive, zero
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,8 @@ def build_grid(x_min, x_max, t_max, i_max: int, k_max: int, kind: str = BINARY64
     Interval counts must be greater than one; the domain must be nonempty.
     A grid whose ``(i_max+1)(k_max+1)`` nodes need more than ``sys.maxsize``
     bytes as binary64 values is refused: no machine can hold its table.
+    ``x_min``, ``x_max`` and ``t_max`` are admitted before they are
+    converted, so a grid of either kind takes only binary64-range values.
     """
     ensure_kind(kind)
     check_count("i_max", i_max)
@@ -75,8 +77,8 @@ def build_grid(x_min, x_max, t_max, i_max: int, k_max: int, kind: str = BINARY64
         raise ParameterError(
             f"i_max = {i_max} and k_max = {k_max} give {nodes} nodes, which need more than "
             f"{sys.maxsize} bytes at 8 bytes a node")
-    x_min = convert(x_min, kind)
-    x_max = convert(x_max, kind)
+    x_min = convert(in_range("x_min", x_min), kind)
+    x_max = convert(in_range("x_max", x_max), kind)
     t_max = convert(positive("t_max", t_max), kind)
     span = positive("x_max - x_min", x_max - x_min)
     dx = span / i_max

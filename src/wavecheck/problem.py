@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import ParameterError, UnsupportedFeatureError
-from .scalars import BINARY64, EXACT, convert, is_rational, positive, to_fraction
+from .scalars import BINARY64, EXACT, convert, in_range, is_rational, positive, to_fraction
 
 
 class Polynomial:
@@ -32,11 +32,13 @@ class Polynomial:
     rational coefficients; any other argument goes through ``float`` and
     Horner's rule on the coefficients rounded once to binary64, one rounding
     per step, which for ``x*(1-x)`` (coefficients ``(0, 1, -1)``) reproduces
-    the reference initialization ``x*(1.-x)`` bit for bit.
+    the reference initialization ``x*(1.-x)`` bit for bit.  Each coefficient
+    must be within binary64 range, since both forms are kept.
     """
 
     def __init__(self, coeffs: Sequence):
-        self.coeffs = tuple(to_fraction(c) for c in coeffs) or (Fraction(0),)
+        self.coeffs = (tuple(to_fraction(in_range("coefficient", c)) for c in coeffs)
+                       or (Fraction(0),))
         self._float_coeffs = tuple(float(c) for c in self.coeffs)
 
     def __call__(self, x):

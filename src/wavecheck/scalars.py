@@ -20,7 +20,9 @@ roots of rationals are decided with certified integer-square-root interval
 bounds (:func:`sqrt_bounds`, :func:`certified_sqrt_leq`) instead of floats.
 
 Every run parameter is admitted here, so the library and the CLI refuse the
-same values: :func:`positive`, :func:`check_margin` and :func:`within_margin`.
+same values: :func:`in_range`, :func:`positive`, :func:`check_margin` and
+:func:`within_margin`.  A value is admitted before it is converted to a
+scalar kind, so no conversion meets a value that kind cannot hold.
 """
 
 from __future__ import annotations
@@ -78,12 +80,17 @@ def finite(v) -> bool:
         return False
 
 
-def positive(name: str, v):
-    """``v``, if it is positive and finite as a binary64 number (not one rounding to 0)."""
-    if finite(v) and float(v) > 0:
+def in_range(name: str, v):
+    """``v``, if binary64 holds it: finite, and not a nonzero value that rounds to 0."""
+    if finite(v) and (float(v) != 0 or v == 0):
         return v
+    raise ParameterError(f"{name} must be finite and within binary64 range, got {v}")
+
+
+def positive(name: str, v):
+    """``v``, if it is positive and within binary64 range (:func:`in_range`)."""
     if v > 0:
-        raise ParameterError(f"{name} must be finite and within binary64 range, got {v}")
+        return in_range(name, v)
     raise ParameterError(f"{name} must be positive, got {v}")
 
 

@@ -69,7 +69,6 @@ DEFAULT_XI = 2.0 ** -50
 __all__ = [
     "DEFAULT_XI",
     "SchemeRun",
-    "check_cfl",
     "courant_number",
     "solve",
 ]
@@ -78,12 +77,6 @@ __all__ = [
 def courant_number(c, g: Grid) -> Scalar:
     """``c dt / dx`` in the grid's scalar kind, evaluated as ``(dt/dx)*c``."""
     return (g.dt / g.dx) * convert(positive("velocity", c), g.kind)
-
-
-def check_cfl(c, g: Grid, xi) -> bool:
-    """Whether ``cn <= 1 - xi``, in exact rationals; ``xi`` is checked before ``c``."""
-    check_margin(xi)
-    return within_margin(courant_number(c, g), xi)
 
 
 @dataclass
@@ -155,24 +148,26 @@ def _sample_source(s, g: Grid) -> Optional[list]:
 def solve(p: WaveProblem, g: Grid, kind: str | None = None, xi=DEFAULT_XI) -> SchemeRun:
     """March the explicit scheme over the whole grid.
 
-    The Courant margin of :func:`check_cfl` is always enforced: a run outside
+    The Courant margin ``cn <= 1 - xi`` is always enforced, decided in
+    exact rationals with ``xi`` admitted before the velocity: a run outside
     it raises :class:`CflViolationError` before sampling any datum, because
-    the stability and error bounds all presuppose it.  binary64 runs abort
-    on the first non-finite value.
+    the stability and error bounds all presuppose it.  The one Courant
+    number evaluated for that decision is the run's ``cn`` and gives its
+    ``a``.  binary64 runs abort on the first non-finite value.
     """
     if kind is None:
         kind = g.kind
     if kind != g.kind:
         g = build_grid(g.x_min, g.x_max, g.t_max, g.i_max, g.k_max, kind)
-    if not check_cfl(p.c, g, xi):
-        raise CflViolationError(
-            f"Courant number {courant_number(p.c, g)} exceeds 1 - xi = 1 - {xi}")
+    check_margin(xi)
+    cn = courant_number(p.c, g)
+    if not within_margin(cn, xi):
+        raise CflViolationError(f"Courant number {cn} exceeds 1 - xi = 1 - {xi}")
 
     u0 = _sample_space(p.u0, g, "u0")
     u1 = _sample_space(p.u1, g, "u1") if p.u1 is not None else None
     source = _sample_source(p.s, g)
 
-    cn = courant_number(p.c, g)
     a = cn * cn
     march = _march_binary64 if g.kind == BINARY64 else _march_exact
     return SchemeRun(grid=g, problem=p, columns=march(g, a, u0, u1, source), a=a,
@@ -261,8 +256,9 @@ def _march_exact(g: Grid, a: Fraction, u0, u1, source) -> list:
     imax = g.i_max
     p, q = a.numerator, a.denominator
     dt = g.dt
+    dt2 = dt * dt
     vel = [dt * v for v in u1] if u1 is not None else [0] * (imax + 1)
-    forcing = ([[dt * dt * v for v in source[k]] for k in range(1, g.k_max)]
+    forcing = ([[dt2 * v for v in source[k]] for k in range(1, g.k_max)]
                if source is not None else [])
     (u0_d, vel_d, *forcing), D = over_one_denominator(*map(common_column, (u0, vel, *forcing)))
     two_q_minus_p, q2 = 2 * (q - p), q * q

@@ -3,7 +3,11 @@
 Each velocity, domain length, ``t_max``, Courant number and margin ``xi`` is
 admitted by :mod:`wavecheck.scalars`: :func:`positive` (positive and finite
 as a binary64 number), :func:`check_margin` (``0 < xi < 1``) and
-:func:`within_margin` (``cn <= 1 - xi`` in exact rationals).
+:func:`within_margin` (``cn <= 1 - xi`` in exact rationals).  Grid
+coordinates and polynomial coefficients may be zero or negative and are
+admitted by :func:`in_range` (finite as a binary64 number, and not a nonzero
+value that rounds to 0).  Every value is admitted before it is converted to a
+scalar kind.
 """
 
 import math
@@ -13,11 +17,12 @@ from functools import partial
 import pytest
 
 from wavecheck import (
+    CflViolationError,
+    Polynomial,
     StandingWave,
     WaveProblem,
     apply_Ah,
     build_grid,
-    check_cfl,
     courant_number,
     derive_constants,
     optimal_dt,
@@ -29,11 +34,18 @@ from wavecheck import (
 from wavecheck.cli import main
 from wavecheck.energy import c2_squared
 from wavecheck.errors import ParameterError
-from wavecheck.scalars import positive, within_margin
+from wavecheck.fundamental import build_table
+from wavecheck.scalars import check_margin, positive, within_margin
 
 G = build_grid(0, 1, 1, 4, 8)  # dx = 1/4, dt = 1/8
 #: xi, C3, C4, alpha3, alpha4, c, t_max, x_min, x_max; the x_max slot sets the span.
 CONSTANTS = (0.5, 1, 1, 1, 1, 1, 1, 0, 1)
+
+
+def check_cfl(c, g, xi) -> bool:
+    """The Courant admission of ``solve``: ``xi``, then ``c``, then the margin."""
+    check_margin(xi)
+    return within_margin(courant_number(c, g), xi)
 
 
 def constants_with(slot: int, v):
@@ -42,7 +54,7 @@ def constants_with(slot: int, v):
     return derive_constants(*args)
 
 
-#: Each entry point with one parameter slot left open.
+#: Each entry point with one slot left open for a positive parameter.
 ENTRY_POINTS = {
     "WaveProblem.c": lambda v: WaveProblem(c=v),
     "StandingWave.c": lambda v: StandingWave(1, v),
@@ -63,22 +75,41 @@ ENTRY_POINTS = {
     "optimal_dt.fixed_cn": lambda v: optimal_dt(derive_constants(*CONSTANTS), v),
     "stability_constants.xi": lambda v: stability_constants(v, 1.0),
     "c2_squared.xi": lambda v: c2_squared(v),
+    "build_table.a": lambda v: build_table(v, 4),
 }
 
+#: Each entry point with one slot left open for any value within binary64 range.
+#: The ``x_min`` slots span one unit, so an exact grid there has nothing else to refuse.
+FINITE_SLOTS = {
+    "Polynomial.coefficient": lambda v: Polynomial((0, v)),
+    "build_grid.x_min": lambda v: build_grid(v, v + 1, 1, 4, 8),
+    "build_grid.x_min.exact": lambda v: build_grid(v, v + 1, 1, 4, 8, "exact"),
+    "build_grid.x_max": lambda v: build_grid(-1, v, 1, 4, 8),
+    "build_grid.x_max.exact": lambda v: build_grid(-1, v, 1, 4, 8, "exact"),
+}
+SLOTS = {**ENTRY_POINTS, **FINITE_SLOTS}
+
 #: Zero, negative, NaN, both infinities and a rational beyond binary64 range.
-BAD = [0, -1, math.nan, math.inf, -math.inf, Fr(10 ** 400)]
+BAD = {"0": 0, "-1": -1, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+       "1e400": Fr(10 ** 400)}
+#: What such a slot refuses: NaN, the infinities and
+#: rationals beyond binary64 range at either end.
+OUT_OF_RANGE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                "1e400": Fr(10 ** 400), "1e-400": Fr(1, 10 ** 400)}
+VALUES = {**BAD, **OUT_OF_RANGE}
+CASES = ([(entry, value) for value in BAD for entry in sorted(ENTRY_POINTS)]
+         + [(entry, value) for value in OUT_OF_RANGE for entry in sorted(FINITE_SLOTS)])
 
 
-@pytest.mark.parametrize("value", BAD, ids=["0", "-1", "nan", "inf", "-inf", "1e400"])
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("entry,value", CASES, ids=[f"{e}-{v}" for e, v in CASES])
 def test_every_entry_point_refuses_each_bad_parameter(entry, value):
     with pytest.raises(ParameterError):
-        ENTRY_POINTS[entry](value)
+        SLOTS[entry](VALUES[value])
 
 
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("entry", sorted(SLOTS))
 def test_every_entry_point_admits_one_half(entry):
-    ENTRY_POINTS[entry](0.5)
+    SLOTS[entry](0.5)
 
 
 @pytest.mark.parametrize("value,message", [
@@ -104,7 +135,8 @@ def test_within_margin_settles_true_ties_exactly():
 def test_solve_optimal_dt_and_bound_refuse_the_same_margin(tmp_path, capsys):
     g = build_grid(0, 1, 1, 10, 10)  # dt / dx = 1, so cn = c
     assert courant_number(0.9, g) == 0.9
-    assert not check_cfl(0.9, g, 0.1)
+    with pytest.raises(CflViolationError, match=r"exceeds 1 - xi = 1 - 0\.1$"):
+        solve(WaveProblem(c=0.9), g, xi=0.1)
     with pytest.raises(ParameterError, match=r"fixed_cn must lie in \(0, 1 - xi\]"):
         optimal_dt(constants_with(0, 0.1), 0.9)
     assert main(["bound", "--cn", "0.9", "--xi", "0.1", "--chain", "20,40,80",

@@ -28,8 +28,8 @@ from wavecheck import (
     WaveProblem,
     build_grid,
     build_table,
-    check_cfl,
     check_global_bound,
+    courant_number,
     energy_series,
     lambda_closed_form,
     lambda_via_jacobi,
@@ -42,7 +42,7 @@ from wavecheck.errors import DomainError
 from wavecheck.problem import Polynomial, antisym_extension, antisym_index
 from wavecheck.report import A_VALUES, ClaimConfig
 from wavecheck.roundoff import _difference_column, _local_error_table, max_abs_delta
-from wavecheck.scalars import common_column, over_one_denominator
+from wavecheck.scalars import common_column, over_one_denominator, within_margin
 
 #: First-datum scales s of u0 = s x (1 - x), as in the benchmark's seeds.
 DATUM_SCALES = tuple(Fr(n, 8) for n in (8, -8, 7, -7, 6, -6, 5, -5))
@@ -139,7 +139,7 @@ def random_exact_runs(draw):
     c = (1 - xi) * Fr(draw(st.integers(1, 16)), 16) * g.dx / g.dt
     if draw(st.booleans()):
         c = float(c)
-        assume(check_cfl(c, g, xi))
+        assume(within_margin(courant_number(c, g), xi))
 
     def vector():
         inner = st.lists(rationals(max_den=8), min_size=i_max - 1, max_size=i_max - 1)

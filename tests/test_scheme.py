@@ -17,38 +17,60 @@ from wavecheck import (
     ShapeError,
     WaveProblem,
     build_grid,
-    check_cfl,
     courant_number,
     default_problem,
     scheme,
     solve,
     standing_wave,
 )
+from wavecheck.scalars import within_margin
 
 
 def test_courant_number_and_margin():
     g = build_grid(0, 1, 1, 100, 200)
     assert courant_number(1.0, g) == 0.5
-    assert check_cfl(1.0, g, 2.0 ** -50) is True
+    assert within_margin(courant_number(1.0, g), 2.0 ** -50) is True
+    assert solve(WaveProblem(c=1.0), g).cn == 0.5
 
 
 def test_cn_one_never_satisfies_margin():
     g = build_grid(0, 1, 1, 10, 10)  # dt = dx -> cn = c
     for xi in (2.0 ** -50, 0.1, 0.9):
-        assert check_cfl(1.0, g, xi) is False
+        assert within_margin(courant_number(1.0, g), xi) is False
+        with pytest.raises(CflViolationError):
+            solve(WaveProblem(c=1.0), g, xi=xi)
 
 
 def test_cn_two():
     g = build_grid(0, 1, 2, 10, 10)  # dt = 0.2, dx = 0.1
     assert courant_number(1.0, g) == 2.0
-    assert check_cfl(1.0, g, 0.5) is False
+    message = r"^Courant number 2\.0 exceeds 1 - xi = 1 - 0\.5$"
+    with pytest.raises(CflViolationError, match=message):
+        solve(WaveProblem(c=1.0), g, xi=0.5)
 
 
 def test_cfl_xi_domain():
     g = build_grid(0, 1, 1, 10, 20)
+    bad_velocity = WaveProblem(c=1.0)
+    bad_velocity.c = math.inf  # set after construction, which admits c
     for xi in (0.0, 1.0, -0.3, 2.0):
-        with pytest.raises(ParameterError):
-            check_cfl(1.0, g, xi)
+        for p in (WaveProblem(c=1.0), bad_velocity):
+            with pytest.raises(ParameterError, match=r"^xi must lie in \(0, 1\)"):
+                solve(p, g, xi=xi)
+    with pytest.raises(ParameterError, match="^velocity must be finite"):
+        solve(bad_velocity, g, xi=0.5)
+
+
+def test_solve_evaluates_the_courant_number_once(monkeypatch):
+    calls = []
+
+    def counted(c, g):
+        calls.append((c, g))
+        return courant_number(c, g)
+
+    monkeypatch.setattr(scheme, "courant_number", counted)
+    run = solve(default_problem(), build_grid(0, 1, 1, 8, 16))
+    assert len(calls) == 1 and run.cn == courant_number(*calls[0])
 
 
 def test_zero_problem_stays_zero():
