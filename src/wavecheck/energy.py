@@ -20,7 +20,7 @@ from operator import mul
 from .errors import ParameterError
 from .grid import apply_Ah, dot_dx
 from .scalars import (EXACT, Scalar, certified_sqrt_leq, check_margin, common_column, convert,
-                      nan_or, to_fraction)
+                      nan_or, over_one_denominator, to_fraction)
 from .scheme import SchemeRun
 
 
@@ -40,8 +40,9 @@ class EnergySeries:
 def energy_series(run: SchemeRun) -> EnergySeries:
     """The one pass over a run's half steps that every energy check reads.
 
-    Exact runs read each column once as integers over its lcm, so each half
-    step's kinetic and potential sums are one integer each.  The scales
+    Exact runs read each column once as integers over its lcm, and put each
+    pair of columns over one denominator (:func:`over_one_denominator`), so
+    each half step's kinetic and potential sums are one integer each.  The scales
     ``dx/dt^2 = kn/kd`` and ``-c^2/dx = pn/pd`` enter as integers too, so a
     half step builds two Fractions: the kinetic term, and the energy over the
     kinetic term's reduced denominator.
@@ -53,12 +54,12 @@ def energy_series(run: SchemeRun) -> EnergySeries:
         kinetic_scale, potential_scale = g.dx / (g.dt * g.dt), -c * c / g.dx
         kn, kd = kinetic_scale.numerator, kinetic_scale.denominator
         pn, pd = potential_scale.numerator, potential_scale.denominator
-        for (n0, d0), (n1, d1) in pairwise(map(common_column, run.columns)):
-            s0, s1 = d0 // (e := math.gcd(d0, d1)), d1 // e  # lcm(d0, d1) = d1 s0
-            diff = [b * s0 - a * s1 for a, b in zip(n0[1:-1], n1[1:-1])]
+        for pair in pairwise(map(common_column, run.columns)):
+            (n0, n1), den = over_one_denominator(*pair)
+            diff = [b - a for a, b in zip(n0[1:-1], n1[1:-1])]
             stencil = sum(((r - 2 * m) + l) * n for l, m, r, n in zip(n0, n0[1:], n0[2:], n1[1:]))
-            kin = Fraction(sum(map(mul, diff, diff)) * kn, (d1 * s0) ** 2 * kd)
-            pot_den = d0 * d1 * pd
+            kin = Fraction(sum(map(mul, diff, diff)) * kn, den * den * kd)
+            pot_den = den * den * pd
             kinetic.append(kin)
             values.append(Fraction(kin.numerator * pot_den + stencil * pn * kin.denominator,
                                    2 * kin.denominator * pot_den))

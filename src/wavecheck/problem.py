@@ -257,6 +257,7 @@ class DalembertSolution(AnalyticSolution):
     """
 
     def __init__(self, p0: Callable, c):
+        self.c = positive("velocity", c)
         lo, hi = (p0(to_fraction(x)) for x in (self.x_min, self.x_max))
         tol = 0 if is_rational(lo) and is_rational(hi) else 1e-9
         if abs(lo) > tol or abs(hi) > tol:
@@ -264,7 +265,6 @@ class DalembertSolution(AnalyticSolution):
                 f"initial shape must vanish at the boundary, got {lo}, {hi}"
             )
         self.p0 = p0
-        self.c = c
 
     def partial(self, nx: int, nt: int, x, t):
         if nx == 0 and nt == 0:

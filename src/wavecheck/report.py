@@ -32,7 +32,7 @@ from . import analysis, energy, fundamental, roundoff
 from .errors import ParameterError
 from .grid import build_grid
 from .problem import WaveProblem, default_problem, standing_wave
-from .scalars import BINARY64, EXACT, nan_or, sqrt_bounds, to_fraction
+from .scalars import BINARY64, EXACT, fractions, nan_or, sqrt_bounds, to_fraction
 from .scheme import DEFAULT_XI, solve
 
 VERIFIED_EXACT = "verified-exact"
@@ -355,9 +355,9 @@ def claim_closed_form(cfg: ClaimConfig):
 
 def claim_nonnegativity(cfg: ClaimConfig):
     rng = random.Random(cfg.random_seed + 1)
-    samples = [Fraction(j, NONNEG_SAMPLES + 1) for j in range(1, NONNEG_SAMPLES + 1)]
+    samples = fractions(range(1, NONNEG_SAMPLES + 1), NONNEG_SAMPLES + 1)
     # Nudge a few sample points off the uniform comb for variety.
-    samples[::5] = [Fraction(rng.randint(1, 97), 98) for _ in samples[::5]]
+    samples[::5] = fractions([rng.randint(1, 97) for _ in samples[::5]], 98)
     for a in samples:
         table = fundamental.build_table(a, cfg.nonneg_kmax)
         if next(table.negative_entries(), None) is not None:

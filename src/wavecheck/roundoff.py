@@ -9,7 +9,7 @@ convolution identity tying them together can be checked with zero tolerance.
 The exact layers run fraction-free (Bareiss-style): :func:`common_column`
 reads a column of floats or Fractions as integers over the lcm of its
 denominators, :func:`over_one_denominator` puts several over one lcm, and
-each output node becomes one Fraction at the end.  The exact march keeps a
+:func:`fractions` turns each output column into one Fraction per node.  The exact march keeps a
 column over ``2*D*q**k`` (see :mod:`wavecheck.scheme`) and a local-error
 update is an integer over ``q`` times its columns' lcm, both through the
 integer stencil :func:`wavecheck.fundamental.three_term` that also builds
@@ -42,7 +42,7 @@ from .errors import ParameterError, UnsupportedFeatureError
 from .fundamental import FundamentalTable, three_term
 from .grid import Grid
 from .problem import WaveProblem, antisym_extension
-from .scalars import BINARY64, EXACT, common_column, over_one_denominator, to_fraction
+from .scalars import BINARY64, EXACT, common_column, fractions, over_one_denominator, to_fraction
 from .scheme import DEFAULT_XI, SchemeRun, solve
 
 #: Local round-off bound for one update of the scheme, 78 * 2**-52.
@@ -91,7 +91,7 @@ def _difference_column(a_col, b_col) -> list:
     one Fraction, ``x - y`` over ``den``.
     """
     (a_ints, b_ints), den = over_one_denominator(common_column(a_col), common_column(b_col))
-    return [Fraction(x - y, den) for x, y in zip(a_ints, b_ints)]
+    return fractions([x - y for x, y in zip(a_ints, b_ints)], den)
 
 
 def _local_error_table(fl_cols: list, exact_col0: list, a: Fraction) -> list:
@@ -107,11 +107,10 @@ def _local_error_table(fl_cols: list, exact_col0: list, a: Fraction) -> list:
     are read as integers one at a time, three held at once.
     """
     p, q = a.numerator, a.denominator
-    two_q_minus_p, z = 2 * (q - p), Fraction(0)
+    two_q_minus_p = 2 * (q - p)
 
     def step(cur, old, w, den):
-        den *= w
-        return [z, *(Fraction(n, den) for n in three_term(cur, old, p, two_q_minus_p, w)), z]
+        return fractions([0, *three_term(cur, old, p, two_q_minus_p, w), 0], w * den)
 
     fl_ints = map(common_column, fl_cols)
     prev_dy, cur_dy = next(fl_ints), next(fl_ints)
@@ -202,8 +201,7 @@ def reconstruct_global_error(delta: list, table: FundamentalTable, i_max: int) -
             for i in range(i_max + 1):
                 lo = i - l + k_max
                 acc[i] = acc[i] * q + sum(map(mul, row[lo:lo + width], weights))
-        den_k = den * q ** k
-        out.append([Fraction(-n, den_k) for n in acc])
+        out.append(fractions([-n for n in acc], den * q ** k))
     return out
 
 

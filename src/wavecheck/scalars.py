@@ -15,6 +15,11 @@ order is a valid order for exact arithmetic, so one expression written in
 that order is the float computation for floats and the exact one for
 Fractions.
 
+The exact layers hold a column as integers over one denominator,
+``(ints, den)``: :func:`common_column` reads a column of either kind that
+way, :func:`over_one_denominator` puts several over their lcm, and
+:func:`fractions` writes one back as Fractions.
+
 Exact square roots do not stay rational, so comparisons involving square
 roots of rationals are decided with certified integer-square-root interval
 bounds (:func:`sqrt_bounds`, :func:`certified_sqrt_leq`) instead of floats.
@@ -22,13 +27,15 @@ bounds (:func:`sqrt_bounds`, :func:`certified_sqrt_leq`) instead of floats.
 Every run parameter is admitted here, so the library and the CLI refuse the
 same values: :func:`in_range`, :func:`positive`, :func:`check_margin` and
 :func:`within_margin`.  A value is admitted before it is converted to a
-scalar kind, so no conversion meets a value that kind cannot hold.
+scalar kind, so no conversion meets a value that kind cannot hold; each
+sampled datum value is admitted and converted in one call, :func:`datum`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -94,6 +101,23 @@ def positive(name: str, v):
     raise ParameterError(f"{name} must be positive, got {v}")
 
 
+def datum(name: str, node, v, kind: str) -> Scalar:
+    """The value ``v`` of datum ``name`` at ``node``, converted to ``kind`` if it holds it.
+
+    ``v`` must be a real number: a string that ``float`` or ``Fraction`` would
+    parse is refused.  An exact grid holds every finite value.  A binary64 grid
+    holds a NaN or an infinity, which its march reports at this node, but not a
+    rational beyond its range.
+    """
+    if not isinstance(v, numbers.Real):
+        raise ParameterError(f"{name} at node {node} must be a real number, got {v!r}")
+    try:
+        return convert(v, kind)
+    except (OverflowError, ValueError):
+        raise ParameterError(
+            f"{name} at node {node} must be a value {kind} scalars hold, got {v}") from None
+
+
 def check_margin(xi):
     """``xi``, if it lies in (0, 1) as a binary64 number."""
     if not (finite(xi) and 0 < float(xi) < 1):
@@ -126,6 +150,15 @@ def common_column(col) -> tuple[list[int], int]:
     den = math.lcm(*dens)
     scale = {d: den // d for d in dens}
     return [n * scale[d] for n, d in ratios], den
+
+
+def fractions(ints, den: int) -> list[Fraction]:
+    """The inverse of :func:`common_column`: ``n / den`` per entry, ``den > 0``.
+
+    The one place where a column of integers over one denominator becomes
+    Fractions, one reduced Fraction per node.
+    """
+    return [Fraction(n, den) for n in ints]
 
 
 def over_one_denominator(*cols) -> tuple[list[list[int]], int]:

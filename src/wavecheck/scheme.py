@@ -55,6 +55,8 @@ from .scalars import (
     check_margin,
     common_column,
     convert,
+    datum,
+    fractions,
     is_rational,
     nan_or,
     over_one_denominator,
@@ -113,7 +115,8 @@ class SchemeRun:
 def _sample_space(data, g: Grid, what: str) -> list:
     """Sample a Cauchy datum on the grid with zero boundary entries.
 
-    An exact grid takes a function's values only if they are ints or Fractions.
+    Each value is admitted by :func:`wavecheck.scalars.datum`.  An exact grid
+    takes a function's values only if they are ints or Fractions.
     """
     z = zero(g.kind)
     if data is None:
@@ -123,15 +126,18 @@ def _sample_space(data, g: Grid, what: str) -> list:
         if g.kind == EXACT and not all(map(is_rational, values)):
             raise UnsupportedFeatureError(
                 f"{what} has a value at a rational node that is not an int or a Fraction")
-        return [z, *(convert(v, g.kind) for v in values), z]
+        return [z, *(datum(what, i, v, g.kind) for i, v in enumerate(values, 1)), z]
     check_vector(data, g)
     if data[0] != 0 or data[g.i_max] != 0:
         raise ParameterError(f"sampled {what} must vanish on the boundary")
-    return [convert(v, g.kind) for v in data]
+    return [datum(what, i, v, g.kind) for i, v in enumerate(data)]
 
 
 def _sample_source(s, g: Grid) -> Optional[list]:
-    """Full source table as per-time-step columns, or None when absent."""
+    """Full source table as per-time-step columns, or None when absent.
+
+    Each value is admitted by :func:`wavecheck.scalars.datum`, named by its node ``(i, k)``.
+    """
     if s is None:
         return None
     if len(s) != g.k_max + 1:
@@ -141,7 +147,7 @@ def _sample_source(s, g: Grid) -> Optional[list]:
         row = s[k]
         if len(row) != g.i_max + 1:
             raise ShapeError(f"source column {k} has length {len(row)}")
-        cols.append([convert(v, g.kind) for v in row])
+        cols.append([datum("source", (i, k), v, g.kind) for i, v in enumerate(row)])
     return cols
 
 
@@ -251,7 +257,8 @@ def _march_exact(g: Grid, a: Fraction, u0, u1, source) -> list:
     :func:`wavecheck.fundamental.three_term` plus the scaled data terms: the
     first step adds the scaled velocity (weight -1), later ones subtract
     ``q**2`` times the column before.  No step pays for a gcd; each column
-    becomes Fractions when it is done, and two integer columns are kept.
+    becomes Fractions (:func:`wavecheck.scalars.fractions`) when it is done,
+    and two integer columns are kept.
     """
     imax = g.i_max
     p, q = a.numerator, a.denominator
@@ -265,7 +272,7 @@ def _march_exact(g: Grid, a: Fraction, u0, u1, source) -> list:
     prev = [2 * v for v in u0_d]
     cur = [0, *three_term(u0_d, [2 * q * v for v in vel_d[1:]], p, two_q_minus_p, -1), 0]
     den = 2 * D * q
-    cols = [list(u0), [Fraction(n, den) for n in cur]]
+    cols = [list(u0), fractions(cur, den)]
 
     for k in range(1, g.k_max):
         nxt = [0, *three_term(cur, prev[1:], p, two_q_minus_p, q2), 0]
@@ -275,7 +282,7 @@ def _march_exact(g: Grid, a: Fraction, u0, u1, source) -> list:
                 nxt[i] += f[i] * scale
         prev, cur = cur, nxt
         den *= q
-        cols.append([Fraction(n, den) for n in cur])
+        cols.append(fractions(cur, den))
     return cols
 
 

@@ -7,10 +7,12 @@ as a binary64 number), :func:`check_margin` (``0 < xi < 1``) and
 coordinates and polynomial coefficients may be zero or negative and are
 admitted by :func:`in_range` (finite as a binary64 number, and not a nonzero
 value that rounds to 0).  Every value is admitted before it is converted to a
-scalar kind.
+scalar kind.  Each value of a sampled datum is admitted by :func:`datum`: a
+real number that the grid's kind holds.
 """
 
 import math
+import re
 from fractions import Fraction as Fr
 from functools import partial
 
@@ -24,6 +26,7 @@ from wavecheck import (
     apply_Ah,
     build_grid,
     courant_number,
+    dalembert_zero_velocity,
     derive_constants,
     optimal_dt,
     refinement_chain,
@@ -76,6 +79,8 @@ ENTRY_POINTS = {
     "stability_constants.xi": lambda v: stability_constants(v, 1.0),
     "c2_squared.xi": lambda v: c2_squared(v),
     "build_table.a": lambda v: build_table(v, 4),
+    "dalembert_zero_velocity.c":
+        lambda v: dalembert_zero_velocity(Polynomial((0, 1, -1)), v).value(0.5, 0.25),
 }
 
 #: Each entry point with one slot left open for any value within binary64 range.
@@ -143,3 +148,25 @@ def test_solve_optimal_dt_and_bound_refuse_the_same_margin(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     assert "--cn must lie in (0, 1 - xi] = (0, 1 - 0.1], got 0.9" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+#: Each sampled datum with one entry left open, and the node that entry sits at.
+DATA_SLOTS = {
+    "u0": (lambda g, v: solve(WaveProblem(c=1, u0=[0, v, 0, 0, 0]), g), 1),
+    "u1": (lambda g, v: solve(WaveProblem(c=1, u1=[0, 0, v, 0, 0]), g), 2),
+    "source": (lambda g, v: solve(WaveProblem(c=1, s=[[0] * 5, [0, 0, 0, v, 0], *[[0] * 5] * 7]),
+                                  g), (3, 1)),
+}
+#: Per kind, the values its grids cannot hold, and a string ``float`` or ``Fraction``
+#: would parse.  A NaN or infinite binary64 datum is admitted: its march reports it.
+BAD_DATA = {"binary64": {"1e400": Fr(10 ** 400), "str": "1e-1"},
+            "exact": {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "str": "1/3"}}
+DATA_CASES = [(name, kind, value) for name in sorted(DATA_SLOTS)
+              for kind, values in BAD_DATA.items() for value in values]
+
+
+@pytest.mark.parametrize("name,kind,value", DATA_CASES, ids=["-".join(c) for c in DATA_CASES])
+def test_every_sampled_datum_refuses_a_value_its_grid_cannot_hold(name, kind, value):
+    call, node = DATA_SLOTS[name]
+    with pytest.raises(ParameterError, match=re.escape(f"{name} at node {node} must be")):
+        call(build_grid(0, 1, 1, 4, 8, kind), BAD_DATA[kind][value])

@@ -813,6 +813,11 @@ ARTIFACT_SHA256 = {
     "roundoff-12x24": (
         ["roundoff", "--imax", "12", "--kmax", "24"],
         {"roundoff.json": "6010c7622677bd390bc512494a3f9051c9c14c30de2f548936382aed111f06ef"}),
+    # a = 1/9: every exact column, local error and reconstruction term has an
+    # odd factor in its denominator.
+    "roundoff-nondyadic": (
+        ["roundoff", "--imax", "8", "--kmax", "24"],
+        {"roundoff.json": "7f7cc4b9a0781131b34329a76b3df8b8f88dadbec2f996ef87d92371ec8a3b98"}),
     "bound": (
         ["bound", "--chain", "20,40,80"],
         {"bound.json": "79bfd43a11bf302e1aac6c191952f9259c34ec701a0b6a44d46acc49884adaca"}),

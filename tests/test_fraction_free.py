@@ -7,11 +7,13 @@ Jacobi form and the energy series run in scaled integers;
 output must be the same list of Fractions.
 """
 
+import ast
 import math
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fraction_reference import _local_error_table as ref_local_error_table
@@ -42,7 +44,7 @@ from wavecheck.errors import DomainError
 from wavecheck.problem import Polynomial, antisym_extension, antisym_index
 from wavecheck.report import A_VALUES, ClaimConfig
 from wavecheck.roundoff import _difference_column, _local_error_table, max_abs_delta
-from wavecheck.scalars import common_column, over_one_denominator, within_margin
+from wavecheck.scalars import common_column, fractions, over_one_denominator, within_margin
 
 #: First-datum scales s of u0 = s x (1 - x), as in the benchmark's seeds.
 DATUM_SCALES = tuple(Fr(n, 8) for n in (8, -8, 7, -7, 6, -6, 5, -5))
@@ -281,6 +283,62 @@ def test_common_column_reads_a_float_column_as_its_fractions(col):
     assert (ints, den) == common_column([Fr(v) for v in col])
     assert den == max(Fr(v).denominator for v in col)
     assert [Fr(n, den) for n in ints] == [Fr(v) for v in col]
+    assert fractions(ints, den) == [Fr(v) for v in col]
+
+
+@given(st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6), rationals(max_den=1000)),
+                min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_fractions_inverts_common_column_on_int_and_fraction_columns(col):
+    out = fractions(*common_column(col))
+    assert out == col
+    assert all(type(v) is Fr for v in out)
+
+
+#: Every positive denominator is ``2**e * m`` with ``m`` odd.
+denominators = st.builds(lambda e, m: 2 ** e * (2 * m + 1), st.integers(0, 1100),
+                         st.integers(0, 10 ** 12))
+
+
+@given(st.lists(st.integers(-2 ** 1100, 2 ** 1100), max_size=8), denominators)
+@example([0, -1, 1, -(3 * 2 ** 60), 2 ** 100 * 9], 2 ** 64 * 9)
+@settings(max_examples=100, deadline=None)
+def test_fractions_equals_the_per_node_fraction_constructor(ints, den):
+    assert fractions(ints, den) == [Fr(n, den) for n in ints]
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wavecheck"
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def per_element_fractions(path: Path) -> list:
+    """``(module, innermost enclosing function, call)`` of each ``Fraction(...)`` call
+    inside a comprehension or generator expression, and each ``map(Fraction, ...)``,
+    in ``path``."""
+    found = []
+
+    def visit(node, owner, in_comprehension):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and (
+                    (child.func.id == "Fraction" and in_comprehension)
+                    or (child.func.id == "map" and ast.unparse(child.args[0]) == "Fraction")):
+                found.append((path.stem, owner, ast.unparse(child)))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else owner,
+                  in_comprehension or isinstance(child, COMPREHENSIONS))
+
+    visit(ast.parse(path.read_text()), None, False)
+    return found
+
+
+def test_every_column_of_fractions_is_built_by_scalars_fractions():
+    """A column of integers over one denominator becomes Fractions in
+    ``scalars.fractions`` alone, so a faster constructor is a change to one
+    function.  Single ``Fraction(n, d)`` calls, such as a table entry or a row
+    sum, stay where they are."""
+    found = [site for path in sorted(PACKAGE.glob("*.py")) if path.stem != "scalars"
+             for site in per_element_fractions(path)]
+    assert found == []
 
 
 def test_common_column_puts_a_subnormal_over_two_to_the_1074():
