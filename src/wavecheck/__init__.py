@@ -57,9 +57,6 @@ from .problem import (
     Polynomial,
     StandingWave,
     WaveProblem,
-    antisym_index,
-    antisym_value,
-    dalembert_zero_velocity,
     default_problem,
     standing_wave,
 )

@@ -9,9 +9,10 @@ a sine in binary64 only.  A vector entry is taken at its exact value, so a
 float ``0.1`` is the binary64 number nearest 1/10.  Analytic solutions are
 standalone oracles that the analysis layers compare runs against.
 
-The antisymmetric extension implements image theory: folding any real
-coordinate (or any integer index) back into the base interval through
-odd reflections, which turns the Dirichlet problem into a free-space one.
+The antisymmetric extension continues a sampled vector that vanishes at
+both ends to every integer index, oddly about each end: the Dirichlet
+problem on the interval becomes a free-space one, which is how the
+round-off reconstruction convolves each local-error row.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import ParameterError, UnsupportedFeatureError
-from .scalars import BINARY64, EXACT, convert, in_range, is_rational, positive, to_fraction
+from .scalars import in_range, positive, to_fraction
 
 
 class Polynomial:
@@ -81,9 +82,6 @@ class AnalyticSolution:
     orders up to 2 in each variable are enough for the truncation-error
     checks.
     """
-
-    x_min = 0.0
-    x_max = 1.0
 
     def partial(self, nx: int, nt: int, x, t):
         raise UnsupportedFeatureError(
@@ -183,119 +181,21 @@ def standing_wave(m: int, c) -> StandingWave:
     return StandingWave(m, c)
 
 
-def fold_index(j: int, i_max: int) -> tuple[int, int]:
-    """Fold an arbitrary integer index into ``[0, i_max]`` by odd reflections.
+def antisym_extension(values: Sequence, lo: int, hi: int) -> list:
+    """Indices ``lo .. hi`` of the odd ``2 i_max``-periodic extension of ``values``.
 
-    Returns ``(base_index, sign)`` with period ``2*i_max`` and one sign flip
-    per reflection.
+    One period is ``values`` followed by ``-values[i_max - 1] .. -values[1]``,
+    and index j reads slot ``j mod 2 i_max``.  The vector must vanish at both
+    ends, otherwise the extension is not well defined at the reflection
+    points.
     """
-    two_l = 2 * i_max
-    m = j % two_l
-    if m <= i_max:
-        return m, 1
-    return two_l - m, -1
-
-
-def _require_zero_boundary(values: Sequence) -> None:
-    i_max = len(values) - 1
-    if values[0] != 0 or values[i_max] != 0:
+    if values[0] != 0 or values[-1] != 0:
         raise ParameterError(
             "antisymmetric extension needs zero boundary values, got "
-            f"{values[0]} and {values[i_max]}"
+            f"{values[0]} and {values[-1]}"
         )
-
-
-def antisym_index(values: Sequence, j: int):
-    """Value of the antisymmetric extension of a sampled vector at index j.
-
-    The vector must vanish at both ends, otherwise the extension is not
-    well defined at the reflection points.  Kept as the per-index oracle
-    ``tests/fraction_reference.py`` builds on; the package folds slices.
-    """
-    _require_zero_boundary(values)
-    base, sign = fold_index(j, len(values) - 1)
-    return values[base] if sign > 0 else -values[base]
-
-
-def antisym_extension(values: Sequence, lo: int, hi: int) -> list:
-    """``[antisym_index(values, j) for j in range(lo, hi + 1)]``, folded once.
-
-    The boundary is checked once for the whole slice instead of once per
-    index; the error is the same :class:`ParameterError`.
-    """
-    _require_zero_boundary(values)
-    i_max = len(values) - 1
-    out = []
-    for j in range(lo, hi + 1):
-        base, sign = fold_index(j, i_max)
-        out.append(values[base] if sign > 0 else -values[base])
-    return out
-
-
-def antisym_value(p0, x_min, x_max, x):
-    """Value of the antisymmetric extension of ``p0`` at any coordinate.
-
-    Works in either scalar kind: with rational inputs and a ``p0`` that maps
-    rationals to rationals the folding stays in rational arithmetic.
-    """
-    span = x_max - x_min
-    u = (x - x_min) % (2 * span)
-    if u <= span:
-        return p0(x_min + u)
-    return -p0(x_min + (2 * span - u))
-
-
-class DalembertSolution(AnalyticSolution):
-    """Zero-velocity d'Alembert solution on [0, 1] built from an extended initial shape.
-
-    ``value(x, t) = (p~0(x + c t) + p~0(x - c t)) / 2`` where ``p~0`` is the
-    antisymmetric extension of the first Cauchy datum.  Only the value is
-    available; derivatives would need the datum's derivatives.
-
-    A datum with rational values at rational points must vanish exactly at
-    both ends, any other to within 1e-9.
-    """
-
-    def __init__(self, p0: Callable, c):
-        self.c = positive("velocity", c)
-        lo, hi = (p0(to_fraction(x)) for x in (self.x_min, self.x_max))
-        tol = 0 if is_rational(lo) and is_rational(hi) else 1e-9
-        if abs(lo) > tol or abs(hi) > tol:
-            raise ParameterError(
-                f"initial shape must vanish at the boundary, got {lo}, {hi}"
-            )
-        self.p0 = p0
-
-    def partial(self, nx: int, nt: int, x, t):
-        if nx == 0 and nt == 0:
-            return self.value(x, t)
-        raise UnsupportedFeatureError("d'Alembert reference exposes values only")
-
-    def value(self, x, t):
-        kind = EXACT if isinstance(x, Fraction) or isinstance(t, Fraction) else BINARY64
-        x, t, c, x_min, x_max = (convert(v, kind)
-                                 for v in (x, t, self.c, self.x_min, self.x_max))
-        left = antisym_value(self.p0, x_min, x_max, x + c * t)
-        right = antisym_value(self.p0, x_min, x_max, x - c * t)
-        if kind == EXACT and not (is_rational(left) and is_rational(right)):
-            raise UnsupportedFeatureError(
-                "exact evaluation needs an initial shape with rational values "
-                "at rational points"
-            )
-        return (left + right) / convert(2, kind)
-
-
-def dalembert_zero_velocity(p0, c, p1=None) -> DalembertSolution:
-    """Analytic solution for Cauchy data ``(p0, 0)``.
-
-    A nonzero second datum would require a quadrature term and is refused.
-    Kept, though no layer calls it, as the paper's analytic solution.
-    """
-    if p1 is not None:
-        raise UnsupportedFeatureError(
-            "nonzero initial velocity requires quadrature; only p1 = 0 is supported"
-        )
-    return DalembertSolution(p0, c)
+    period = [*values, *(-v for v in values[-2:0:-1])]
+    return [period[j % len(period)] for j in range(lo, hi + 1)]
 
 
 def default_problem() -> WaveProblem:

@@ -68,13 +68,6 @@ from .scalars import (
 #: Default Courant margin; the reference program is specified down to this value.
 DEFAULT_XI = 2.0 ** -50
 
-__all__ = [
-    "DEFAULT_XI",
-    "SchemeRun",
-    "courant_number",
-    "solve",
-]
-
 
 def courant_number(c, g: Grid) -> Scalar:
     """``c dt / dx`` in the grid's scalar kind, evaluated as ``(dt/dx)*c``."""

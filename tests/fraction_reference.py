@@ -11,6 +11,11 @@ direct binomial sums replaced, kept the same way, and so is the per-triple
 sweep of the shift recurrences that the row-carrying sweep replaced, and the
 telescoping certificate's two sides as Fractions, which the cross-multiplied
 integer test replaced.
+
+The odd extension of a row, index by index and reflection by reflection, is
+the oracle of the package's one-period extension, and d'Alembert's solution
+for a datum that vanishes at both ends is the analytic oracle of
+``StandingWave`` and of the generic ``AnalyticSolution.sample``.
 """
 
 import math
@@ -25,7 +30,7 @@ from wavecheck.fundamental import (
     three_term,
 )
 from wavecheck.grid import Grid, apply_Ah, dot_dx
-from wavecheck.problem import antisym_index
+from wavecheck.problem import AnalyticSolution
 from wavecheck.roundoff import GLOBAL_BOUND_SCALE, NORM_SCALE, GlobalBoundReport
 
 
@@ -89,6 +94,46 @@ def _local_error_table(fl_cols: list, exact_col0: list, a: Fraction) -> list:
             dk[i] = ideal - pk1[i]
         cols.append(dk)
     return cols
+
+
+def antisym_index(values: list, j: int):
+    """Value at index j of the odd extension of a row that vanishes at both ends.
+
+    Reflects j about 0 or about i_max, flipping the sign each time, until it
+    lands in ``[0, i_max]``.  An end is its own reflection, so its stored
+    zero is read as it is, sign and all.
+    """
+    i_max = len(values) - 1
+    if values[0] != 0 or values[i_max] != 0:
+        raise ParameterError(
+            "antisymmetric extension needs zero boundary values, got "
+            f"{values[0]} and {values[i_max]}"
+        )
+    sign = 1
+    while j < 0 or j > i_max:
+        j, sign = (-j if j < 0 else 2 * i_max - j), -sign
+    return values[j] if sign > 0 or j in (0, i_max) else -values[j]
+
+
+class DalembertSolution(AnalyticSolution):
+    """d'Alembert's solution on [0, 1] for the Cauchy data ``(p0, 0)``.
+
+    ``value(x, t) = (p~0(x + c t) + p~0(x - c t)) / 2``, where ``p~0`` is the
+    odd 2-periodic extension of ``p0``, in the scalar kind of ``x``, ``t``
+    and ``c``.  Values only, and nothing is admitted: ``p0`` must vanish at
+    0 and 1.
+    """
+
+    def __init__(self, p0, c):
+        self.p0 = p0
+        self.c = c
+
+    def extended(self, x):
+        u = x % 2
+        return self.p0(u) if u <= 1 else -self.p0(2 - u)
+
+    def value(self, x, t):
+        return (self.extended(x + self.c * t) + self.extended(x - self.c * t)) / 2
 
 
 def reconstruct_global_error(delta: list, table: FundamentalTable, i_max: int) -> list:

@@ -26,7 +26,6 @@ from wavecheck import (
     apply_Ah,
     build_grid,
     courant_number,
-    dalembert_zero_velocity,
     derive_constants,
     optimal_dt,
     refinement_chain,
@@ -79,8 +78,6 @@ ENTRY_POINTS = {
     "stability_constants.xi": lambda v: stability_constants(v, 1.0),
     "c2_squared.xi": lambda v: c2_squared(v),
     "build_table.a": lambda v: build_table(v, 4),
-    "dalembert_zero_velocity.c":
-        lambda v: dalembert_zero_velocity(Polynomial((0, 1, -1)), v).value(0.5, 0.25),
 }
 
 #: Each entry point with one slot left open for any value within binary64 range.

@@ -9,7 +9,10 @@ with a default counts as set when some call of a function by that name
 passes it, by keyword or by position, and as omitted when some call passes
 neither.  A name read or a parameter set only by tests is a public surface
 nothing depends on, and a default that every call overrides is a choice no
-caller makes: it goes, or it is listed below with the reason it stays.
+caller makes: it goes, or it is listed below with the reason it stays.  A
+top-level function or class of a package module needs a reader the same way,
+exported or not, and has no such list: one that only tests read moves to
+``tests/``.
 
 Both guards match by bare name, so they cannot tell a field or a function
 from another of the same name: the read of ``WaveProblem.c`` in
@@ -30,20 +33,13 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "wavecheck"
 
 #: Exported names kept although no module and no benchmark file reads them.
-KEPT_FOR_TESTS = {
-    "antisym_index": "the per-index oracle tests/fraction_reference.py builds on",
-    "dalembert_zero_velocity": "the paper's analytic solution, a standalone oracle",
-}
+KEPT_FOR_TESTS = {}
 
 #: Parameters with a default that no call in a module or a benchmark file sets.
-KEPT_DEFAULTS = {
-    "dalembert_zero_velocity.p1": "it refuses a nonzero second datum",
-}
+KEPT_DEFAULTS = {}
 
 #: Parameters with a default that every call in a module or a benchmark file sets.
-ALWAYS_SET_DEFAULTS = {
-    "dalembert_zero_velocity.p1": "no module calls the paper's analytic solution",
-}
+ALWAYS_SET_DEFAULTS = {}
 
 #: ``Class.field`` of each field whose name another dataclass also has, and
 #: a function (``module.name``) or method (``module.Class.name``) that reads it.
@@ -95,11 +91,21 @@ def definition(path: str) -> ast.AST:
     return node
 
 
-def test_every_exported_name_has_a_reader_outside_the_tests():
+def unread(names) -> list:
+    """The ``names`` that no module and no benchmark file reads outside their own definition."""
     read = set().union(*(reads(ast.parse(p.read_text())) for p in MODULES + BENCH))
-    unread = [name for name in exported_names()
-              if not any(n == name and owner != name for n, owner in read)]
-    assert sorted(unread) == sorted(KEPT_FOR_TESTS)
+    return [name for name in names if not any(n == name and owner != name for n, owner in read)]
+
+
+def test_every_exported_name_has_a_reader_outside_the_tests():
+    assert sorted(unread(exported_names())) == sorted(KEPT_FOR_TESTS)
+
+
+def test_every_top_level_function_and_class_has_a_reader_outside_the_tests():
+    # A function or class only tests read belongs with them, in tests/.
+    defined = [node.name for p in MODULES for node in ast.parse(p.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert unread(defined) == []
 
 
 def dataclass_fields(tree: ast.Module):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from fraction_reference import _local_error_table as ref_local_error_table
 from fraction_reference import _march_exact as ref_march_exact
+from fraction_reference import antisym_index as ref_antisym_index
 from fraction_reference import check_global_bound as ref_check_global_bound
 from fraction_reference import half_step as ref_half_step
 from fraction_reference import lambda_closed_form as ref_lambda_closed_form
@@ -41,7 +42,7 @@ from wavecheck import (
     solve,
 )
 from wavecheck.errors import DomainError
-from wavecheck.problem import Polynomial, antisym_extension, antisym_index
+from wavecheck.problem import Polynomial, antisym_extension
 from wavecheck.report import A_VALUES, ClaimConfig
 from wavecheck.roundoff import _difference_column, _local_error_table, max_abs_delta
 from wavecheck.scalars import common_column, fractions, over_one_denominator, within_margin
@@ -227,11 +228,31 @@ def test_scaled_row_is_the_entry_row_over_q_to_the_k():
         table.scaled_row(7)
 
 
-def test_antisym_extension_matches_pointwise_index():
-    q = [Fr(0), Fr(1, 3), Fr(-2, 5), Fr(7), Fr(0)]
-    assert antisym_extension(q, -11, 13) == [antisym_index(q, j) for j in range(-11, 14)]
-    with pytest.raises(ParameterError, match="zero boundary"):
-        antisym_extension([Fr(0), Fr(1)], 0, 1)
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_antisym_extension_matches_pointwise_index(data):
+    # Float rows carry signed zeros, inside and at both ends, and are
+    # compared bit for bit; the range spans two to four periods each side of 0.
+    i_max = data.draw(st.integers(1, 8), label="i_max")
+    exact = data.draw(st.booleans(), label="exact")
+    values = rationals() if exact else st.one_of(st.sampled_from((0.0, -0.0)), finite_floats)
+    ends = st.just(Fr(0)) if exact else st.sampled_from((0.0, -0.0))
+    q = [data.draw(ends), *data.draw(st.lists(values, min_size=i_max - 1, max_size=i_max - 1)),
+         data.draw(ends)]
+    period = 2 * i_max
+    lo = -data.draw(st.integers(2 * period, 4 * period), label="-lo")
+    hi = data.draw(st.integers(2 * period, 4 * period), label="hi")
+    got = antisym_extension(q, lo, hi)
+    expected = [ref_antisym_index(q, j) for j in range(lo, hi + 1)]
+    if exact:
+        assert got == expected
+    else:
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+    q[data.draw(st.sampled_from((0, i_max)), label="end")] = data.draw(
+        rationals().filter(bool) if exact else st.floats(0.5, 2) | st.floats(-2, -0.5))
+    for extend in (lambda: antisym_extension(q, lo, hi), lambda: ref_antisym_index(q, lo)):
+        with pytest.raises(ParameterError, match="zero boundary"):
+            extend()
 
 
 @given(rationals(max_den=200), st.integers(0, 30), st.data())

